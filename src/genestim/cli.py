@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -41,7 +40,6 @@ def _manifest(command: str, params: dict, out_dir: Path) -> dict:
         "params": params,
         "toolkit_version": __version__,
         "kernel_backend": KERNEL_BACKEND,
-        "threads_cap": os.environ.get("GENESTIM_THREADS"),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w", encoding="utf-8",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, gammaln, logit, xlog1py, xlogy
 
 from ._kernels import invert_p1_batch
 
@@ -196,6 +196,16 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
 # ---------------------------------------------------------------------------
 
 
+def log_choose(n, k):
+    """log C(n, k), elementwise over integer arrays with 0 <= k <= n."""
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def log_binom_pmf(k, n, p):
+    """log Pr(Bin(n, p) = k), elementwise."""
+    return log_choose(n, k) + xlogy(k, p) + xlog1py(n - k, -p)
+
+
 def _check_n(n):
     if int(n) != n or n <= 0:
         raise ValueError(f"sample size must be a positive integer, got {n}")
@@ -209,8 +219,7 @@ def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
     the two describe the same manifold of distributions.
     """
     n = _check_n(n)
-    lgam = gammaln(n + 1) - gammaln(np.arange(n + 1) + 1) \
-        - gammaln(n - np.arange(n + 1) + 1)
+    lgam = log_choose(n, np.arange(n + 1))
 
     def sampler(rng, point, size):
         return rng.binomial(n, _as_p(point), size)
@@ -360,10 +369,8 @@ def two_binomial(n1: int, n2: int) -> ModelFamily:
     and nuisance tnuis = n1*p1 + n2*p2 (score-orthogonal to theta)."""
     n1 = _check_n(n1)
     n2 = _check_n(n2)
-    lg1 = gammaln(n1 + 1) - gammaln(np.arange(n1 + 1) + 1) \
-        - gammaln(n1 - np.arange(n1 + 1) + 1)
-    lg2 = gammaln(n2 + 1) - gammaln(np.arange(n2 + 1) + 1) \
-        - gammaln(n2 - np.arange(n2 + 1) + 1)
+    lg1 = log_choose(n1, np.arange(n1 + 1))
+    lg2 = log_choose(n2, np.arange(n2 + 1))
 
     # the (theta, tnuis) -> (p1, p2) inversion is called once per outcome in
     # enumeration loops, so memoize it per parameter point; the domain check

@@ -1,8 +1,8 @@
 """Score-inversion confidence sets for the binomial-count family.
 
 Curve grids of the standardized score and of twice the log-likelihood
-ratio, z-standard intervals by bracketed bisection, vertical-slice
-distributions, and exact tail-based endpoints.
+ratio, z-standard intervals from the Wilson (1927) roots, vertical-slice
+distributions, and exact tail-based (Clopper-Pearson 1934) endpoints.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.stats import binom
+from scipy.special import betaincinv
 
-from .families import ModelFamily
+from .families import ModelFamily, log_binom_pmf
 
 DEFAULT_GRID = np.linspace(1e-4, 1.0 - 1e-4, 512)
-BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,12 @@ def ci_z(family: ModelFamily, y: int, z: float,
          side: str = "two-sided") -> IntervalResult:
     """Parameter set where the standardized score stays within the z band.
 
-    Endpoints solve sbar_y(p) = -z (upper) and sbar_y(p) = +z (lower) by
-    bracketed bisection; the curve is monotone decreasing in p.  y = 0
-    and y = n give half-infinite sets flagged at the domain boundary.
+    Endpoints solve sbar_y(p) = -z (upper) and sbar_y(p) = +z (lower);
+    the curve is monotone decreasing in p.  An endpoint exists when
+    sbar_y(p) -/+ z changes sign between p = 1e-13 and 1 - 1e-13; it is
+    then the matching Wilson (1927) root of (y - n p)^2 = z^2 n p (1 - p).
+    Otherwise, as for the lower end at y = 0 and the upper end at y = n,
+    the set is open at that domain boundary and flagged there.
     """
     if z < 0.0:
         raise ValueError("z must be nonnegative")
@@ -128,14 +129,13 @@ def ci_z(family: ModelFamily, y: int, z: float,
 
     def crossing(level):
         # root of sbar_y(p) - level in (0,1); None if no sign change
-        f = lambda p: float(sbar_binom(n, y, p)) - level  # noqa: E731
-        a, b = eps, 1.0 - eps
-        fa, fb = f(a), f(b)
-        if fa == 0.0:
-            return a
+        fa = float(sbar_binom(n, y, eps)) - level
+        fb = float(sbar_binom(n, y, 1.0 - eps)) - level
         if fa * fb > 0.0:
             return None
-        return bisect(f, a, b, xtol=BISECT_TOL)
+        # sbar_y decreases, so +level is the smaller root, -level the larger
+        half = level * math.sqrt(y * (n - y) / n + 0.25 * level * level)
+        return (y + 0.5 * level * level - half) / (n + level * level)
 
     # sbar_y is monotone decreasing in p, so {sbar <= z} is bounded below
     # by the root of sbar = +z and {sbar >= -z} bounded above by sbar = -z
@@ -184,29 +184,31 @@ def vertical_slice(curves: CurveGrid, family: ModelFamily, p: float):
     vals = curves.values[:, j - 1] * (1.0 - frac) + curves.values[:, j] * frac
     slopes = (curves.values[:, j] - curves.values[:, j - 1]) \
         / (grid[j] - grid[j - 1])
-    mass = binom.pmf(np.arange(n + 1), n, p)
+    mass = np.exp(log_binom_pmf(np.arange(n + 1), n, p))
     return [(float(v), float(m), int(np.sign(s)))
             for v, m, s in zip(vals, mass, slopes)]
 
 
 def tail_z_adjusted_ci(family: ModelFamily, y: int, alpha: float,
                        side: str) -> IntervalResult:
-    """Exact one-sided binomial endpoint: root in p of a tail identity.
+    """Exact one-sided binomial (Clopper-Pearson) endpoint.
 
-    side="upper": p with Pr_p(Y <= y) = alpha (exact upper bound);
-    side="lower": p with Pr_p(Y >= y) = alpha.
+    side="upper": p with Pr_p(Y <= y) = alpha (exact upper bound), the
+    1 - alpha quantile of Beta(y + 1, n - y);
+    side="lower": p with Pr_p(Y >= y) = alpha, the alpha quantile of
+    Beta(y, n - y + 1).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
     n = _n_of(family)
-    eps = 1e-13
+    if not 0 <= y <= n:
+        raise ValueError("y must lie in 0..n")
     if side == "upper":
         if y == n:
             return IntervalResult(lower=0.0, upper=1.0, side="upper-only",
                                   boundary_note="y = n: upper endpoint at "
                                   "domain boundary")
-        f = lambda p: float(binom.cdf(y, n, p)) - alpha  # noqa: E731
-        root = bisect(f, eps, 1.0 - eps, xtol=BISECT_TOL)
+        root = float(betaincinv(y + 1, n - y, 1.0 - alpha))
         return IntervalResult(lower=0.0, upper=root, side="upper-only",
                               closed_lower=False)
     if side == "lower":
@@ -214,8 +216,7 @@ def tail_z_adjusted_ci(family: ModelFamily, y: int, alpha: float,
             return IntervalResult(lower=0.0, upper=1.0, side="lower-only",
                                   boundary_note="y = 0: lower endpoint at "
                                   "domain boundary")
-        f = lambda p: float(binom.sf(y - 1, n, p)) - alpha  # noqa: E731
-        root = bisect(f, eps, 1.0 - eps, xtol=BISECT_TOL)
+        root = float(betaincinv(y, n - y + 1, alpha))
         return IntervalResult(lower=root, upper=1.0, side="lower-only",
                               closed_upper=False)
     raise ValueError(f"unknown side {side!r}")

@@ -15,11 +15,11 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import binom
+from scipy.special import logsumexp
 
 from ._kernels import invert_p1_batch, sbar_profiled_batch, zinterval_p1_batch
-from .families import two_binomial_probs
+from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
+                       two_binomial_probs)
 from .intervals import IntervalResult
 
 Z_95 = 1.959964  # two-sided nominal 0.95
@@ -196,78 +196,94 @@ def sbar_zero_theta(data: TwoBinomialData,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cond_support(n1: int, n2: int, t: int):
-    lo = max(0, t - n2)
-    hi = min(n1, t)
-    xs = np.arange(lo, hi + 1)
-    logc = (gammaln(n1 + 1) - gammaln(xs + 1) - gammaln(n1 - xs + 1)
-            + gammaln(n2 + 1) - gammaln(t - xs + 1)
-            - gammaln(n2 - (t - xs) + 1))
-    return xs, logc
+def _cond_log_coef(n1: int, n2: int, t) -> np.ndarray:
+    """log C(n1, x) + log C(n2, t - x) for x = 0..n1, -inf off support.
+
+    One row per entry of t: shape t.shape + (n1 + 1,).
+    """
+    xs = np.arange(n1 + 1)
+    x2 = np.asarray(t)[..., None] - xs
+    return np.where((x2 >= 0) & (x2 <= n2),
+                    log_choose(n1, xs) + log_choose(n2, np.clip(x2, 0, n2)),
+                    -np.inf)
+
+
+def _cond_law(logc: np.ndarray, log_psi) -> np.ndarray:
+    """Tilt each row of log coefficients by psi**x and normalise it."""
+    logw = logc + np.arange(logc.shape[-1]) * np.asarray(log_psi)[..., None]
+    return np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))
 
 
 def _cond_tails(n1, n2, t, x1, log_psi):
-    """(Pr(X <= x1 | t), Pr(X >= x1 | t)) under the tilted conditional law."""
-    xs, logc = _cond_support(n1, n2, t)
-    logw = logc + xs * log_psi
-    logw -= logsumexp(logw)
-    w = np.exp(logw)
-    le = float(w[xs <= x1].sum())
-    ge = float(w[xs >= x1].sum())
-    return le, ge
+    """(Pr(X <= x1 | t), Pr(X >= x1 | t)) under the tilted conditional law.
+
+    t, x1 and log_psi broadcast; one ``logsumexp`` normalises every law.
+    """
+    xs = np.arange(n1 + 1)
+    x1 = np.asarray(x1)[..., None]
+    w = _cond_law(_cond_log_coef(n1, n2, t), log_psi)
+    return (np.where(xs <= x1, w, 0.0).sum(axis=-1),
+            np.where(xs >= x1, w, 0.0).sum(axis=-1))
+
+
+def fisher_exact_intervals(x1, x2, n1: int, n2: int,
+                           confidence: float = 0.95):
+    """Conditional exact odds-ratio intervals of many outcomes at once.
+
+    Conditional on t = x1 + x2, x1 follows the noncentral hypergeometric
+    law with parameter psi (Cornfield 1956).  Each endpoint inverts a
+    one-sided exact test at (1 - confidence)/2; all endpoints of all
+    outcomes are bisected together in log psi over [-50, 50], 80 steps.
+    Returns (lower, upper) arrays in psi: lower is 0 where x1 is the
+    smallest value its conditional support allows, upper is inf where
+    x1 is the largest, so t = 0 or n1 + n2 gives (0, inf).
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0,1)")
+    alpha = 0.5 * (1.0 - confidence)
+    x1, x2 = np.broadcast_arrays(x1, x2)
+    if np.any((x1 < 0) | (x1 > n1) | (x2 < 0) | (x2 > n2)):
+        raise ValueError("counts out of range")
+    t = x1 + x2
+    logc = _cond_log_coef(n1, n2, t)
+    xs = np.arange(n1 + 1)
+    # row 0: Pr(X >= x1) increases with psi, lower endpoint where it is
+    # alpha; row 1: Pr(X <= x1) decreases with psi, upper endpoint likewise
+    tail = np.stack([xs >= x1[..., None], xs <= x1[..., None]])
+    a = np.full((2,) + t.shape, -50.0)
+    b = np.full((2,) + t.shape, 50.0)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        p = np.where(tail, _cond_law(logc, mid), 0.0).sum(axis=-1)
+        right = np.stack([p[0] < alpha, p[1] > alpha])
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    lam = 0.5 * (a + b)
+    lower = np.where(x1 == np.maximum(0, t - n2), 0.0, np.exp(lam[0]))
+    upper = np.where(x1 == np.minimum(n1, t), np.inf, np.exp(lam[1]))
+    return lower, upper
 
 
 def fisher_exact_interval(data: TwoBinomialData,
                           confidence: float = 0.95) -> IntervalResult:
     """Conditional exact odds-ratio interval (endpoints in psi, not log).
 
-    Conditional on t = x1 + x2, x1 follows the noncentral hypergeometric
-    law with parameter psi; each endpoint inverts a one-sided exact test
-    at (1 - confidence)/2 by bisection on log psi.
+    One outcome of :func:`fisher_exact_intervals`, with notes on the
+    degenerate and support-edge cases.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0,1)")
-    alpha = 0.5 * (1.0 - confidence)
-    n1, n2 = data.n1, data.n2
-    t = data.x1 + data.x2
-    if t in (0, n1 + n2):
-        return IntervalResult(lower=0.0, upper=math.inf,
+    lower, upper = map(float, fisher_exact_intervals(
+        data.x1, data.x2, data.n1, data.n2, confidence))
+    if data.x1 + data.x2 in (0, data.n1 + data.n2):
+        return IntervalResult(lower=lower, upper=upper,
                               boundary_note="degenerate conditional "
                               "support: whole half-line")
-    xs, _ = _cond_support(n1, n2, t)
-    lo_edge, hi_edge = int(xs[0]), int(xs[-1])
-
-    def solve(tail_fn, target):
-        a, b = -50.0, 50.0
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if tail_fn(mid) > target:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    if data.x1 == lo_edge:
-        lower = 0.0
-        note_lo = "x1 at conditional support edge: lower endpoint 0"
-    else:
-        # Pr(X >= x1) increases with psi; endpoint where it equals alpha
-        lam = solve(lambda lp: -_cond_tails(n1, n2, t, data.x1, lp)[1],
-                    -alpha)
-        lower = math.exp(lam)
-        note_lo = None
-    if data.x1 == hi_edge:
-        upper = math.inf
-        note_hi = "x1 at conditional support edge: upper endpoint inf"
-    else:
-        # Pr(X <= x1) decreases with psi; endpoint where it equals alpha
-        lam = solve(lambda lp: _cond_tails(n1, n2, t, data.x1, lp)[0],
-                    alpha)
-        upper = math.exp(lam)
-        note_hi = None
-    notes = "; ".join(x for x in (note_lo, note_hi) if x) or None
-    return IntervalResult(lower=lower, upper=upper, boundary_note=notes)
+    notes = []
+    if lower == 0.0:
+        notes.append("x1 at conditional support edge: lower endpoint 0")
+    if upper == math.inf:
+        notes.append("x1 at conditional support edge: upper endpoint inf")
+    return IntervalResult(lower=lower, upper=upper,
+                          boundary_note="; ".join(notes) or None)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +302,7 @@ class CoverageCell:
     method: str  # "z-standard" | "fisher-exact"
 
 
-def _outcome_grid(n1, n2):
-    g1, g2 = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
-    return g1.ravel(), g2.ravel()
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _z_intervals_all(n1: int, n2: int, c: float, z: float):
     """theta intervals for every outcome at one (c, z); outcome-major.
 
@@ -299,7 +310,7 @@ def _z_intervals_all(n1: int, n2: int, c: float, z: float):
     values at 0 or n1+n2 (coverage depends on the equal-sign convention
     there: whole line when closed, empty when open).
     """
-    x1, x2 = _outcome_grid(n1, n2)
+    x1, x2 = two_binomial_outcomes(n1, n2).T
     tn = np.array([
         NuisanceRule("plus-c", c=c).resolve(TwoBinomialData(a, b, n1, n2))
         for a, b in zip(x1, x2)])
@@ -322,8 +333,8 @@ def _z_intervals_all(n1: int, n2: int, c: float, z: float):
 
 
 def _log_masses(n1, n2, p1, p2):
-    x1, x2 = _outcome_grid(n1, n2)
-    return (binom.logpmf(x1, n1, p1) + binom.logpmf(x2, n2, p2))
+    x1, x2 = two_binomial_outcomes(n1, n2).T
+    return log_binom_pmf(x1, n1, p1) + log_binom_pmf(x2, n2, p2)
 
 
 def _mass_sum(logm, which):
@@ -346,16 +357,11 @@ def coverage_z(n1: int, n2: int, or_true: float, p1: float, p2: float,
     return _mass_sum(_log_masses(n1, n2, p1, p2), covered)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _fisher_intervals_all(n1: int, n2: int, confidence: float):
-    x1, x2 = _outcome_grid(n1, n2)
-    lo = np.empty(x1.shape)
-    hi = np.empty(x1.shape)
-    for i, (a, b) in enumerate(zip(x1, x2)):
-        res = fisher_exact_interval(TwoBinomialData(int(a), int(b), n1, n2),
-                                    confidence)
-        lo[i], hi[i] = res.lower, res.upper
-    return lo, hi
+    """Exact odds-ratio (lower, upper) of every outcome; outcome-major."""
+    x1, x2 = two_binomial_outcomes(n1, n2).T
+    return fisher_exact_intervals(x1, x2, n1, n2, confidence)
 
 
 def coverage_fisher(n1: int, n2: int, or_true: float, p1: float, p2: float,
@@ -403,7 +409,7 @@ def _profiled_sbar_all_outcomes(n1, n2, theta):
     Each outcome uses its own profiled nuisance t' = x1' + x2'; the two
     all-boundary outcomes (t' = 0 or n1+n2) take the degenerate limit 0.
     """
-    x1, x2 = _outcome_grid(n1, n2)
+    x1, x2 = two_binomial_outcomes(n1, n2).T
     t = x1 + x2
     stats = np.zeros(x1.shape)
     interior = (t > 0) & (t < n1 + n2)
@@ -442,15 +448,14 @@ def fisher_endpoint_tails(n1: int, n2: int, z_level: float = 0.95) -> list:
     two endpoints.  Rows are (x1, x2, left_tail, right_tail) where
     left refers to the lower endpoint.
     """
+    x1, x2 = np.mgrid[1:n1, 1:n2].reshape(2, -1)
+    lower, upper = fisher_exact_intervals(x1, x2, n1, n2, z_level)
     rows = []
-    for x1 in range(1, n1):
-        for x2 in range(1, n2):
-            data = TwoBinomialData(x1, x2, n1, n2)
-            res = fisher_exact_interval(data, z_level)
-            # lower endpoint: observed data sits in the upper score tail
-            left = score_tail_at(data, math.log(res.lower), "ge") \
-                if res.lower > 0.0 else 0.0
-            right = score_tail_at(data, math.log(res.upper), "le") \
-                if math.isfinite(res.upper) else 0.0
-            rows.append((x1, x2, left, right))
+    for a, b, lo, hi in zip(x1.tolist(), x2.tolist(), lower, upper):
+        data = TwoBinomialData(a, b, n1, n2)
+        # lower endpoint: observed data sits in the upper score tail
+        left = score_tail_at(data, math.log(lo), "ge") if lo > 0.0 else 0.0
+        right = score_tail_at(data, math.log(hi), "le") \
+            if math.isfinite(hi) else 0.0
+        rows.append((a, b, left, right))
     return rows

@@ -1,10 +1,14 @@
 """Command-line front end: artifacts, manifests, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import genestim
 from genestim.cli import main
 
 
@@ -19,6 +23,20 @@ def _manifest_line(path):
     return json.loads(first[2:])
 
 
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # a fresh interpreter, since this test process may have loaded them
+    src = os.path.dirname(os.path.dirname(genestim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, genestim.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 class TestBinomCurves:
     def test_artifacts_and_manifest(self, runner, tmp_path):
         res = runner.invoke(main, ["binom-curves", "--n", "10", "--y", "3",
@@ -30,6 +48,8 @@ class TestBinomCurves:
         man = _manifest_line(tmp_path / "score_curves.csv")
         assert man["command"] == "binom-curves"
         assert man["params"] == {"n": 10, "y": 3, "grid_points": 32}
+        assert set(man) == {"command", "params", "toolkit_version",
+                            "kernel_backend"}
         assert man == json.loads((tmp_path / "manifest.json").read_text())
 
     def test_row_count(self, runner, tmp_path):

@@ -14,6 +14,21 @@ FAM = F.bernoulli_sum(20)
 # roots of the cleared-denominator quadratic (6 - 20p)^2 = 4 * 20 p (1-p),
 # i.e. 480 p^2 - 320 p + 36 = 0
 CI_20_6_Z2 = (0.14330409581681036, 0.5233625708498563)
+# (n, y, z, lower, upper) of the two-sided z set: the roots of
+# (y - n p)^2 = z^2 n p (1 - p), or None where the score never reaches that
+# edge of the band, so the set stays open at the domain boundary (y = 0 or
+# y = n, and both ends at z = 0 there)
+CI_Z_CASES = (
+    (20, 6, 2.0) + CI_20_6_Z2,
+    (20, 0, 2.0, None, 1 / 6),
+    (20, 20, 2.0, 5 / 6, None),
+    (20, 6, 0.0, 0.3, 0.3),
+    (20, 0, 0.0, None, None),
+    (20, 20, 0.0, None, None),
+    (7, 3, 1.0, 0.26230877794331625, 0.6126912220566838),
+    (50, 17, 1.959964, 0.2243694914541036, 0.4784617406030529),
+    (1, 0, 3.0, None, 0.9),
+)
 # exact 2*(loglik(6/20) - loglik(1/2)) for n=20, y=6
 LLR_20_6_HALF = 3.291315140202072
 
@@ -63,6 +78,14 @@ class TestCurves:
                         values=np.zeros((1, 2)))
 
 
+def _assert_end(value, root, edge, case):
+    """An open end sits exactly on the domain edge, a closed one on the root."""
+    if root is None:
+        assert value == edge, case
+    else:
+        assert value == pytest.approx(root, abs=1e-10), case
+
+
 class TestCiZ:
     def test_two_sided_interval_matches_the_quadratic_roots(self):
         res = I.ci_z(FAM, 6, 2.0)
@@ -72,19 +95,26 @@ class TestCiZ:
         assert res.contains(0.3) and not res.contains(0.6)
 
     def test_one_sided_sets_are_half_lines(self):
-        lower_set = I.ci_z(FAM, 6, 2.0, side="lower-only")
-        upper_set = I.ci_z(FAM, 6, 2.0, side="upper-only")
-        assert lower_set.upper == pytest.approx(CI_20_6_Z2[1], abs=1e-10)
-        assert not lower_set.closed_lower
-        assert upper_set.lower == pytest.approx(CI_20_6_Z2[0], abs=1e-10)
-        assert not upper_set.closed_upper
+        for n, y, z, lo, hi in CI_Z_CASES:
+            fam = F.bernoulli_sum(n)
+            lower_set = I.ci_z(fam, y, z, side="lower-only")
+            upper_set = I.ci_z(fam, y, z, side="upper-only")
+            assert lower_set.lower == 0.0 and not lower_set.closed_lower
+            _assert_end(lower_set.upper, hi, 1.0, (n, y, z))
+            assert lower_set.closed_upper == (hi is not None)
+            assert upper_set.upper == 1.0 and not upper_set.closed_upper
+            _assert_end(upper_set.lower, lo, 0.0, (n, y, z))
+            assert upper_set.closed_lower == (lo is not None)
 
     def test_boundary_outcomes_flagged(self):
-        res0 = I.ci_z(FAM, 0, 2.0)
-        assert not res0.closed_lower and res0.lower == 0.0
-        assert "boundary" in res0.boundary_note
-        resn = I.ci_z(FAM, 20, 2.0)
-        assert not resn.closed_upper and resn.upper == 1.0
+        for n, y, z, lo, hi in CI_Z_CASES:
+            res = I.ci_z(F.bernoulli_sum(n), y, z)
+            assert res.closed_lower == (lo is not None), (n, y, z)
+            assert res.closed_upper == (hi is not None), (n, y, z)
+            _assert_end(res.lower, lo, 0.0, (n, y, z))
+            _assert_end(res.upper, hi, 1.0, (n, y, z))
+            assert ("boundary" in (res.boundary_note or "")) == \
+                (lo is None or hi is None), (n, y, z)
 
     def test_coverage_statement(self):
         # the z=2 interval system covers each interior p at >= the
@@ -125,6 +155,12 @@ class TestTailAdjustedCi:
     def test_boundary_outcomes(self):
         assert I.tail_z_adjusted_ci(FAM, 0, 0.025, "lower").boundary_note
         assert I.tail_z_adjusted_ci(FAM, 20, 0.025, "upper").boundary_note
+
+    def test_counts_out_of_range_rejected(self):
+        for y in (-1, 21):
+            for side in ("upper", "lower"):
+                with pytest.raises(ValueError):
+                    I.tail_z_adjusted_ci(FAM, y, 0.025, side)
 
 
 class TestIntervalResult:

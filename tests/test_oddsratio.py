@@ -155,6 +155,33 @@ class TestFisherExactInterval:
         with pytest.raises(ValueError):
             O.fisher_exact_interval(_data(5, 5), confidence=1.0)
 
+    def test_batch_matches_scipy_over_a_whole_grid(self):
+        n1, n2 = 6, 9
+        x1, x2 = np.mgrid[0:n1 + 1, 0:n2 + 1].reshape(2, -1)
+        lower, upper = O.fisher_exact_intervals(x1, x2, n1, n2, 0.95)
+        t = x1 + x2
+        for a, b, lo, hi in zip(x1, x2, lower, upper):
+            if a + b in (0, n1 + n2):
+                assert (lo, hi) == (0.0, math.inf)
+                continue
+            ref = odds_ratio([[a, n1 - a], [b, n2 - b]]) \
+                .confidence_interval(0.95)
+            assert lo == pytest.approx(ref.low, rel=1e-9), (a, b)
+            assert hi == pytest.approx(ref.high, rel=1e-9), (a, b)
+        # exactly 0 and inf at the edges of the conditional support
+        assert np.array_equal(lower == 0.0, x1 == np.maximum(0, t - n2))
+        assert np.array_equal(upper == np.inf, x1 == np.minimum(n1, t))
+
+    def test_batch_rejects_counts_out_of_range(self):
+        with pytest.raises(ValueError):
+            O.fisher_exact_intervals([3, 7], [2, 2], 6, 9)
+
+    def test_grid_cache_is_bounded(self):
+        O._fisher_intervals_all.cache_clear()
+        for k in range(20):
+            O._fisher_intervals_all(2, 3, 0.5 + 0.02 * k)
+        assert O._fisher_intervals_all.cache_info().currsize <= 16
+
 
 class TestExactCoverage:
     # frozen exact enumerations at z = 1.959964, c = 0
