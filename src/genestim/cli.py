@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import KERNEL_BACKEND, __version__
+from . import __version__
 from . import estimation, families, intervals, location, oddsratio
 
 EXIT_SCHEMA = 2
@@ -39,7 +39,6 @@ def _manifest(command: str, params: dict, out_dir: Path) -> dict:
         "command": command,
         "params": params,
         "toolkit_version": __version__,
-        "kernel_backend": KERNEL_BACKEND,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w", encoding="utf-8",

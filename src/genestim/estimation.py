@@ -40,7 +40,6 @@ class GeneralizedEstimator:
     g: Callable  # (y, point) -> (k,)
     label: str = "estimator"
     gradient_interest: Optional[Callable] = None  # (y, point) -> (k, k)
-    projection_flagged: bool = False
 
     def __call__(self, y, point):
         return np.atleast_1d(np.asarray(self.g(y, point), dtype=float))
@@ -103,7 +102,6 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
     """
     k = family.dim_interest
     cache: dict = {}
-    flagged = False
 
     def coeffs(point):
         key = tuple(np.atleast_1d(np.asarray(point, dtype=float)))
@@ -135,8 +133,6 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
             except np.linalg.LinAlgError:
                 singular = True
             if singular:
-                nonlocal flagged
-                flagged = True
                 warnings.warn(
                     f"{family.label}: singular nuisance Gram matrix at "
                     f"{key}; falling back to pseudo-inverse projection")
@@ -356,12 +352,21 @@ def efficiency_mc(family: ModelFamily, g, point, reps: int,
     gv = np.array([float(np.atleast_1d(g(y, point))[0]) for y in draws])
     if gv.std() == 0.0:
         raise EstimatorError("degenerate sample variance of g")
-    r = float(np.corrcoef(sv, gv)[0, 1])
-    m = reps // batches
+    return corr_sq_with_se(sv, gv, batches)
+
+
+def corr_sq_with_se(a, b, blocks: int):
+    """(corr(a, b)^2, its standard error) over paired draws.
+
+    The standard error is the delta-method 2|r| se(r), with se(r) the
+    spread of the correlations of ``blocks`` equal consecutive blocks.
+    """
+    r = float(np.corrcoef(a, b)[0, 1])
+    m = len(a) // blocks
     rb = np.array([
-        np.corrcoef(sv[i * m:(i + 1) * m], gv[i * m:(i + 1) * m])[0, 1]
-        for i in range(batches)])
-    se_r = float(rb.std(ddof=1) / math.sqrt(batches))
+        np.corrcoef(a[i * m:(i + 1) * m], b[i * m:(i + 1) * m])[0, 1]
+        for i in range(blocks)])
+    se_r = float(rb.std(ddof=1) / math.sqrt(blocks))
     return r * r, 2.0 * abs(r) * se_r
 
 

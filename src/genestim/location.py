@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import t3_mle_batch
+from .estimation import corr_sq_with_se
 
 ZETA_PROBS = np.round(np.arange(0.005, 0.9951, 0.01), 3)  # .005..0.995 step .01
 DEFAULT_ESTIMATORS = ("mean", "median", "t3_mle")
@@ -114,17 +115,6 @@ def _draw(rng, family, m, n):
     return z / np.sqrt(w / 3.0)
 
 
-def _corr_sq_with_se(score_vals, est_vals, blocks):
-    r = float(np.corrcoef(score_vals, est_vals)[0, 1])
-    m = len(score_vals) // blocks
-    rb = np.array([
-        np.corrcoef(score_vals[i * m:(i + 1) * m],
-                    est_vals[i * m:(i + 1) * m])[0, 1]
-        for i in range(blocks)])
-    se_r = float(rb.std(ddof=1) / math.sqrt(blocks))
-    return r * r, 2.0 * abs(r) * se_r
-
-
 def run_comparison(config: McRunConfig) -> ComparisonResult:
     """Replicate the estimator comparison at true location 0.
 
@@ -174,8 +164,8 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     for label, chunks in main.items():
         vals = np.concatenate(chunks)
         result.archives[label] = vals
-        result.efficiency[label] = _corr_sq_with_se(score_vals, vals,
-                                                    config.blocks)
+        result.efficiency[label] = corr_sq_with_se(score_vals, vals,
+                                                   config.blocks)
     for label, chunks in overlays.items():
         result.archives[label] = np.concatenate(chunks)
     if "mean" in result.archives:

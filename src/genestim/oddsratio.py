@@ -102,8 +102,9 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
     """Invert sbar^2 <= z^2 into a log-odds-ratio interval.
 
     With the nuisance pinned by ``rule``, the inequality is solved in p1
-    over the feasible range by dense sign scan plus bisection (the
-    cleared-denominator degree-6 polynomial is kept as a test oracle);
+    over the feasible range: the real roots of the cleared-denominator
+    degree-6 polynomial split the range, and each edge is bisected on
+    the score itself (a dense sign scan is kept as a test oracle);
     endpoints map to theta through the log-odds-ratio.  A rule value at
     0 or n1+n2 (all-boundary data with c = 0) is degenerate: the closed
     convention gives the whole line, the open one the empty set.

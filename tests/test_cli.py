@@ -48,8 +48,7 @@ class TestBinomCurves:
         man = _manifest_line(tmp_path / "score_curves.csv")
         assert man["command"] == "binom-curves"
         assert man["params"] == {"n": 10, "y": 3, "grid_points": 32}
-        assert set(man) == {"command", "params", "toolkit_version",
-                            "kernel_backend"}
+        assert set(man) == {"command", "params", "toolkit_version"}
         assert man == json.loads((tmp_path / "manifest.json").read_text())
 
     def test_row_count(self, runner, tmp_path):

@@ -108,6 +108,25 @@ class TestOrthogonalization:
         nuis = E.nuisance_information(ENGINE, fam, g, point)
         assert abs(nuis[0, 0]) < 1e-6
 
+    def test_singular_nuisance_gram_warns_and_uses_the_pseudo_inverse(self):
+        # the second parameter leaves the law unchanged: its score is
+        # identically 0, so the nuisance Gram matrix is [[0]]
+        base = F.bernoulli_sum(6)
+        fam = F.ModelFamily(
+            label="bernoulli-with-idle-nuisance", support=base.support,
+            dim_interest=1, dim_nuisance=1,
+            in_domain=lambda point: 0.0 < point[0] < 1.0,
+            log_density=lambda y, point: base.log_density(y, point[:1]),
+            score_interest=lambda y, point: base.score_interest(y, point[:1]),
+            score_nuisance=lambda y, point: np.zeros(1))
+        pre = E.PreEstimator(f=lambda y, point: np.array([float(y > 2)]),
+                             label="threshold")
+        g = E.orthogonalize(ENGINE, fam, pre)
+        point = [0.4, 1.0]
+        with pytest.warns(UserWarning, match="pseudo-inverse"):
+            mean = ENGINE.expect(fam, point, lambda y: g(y, point))
+        assert abs(mean[0]) < 1e-12
+
     def test_orthogonalized_score_matches_schur_complement(self):
         fam = F.two_binomial(8, 6)
         point = np.array(F.two_binomial_params(0.3, 0.5, 8, 6))
