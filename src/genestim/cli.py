@@ -300,76 +300,108 @@ def verify(n):
     fam = families.bernoulli_sum(n)
     checks = []
 
-    def check(name, passed, detail=""):
-        checks.append(passed)
-        mark = "PASS" if passed else "FAIL"
-        click.echo(f"[{mark}] {name}" + (f" ({detail})" if detail else ""))
+    def check(name, measure, passed, detail=None):
+        """One verdict line: ``measure()`` is tested by ``passed`` and
+        described by ``detail``; a numeric error it raises is a [FAIL]."""
+        try:
+            value = measure()
+        except (ValueError, RuntimeError) as err:
+            ok, text = False, f"{type(err).__name__}: {err}"
+        else:
+            ok, text = bool(passed(value)), detail(value) if detail else ""
+        checks.append(ok)
+        mark = "PASS" if ok else "FAIL"
+        click.echo(f"[{mark}] {name}" + (f" ({text})" if text else ""))
+
+    def score_moment(p, H):
+        return float(engine.expect_rows(fam, [p], H)[0])
 
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-    worst = max(abs(float(engine.expect(
-        fam, [p], lambda y: families.score(fam, y, np.array([p])))[0]))
-        for p in grid)
-    check("mean-zero score on p grid", worst < 1e-10, f"max |E s| = {worst:.2e}")
 
-    worst = 0.0
-    for p in grid:
-        i_sq = float(engine.expect(
-            fam, [p],
-            lambda y: families.score(fam, y, np.array([p])) ** 2)[0])
-        h = families.FD_STEP * max(1.0, p)
-        i_grad = -float(engine.expect(
-            fam, [p],
-            lambda y: (families.score(fam, y, np.array([p + h]))
-                       - families.score(fam, y, np.array([p - h])))
-            / (2 * h))[0])
-        worst = max(worst, abs(i_sq - i_grad) / i_sq)
-    check("E(s^2) matches -E(grad s)", worst < 1e-6,
-          f"max rel gap = {worst:.2e}")
+    def mean_score():
+        return max(abs(score_moment(
+            p, lambda Y: families.score_rows(fam, Y, [p]))) for p in grid)
+
+    check("mean-zero score on p grid", mean_score, lambda w: w < 1e-10,
+          lambda w: f"max |E s| = {w:.2e}")
+
+    def information_identity():
+        worst = 0.0
+        for p in grid:
+            i_sq = score_moment(
+                p, lambda Y: families.score_rows(fam, Y, [p]) ** 2)
+            h = families.FD_STEP * max(1.0, p)
+            i_grad = -score_moment(
+                p, lambda Y: (families.score_rows(fam, Y, [p + h])
+                              - families.score_rows(fam, Y, [p - h]))
+                / (2 * h))
+            worst = max(worst, abs(i_sq - i_grad) / i_sq)
+        return worst
+
+    check("E(s^2) matches -E(grad s)", information_identity,
+          lambda w: w < 1e-6, lambda w: f"max rel gap = {w:.2e}")
 
     suite = estimation.bernoulli_suite(n, engine)
-    worst = 0.0
-    bound_ok = True
-    for p in grid:
-        for est in suite:
-            res = estimation.check_score_equation(engine, fam, est, [p])
-            worst = max(worst, float(np.max(np.abs(res))))
-            rep = estimation.information(engine, fam, est, [p],
-                                         direct_route=False)
-            gap = float((rep.fisher_bound - rep.Lambda)[0, 0])
-            bound_ok &= gap >= -1e-8
-    check("score equation for the estimator suite", worst < 1e-8,
-          f"max residual = {worst:.2e}")
-    check("information bound for the estimator suite", bound_ok)
+
+    def suite_residual():
+        return max(float(np.max(np.abs(
+            estimation.check_score_equation(engine, fam, est, [p]))))
+            for p in grid for est in suite)
+
+    check("score equation for the estimator suite", suite_residual,
+          lambda w: w < 1e-8, lambda w: f"max residual = {w:.2e}")
+
+    def suite_bound_gap():
+        gaps = []
+        for p in grid:
+            for est in suite:
+                rep = estimation.information(engine, fam, est, [p],
+                                             direct_route=False)
+                gaps.append(float((rep.fisher_bound - rep.Lambda)[0, 0]))
+        return min(gaps)
+
+    check("information bound for the estimator suite", suite_bound_gap,
+          lambda gap: gap >= -1e-8)
 
     biased = estimation.GeneralizedEstimator(
         g=lambda y, point: np.array([(y + 2.0) / (n + 4.0)]),
-        label="biased-unorthogonalized")
-    res = float(np.max(np.abs(
-        estimation.check_score_equation(engine, fam, biased, [0.5]))))
-    check("biased estimator flagged by the score equation", res > 1e-3,
-          f"residual = {res:.3f}")
+        label="biased-unorthogonalized",
+        rows=lambda Y, point: ((Y + 2.0) / (n + 4.0))[:, None])
+    check("biased estimator flagged by the score equation",
+          lambda: float(np.max(np.abs(
+              estimation.check_score_equation(engine, fam, biased, [0.5])))),
+          lambda res: res > 1e-3, lambda res: f"residual = {res:.3f}")
 
     tb = families.two_binomial(20, 30)
-    worst = 0.0
-    for p1 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for p2 in (0.1, 0.3, 0.5, 0.7, 0.9):
-            point = np.array(families.two_binomial_params(p1, p2, 20, 30))
-            cross = float(np.asarray(engine.expect(
-                tb, point,
-                lambda y: families.score(tb, y, point)[0]
-                * families.score(tb, y, point)[1])).ravel()[0])
-            worst = max(worst, abs(cross))
-    check("two-binomial score orthogonality grid", worst < 1e-10,
-          f"max |E s s~| = {worst:.2e}")
 
-    worst = 0.0
-    for p1 in (0.05, 0.3, 0.5, 0.7, 0.95):
-        for p2 in (0.05, 0.3, 0.5, 0.7, 0.95):
-            th, tn = families.two_binomial_params(p1, p2, 20, 30)
-            q1, q2 = families.two_binomial_probs(th, tn, 20, 30)
-            worst = max(worst, abs(q1 - p1), abs(q2 - p2))
-    check("two-binomial reparameterization round trip", worst < 1e-10,
-          f"max |error| = {worst:.2e}")
+    def two_binomial_cross():
+        worst = 0.0
+        for p1 in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for p2 in (0.1, 0.3, 0.5, 0.7, 0.9):
+                point = np.array(families.two_binomial_params(p1, p2, 20, 30))
+
+                def cross(Y):
+                    S = families.score_rows(tb, Y, point)
+                    return S[:, 0] * S[:, 1]
+
+                worst = max(worst, abs(float(
+                    engine.expect_rows(tb, point, cross)[0])))
+        return worst
+
+    check("two-binomial score orthogonality grid", two_binomial_cross,
+          lambda w: w < 1e-10, lambda w: f"max |E s s~| = {w:.2e}")
+
+    def round_trip():
+        worst = 0.0
+        for p1 in (0.05, 0.3, 0.5, 0.7, 0.95):
+            for p2 in (0.05, 0.3, 0.5, 0.7, 0.95):
+                th, tn = families.two_binomial_params(p1, p2, 20, 30)
+                q1, q2 = families.two_binomial_probs(th, tn, 20, 30)
+                worst = max(worst, abs(q1 - p1), abs(q2 - p2))
+        return worst
+
+    check("two-binomial reparameterization round trip", round_trip,
+          lambda w: w < 1e-10, lambda w: f"max |error| = {w:.2e}")
 
     if not all(checks):
         sys.exit(1)

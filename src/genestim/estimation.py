@@ -6,10 +6,15 @@ The information is computed both through the covariance identity
 E(s gbar^t) E(gbar s^t) and, as a cross-check, by direct finite
 differencing of the standardized estimator's mean slope; disagreement
 between the two routes flags a broken estimating-function contract.
+
+Every expectation here is one ``engine.expect_rows`` product over the
+estimator's rows on the whole outcome array; an estimator without a row
+form has its per-outcome values stacked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +23,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import (FD_STEP, ExpectationEngine, FisherInfo, ModelFamily,
-                       fisher_info, score)
+                       fisher_info, outer_rows, score, score_rows, stack_rows)
+
+# parameter points whose projection coefficients an orthogonalized
+# estimator keeps
+COEFFS_CACHE_SIZE = 4096
 
 
 class EstimatorError(RuntimeError):
@@ -31,6 +40,7 @@ class PreEstimator:
 
     f: Callable  # (y, point) -> (k,)
     label: str = "pre-estimator"
+    rows: Optional[Callable] = None  # (Y, point) -> (N, k)
 
 
 @dataclass(frozen=True)
@@ -40,9 +50,24 @@ class GeneralizedEstimator:
     g: Callable  # (y, point) -> (k,)
     label: str = "estimator"
     gradient_interest: Optional[Callable] = None  # (y, point) -> (k, k)
+    rows: Optional[Callable] = None  # (Y, point) -> (N, k): g on every row
 
     def __call__(self, y, point):
         return np.atleast_1d(np.asarray(self.g(y, point), dtype=float))
+
+
+def estimator_rows(g, Y, point) -> np.ndarray:
+    """(N, k) values of an estimating function at every outcome of Y.
+
+    Uses the ``rows`` form of a :class:`GeneralizedEstimator` or
+    :class:`PreEstimator` when it has one, else stacks the per-outcome
+    values (``f`` for a pre-estimator, the call itself otherwise).
+    """
+    rows = getattr(g, "rows", None)
+    if rows is not None:
+        return np.asarray(rows(Y, point), dtype=float).reshape(len(Y), -1)
+    one = g.f if isinstance(g, PreEstimator) else g
+    return stack_rows(lambda y: one(y, point), Y)
 
 
 @dataclass(frozen=True)
@@ -98,50 +123,44 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
 
     Returns g with g(y, point) = f(y, point) - E[f] - C G^{-1} s~(y)
     where C = E[(f - E f) s~^t] and G = E[s~ s~^t]; the projection term
-    is absent when the family has no nuisance parameters.
+    is absent when the family has no nuisance parameters.  The
+    coefficients are kept per point in a bounded LRU, whose
+    ``cache_info()`` the returned estimator's ``g`` exposes.
     """
-    k = family.dim_interest
-    cache: dict = {}
+    k, kp = family.dim_interest, family.dim_nuisance
+
+    @functools.lru_cache(maxsize=COEFFS_CACHE_SIZE)
+    def cached_coeffs(key):
+        point = np.array(key)
+        mean = engine.expect_rows(
+            family, point, lambda Y: estimator_rows(f, Y, point))
+        if kp == 0:
+            return mean, None
+
+        def cross_and_gram(Y):
+            F = estimator_rows(f, Y, point) - mean
+            S = score_rows(family, Y, point)[:, k:]
+            return np.hstack([outer_rows(F, S), outer_rows(S, S)])
+
+        both = engine.expect_rows(family, point, cross_and_gram)
+        C = both[:k * kp].reshape(k, kp)
+        G = both[k * kp:].reshape(kp, kp)
+        singular = False
+        try:
+            proj = np.linalg.solve(G, C.T).T
+            singular = np.linalg.cond(G) > 1e12
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            warnings.warn(
+                f"{family.label}: singular nuisance Gram matrix at "
+                f"{key}; falling back to pseudo-inverse projection")
+            proj = C @ np.linalg.pinv(G)
+        return mean, proj
 
     def coeffs(point):
-        key = tuple(np.atleast_1d(np.asarray(point, dtype=float)))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        mean = engine.expect(family, point,
-                             lambda y: np.atleast_1d(f.f(y, point)))
-        if family.dim_nuisance == 0:
-            hit = (mean, None)
-        else:
-            def s_nuis(y):
-                return score(family, y, point)[k:]
-
-            def cross(y):
-                fv = np.atleast_1d(f.f(y, point)) - mean
-                return np.outer(fv, s_nuis(y)).ravel()
-
-            C = engine.expect(family, point, cross).reshape(
-                k, family.dim_nuisance)
-            G = engine.expect(
-                family, point,
-                lambda y: np.outer(s_nuis(y), s_nuis(y)).ravel()
-            ).reshape(family.dim_nuisance, family.dim_nuisance)
-            singular = False
-            try:
-                proj = np.linalg.solve(G, C.T).T
-                singular = np.linalg.cond(G) > 1e12
-            except np.linalg.LinAlgError:
-                singular = True
-            if singular:
-                warnings.warn(
-                    f"{family.label}: singular nuisance Gram matrix at "
-                    f"{key}; falling back to pseudo-inverse projection")
-                proj = C @ np.linalg.pinv(G)
-            hit = (mean, proj)
-        if len(cache) > 4096:
-            cache.clear()
-        cache[key] = hit
-        return hit
+        return cached_coeffs(
+            tuple(np.atleast_1d(np.asarray(point, dtype=float)).tolist()))
 
     def g(y, point):
         mean, proj = coeffs(point)
@@ -150,12 +169,16 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
             out = out - proj @ score(family, y, point)[k:]
         return out
 
-    return GeneralizedEstimator(g=g, label=f"{f.label}-orthogonalized")
+    def rows(Y, point):
+        mean, proj = coeffs(point)
+        out = estimator_rows(f, Y, point) - mean
+        if proj is not None:
+            out = out - score_rows(family, Y, point)[:, k:] @ proj.T
+        return out
 
-
-def from_point_estimator(est: Callable, label: str) -> PreEstimator:
-    """Wrap a point estimator y -> value as a constant-in-theta pre-estimator."""
-    return PreEstimator(f=lambda y, point: np.atleast_1d(est(y)), label=label)
+    g.cache_info = cached_coeffs.cache_info
+    return GeneralizedEstimator(g=g, label=f"{f.label}-orthogonalized",
+                                rows=rows)
 
 
 def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
@@ -167,27 +190,52 @@ def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
     """
     point = family.check_point(point)
     k = family.dim_interest
-    if info is None:
-        info = fisher_info(engine, family, point)
-    if family.dim_nuisance == 0:
-        return (lambda y: score(family, y, point)[:k]), info.I_perp
-    if info.I_perp is None:
-        raise EstimatorError(
-            f"{family.label}: singular nuisance information at {point}")
-    proj = np.linalg.solve(info.I_nuis, info.I_cross.T).T
+    proj, bound = _score_projection(engine, family, point, info)
 
     def s(y):
         full = score(family, y, point)
-        return full[:k] - proj @ full[k:]
+        return full[:k] if proj is None else full[:k] - proj @ full[k:]
 
-    return s, info.I_perp
+    return s, bound
+
+
+def orthogonalized_score_rows(engine: ExpectationEngine, family: ModelFamily,
+                              point, info: Optional[FisherInfo] = None):
+    """Row form of :func:`orthogonalized_score`: (S, I_perp) with S
+    mapping the outcome array Y to (N, k) rows."""
+    point = family.check_point(point)
+    k = family.dim_interest
+    proj, bound = _score_projection(engine, family, point, info)
+
+    def S(Y):
+        full = score_rows(family, Y, point)
+        if proj is None:
+            return full[:, :k]
+        return full[:, :k] - full[:, k:] @ proj.T
+
+    return S, bound
+
+
+def _score_projection(engine, family, point, info):
+    """(I_cross I_nuis^{-1} or None without nuisance, I_perp)."""
+    if info is None:
+        info = fisher_info(engine, family, point)
+    if family.dim_nuisance == 0:
+        return None, info.I_perp
+    if info.I_perp is None:
+        raise EstimatorError(
+            f"{family.label}: singular nuisance information at {point}")
+    return np.linalg.solve(info.I_nuis, info.I_cross.T).T, info.I_perp
 
 
 def variance(engine, family, g, point) -> np.ndarray:
-    return np.atleast_2d(engine.expect(
-        family, point,
-        lambda y: np.outer(g(y, point), g(y, point)).ravel()
-    ).reshape(family.dim_interest, family.dim_interest))
+    """V(g) = E[g g^t] at ``point``."""
+    def H(Y):
+        G = estimator_rows(g, Y, point)
+        return outer_rows(G, G)
+
+    k = family.dim_interest
+    return engine.expect_rows(family, point, H).reshape(k, k)
 
 
 def standardize(engine: ExpectationEngine, family: ModelFamily,
@@ -216,14 +264,12 @@ def information(engine: ExpectationEngine, family: ModelFamily,
     """
     point = family.check_point(point)
     k = family.dim_interest
-    if info is None:
-        info = fisher_info(engine, family, point)
-    s, bound = orthogonalized_score(engine, family, point, info)
+    S, bound = orthogonalized_score_rows(engine, family, point, info)
     W = inv_sqrt_psd(variance(engine, family, g, point))
 
-    A = engine.expect(
+    A = engine.expect_rows(
         family, point,
-        lambda y: np.outer(s(y), W @ np.atleast_1d(g(y, point))).ravel()
+        lambda Y: outer_rows(S(Y), estimator_rows(g, Y, point) @ W.T)
     ).reshape(k, k)
     Lam = A @ A.T
 
@@ -255,7 +301,7 @@ def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
 
     def gbar_at(q):
         W = inv_sqrt_psd(variance(engine, family, g, q))
-        return lambda y: W @ np.atleast_1d(g(y, q))
+        return lambda Y: estimator_rows(g, Y, q) @ W.T
 
     rows = []
     for j in axes:
@@ -265,8 +311,8 @@ def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
         qm = point.copy()
         qm[j] -= h
         gp, gm = gbar_at(qp), gbar_at(qm)
-        rows.append(engine.expect(
-            family, point, lambda y: (gp(y) - gm(y)) / (2.0 * h)))
+        rows.append(engine.expect_rows(
+            family, point, lambda Y: (gp(Y) - gm(Y)) / (2.0 * h)))
     return np.array(rows).reshape(-1, k)
 
 
@@ -284,11 +330,13 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
     """Residual E(grad g^t) + E(s g^t); near-zero certifies the identity."""
     point = family.check_point(point)
     k = family.dim_interest
-    s, _ = orthogonalized_score(engine, family, point)
+    S, _ = orthogonalized_score_rows(engine, family, point)
 
-    def grad_g(y):
+    def grad_g(Y):
+        """(N, k, k) rows: entry [i, j, b] is d g_b / d theta_j at Y[i]."""
         if getattr(g, "gradient_interest", None) is not None:
-            return np.atleast_2d(g.gradient_interest(y, point))
+            return np.array([np.atleast_2d(g.gradient_interest(y, point))
+                             for y in Y])
         rows = []
         for j in range(k):
             # fourth-order five-point stencil: the residual certifies an
@@ -299,15 +347,16 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
             for c in (-2.0, -1.0, 1.0, 2.0):
                 q = point.copy()
                 q[j] += c * h
-                vals.append(np.atleast_1d(g(y, q)))
+                vals.append(estimator_rows(g, Y, q))
             rows.append((vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3])
                         / (12.0 * h))
-        return np.array(rows)
+        return np.stack(rows, axis=1)
 
-    def h(y):
-        return (grad_g(y) + np.outer(s(y), np.atleast_1d(g(y, point)))).ravel()
+    def H(Y):
+        return (grad_g(Y).reshape(len(Y), -1)
+                + outer_rows(S(Y), estimator_rows(g, Y, point)))
 
-    return engine.expect(family, point, h).reshape(k, k)
+    return engine.expect_rows(family, point, H).reshape(k, k)
 
 
 @dataclass
@@ -348,8 +397,8 @@ def efficiency_mc(family: ModelFamily, g, point, reps: int,
         raise EstimatorError(f"{family.label}: no sampler for MC efficiency")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = family.support.sampler(rng, point, reps)
-    sv = np.array([score(family, y, point)[0] for y in draws])
-    gv = np.array([float(np.atleast_1d(g(y, point))[0]) for y in draws])
+    sv = score_rows(family, draws, point)[:, 0]
+    gv = estimator_rows(g, draws, point)[:, 0]
     if gv.std() == 0.0:
         raise EstimatorError("degenerate sample variance of g")
     return corr_sq_with_se(sv, gv, batches)
@@ -403,16 +452,23 @@ def bernoulli_suite(n: int, engine: Optional[ExpectationEngine] = None
     from .families import bernoulli_sum
     fam = bernoulli_sum(n)
     reg = EstimatorRegistry()
+    # each estimator carries both forms: g per outcome and rows over the
+    # outcome array (used by every expectation)
     reg.register(GeneralizedEstimator(
-        g=lambda y, point: score(fam, y, point), label="score"))
+        g=lambda y, point: score(fam, y, point), label="score",
+        rows=lambda Y, point: score_rows(fam, Y, point)))
     reg.register(GeneralizedEstimator(
         g=lambda y, point: np.array([y / n - point[0]]),
-        label="centered-proportion"))
+        label="centered-proportion",
+        rows=lambda Y, point: (Y / n - point[0])[:, None]))
     reg.register(GeneralizedEstimator(
         g=lambda y, point: np.array([(y - n * point[0]) / (n + 4.0)]),
-        label="centered-shrinkage"))
+        label="centered-shrinkage",
+        rows=lambda Y, point: ((Y - n * point[0]) / (n + 4.0))[:, None]))
     sign_pre = PreEstimator(
         f=lambda y, point: np.array([math.copysign(1.0, y - n * point[0] - 0.5)]),
-        label="sign-coarse")
+        label="sign-coarse",
+        rows=lambda Y, point: np.copysign(
+            1.0, Y - n * point[0] - 0.5)[:, None])
     reg.register(orthogonalize(engine, fam, sign_pre))
     return reg

@@ -1,14 +1,17 @@
 """Model families, expectation machinery, scores, and Fisher information.
 
 A :class:`ModelFamily` bundles a support descriptor, a log-density over
-(outcome, parameter point) and optional analytic scores.  Parameter
-points are flat float arrays ``(interest..., nuisance...)``.  The
+(outcome, parameter point) and optional analytic scores, each optionally
+also in a row form over a whole outcome array.  Parameter points are flat
+float arrays ``(interest..., nuisance...)``.  The
 :class:`ExpectationEngine` evaluates expectations either by exact
-enumeration over a finite support or by seeded Monte Carlo.
+enumeration over a finite support or by seeded Monte Carlo; both are one
+weighted sum over the rows of an (N, m) outcome matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,6 +22,8 @@ from scipy.special import expit, gammaln, logit, xlog1py, xlogy
 from ._kernels import invert_p1_batch
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# parameter points whose two-binomial (p1, p2) inversion each family keeps
+PROBS_CACHE_SIZE = 4096
 
 
 class DomainError(ValueError):
@@ -62,6 +67,10 @@ class ModelFamily:
     score_interest: Optional[Callable] = None  # (y, point) -> (k,)
     score_nuisance: Optional[Callable] = None  # (y, point) -> (k',)
     meta: dict = field(default_factory=dict)
+    # row forms over a whole outcome array Y, (N,) or (N, d); without them
+    # the per-outcome forms above are stacked
+    log_density_rows: Optional[Callable] = None  # (Y, point) -> (N,)
+    score_rows: Optional[Callable] = None  # (Y, point) -> (N, k + k')
 
     @property
     def dim(self) -> int:
@@ -84,7 +93,6 @@ class ExpectationEngine:
     mode: str = "exact"  # "exact" | "mc"
     replications: int = 10_000
     seed: int = 0
-    estimate_se: bool = False
 
     def __post_init__(self):
         if self.mode not in ("exact", "mc"):
@@ -95,25 +103,62 @@ class ExpectationEngine:
         return value
 
     def expect_se(self, family: ModelFamily, point, h):
-        """Return (E[h], se).  se is None in exact mode."""
+        """Return (E[h], se) for a per-outcome h; se is None in exact mode."""
+        return self.expect_rows_se(family, point,
+                                   lambda Y: stack_rows(h, Y))
+
+    def expect_rows(self, family: ModelFamily, point, H):
+        value, _ = self.expect_rows_se(family, point, H)
+        return value
+
+    def expect_rows_se(self, family: ModelFamily, point, H):
+        """Return (E[H], se) for H mapping the outcome array to (N, ...) rows.
+
+        Exact mode is pmf @ H(outcomes); Monte Carlo mode averages H over
+        seeded draws.  The result has the shape of one row ((N,) counts as
+        (N, 1)); se is None in exact mode.
+        """
         point = family.check_point(point)
         if self.mode == "exact":
             if family.support.kind != "finite-discrete":
                 raise EngineError("exact enumeration needs a finite support")
-            total = None
-            for y in family.support.outcomes:
-                w = math.exp(family.log_density(y, point))
-                hv = np.atleast_1d(np.asarray(h(y), dtype=float))
-                total = w * hv if total is None else total + w * hv
-            return total, None
+            Y = family.support.outcomes
+            vals = _as_rows(H(Y))
+            w = np.exp(_log_density_rows(family, Y, point))
+            # pmf @ vals as an elementwise weighted row sum: the first BLAS
+            # matrix-vector call would raise each process's peak RSS
+            mean = (w[:, None] * vals.reshape(len(Y), -1)).sum(axis=0)
+            return mean.reshape(vals.shape[1:]), None
         if family.support.sampler is None:
             raise EngineError(f"{family.label}: Monte Carlo needs a sampler")
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         draws = family.support.sampler(rng, point, self.replications)
-        vals = np.array([np.atleast_1d(h(y)) for y in draws], dtype=float)
+        vals = _as_rows(H(draws))
         mean = vals.mean(axis=0)
         se = vals.std(axis=0, ddof=1) / math.sqrt(len(vals))
         return mean, se
+
+
+def _as_rows(vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    return vals[:, None] if vals.ndim == 1 else vals
+
+
+def stack_rows(h, Y) -> np.ndarray:
+    """Rows h(y) for each outcome y of Y, each made at least 1-D."""
+    return np.array([np.atleast_1d(np.asarray(h(y), dtype=float))
+                     for y in Y])
+
+
+def outer_rows(A, B) -> np.ndarray:
+    """Row-wise flattened outer products: row i is outer(A[i], B[i]).ravel()."""
+    return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
+
+
+def _log_density_rows(family: ModelFamily, Y, point) -> np.ndarray:
+    if family.log_density_rows is not None:
+        return family.log_density_rows(Y, point)
+    return np.array([family.log_density(y, point) for y in Y], dtype=float)
 
 
 def score(family: ModelFamily, y, point) -> np.ndarray:
@@ -136,6 +181,14 @@ def score(family: ModelFamily, y, point) -> np.ndarray:
             parts.append(_fd_score(family, y, point,
                                    family.dim_interest, family.dim))
     return np.concatenate(parts)
+
+
+def score_rows(family: ModelFamily, Y, point) -> np.ndarray:
+    """Full scores of every outcome of Y, as (N, k + k') rows."""
+    point = family.check_point(point)
+    if family.score_rows is not None:
+        return family.score_rows(Y, point)
+    return stack_rows(lambda y: score(family, y, point), Y)
 
 
 def _fd_score(family, y, point, lo, hi):
@@ -172,11 +225,12 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
     point = family.check_point(point)
     k, kp = family.dim_interest, family.dim_nuisance
 
-    def outer(y):
-        s = score(family, y, point)
-        return np.outer(s, s).ravel()
+    def outer(Y):
+        S = score_rows(family, Y, point)
+        return outer_rows(S, S)
 
-    full = engine.expect(family, point, outer).reshape(family.dim, family.dim)
+    full = engine.expect_rows(family, point, outer).reshape(
+        family.dim, family.dim)
     I = full[:k, :k]
     I_cross = full[:k, k:]
     I_nuis = full[k:, k:]
@@ -239,9 +293,18 @@ def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
             y = int(y)
             return float(lgam[y]) + y * math.log(p) + (n - y) * math.log1p(-p)
 
+        def log_density_rows(Y, point):
+            p = float(point[0])
+            Y = np.asarray(Y, dtype=int)
+            return lgam[Y] + Y * math.log(p) + (n - Y) * math.log1p(-p)
+
         def score_interest(y, point):
             p = float(point[0])
             return np.array([(y - n * p) / (p * (1.0 - p))])
+
+        def score_rows(Y, point):
+            p = float(point[0])
+            return ((np.asarray(Y) - n * p) / (p * (1.0 - p)))[:, None]
     elif parameterization == "logit":
         def _as_p(point):
             return float(expit(point[0]))
@@ -255,9 +318,18 @@ def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
             # y*eta - n*log(1+e^eta), stable via logaddexp
             return float(lgam[y]) + y * eta - n * np.logaddexp(0.0, eta)
 
+        def log_density_rows(Y, point):
+            eta = float(point[0])
+            Y = np.asarray(Y, dtype=int)
+            return lgam[Y] + Y * eta - n * np.logaddexp(0.0, eta)
+
         def score_interest(y, point):
             p = float(expit(point[0]))
             return np.array([y - n * p])
+
+        def score_rows(Y, point):
+            p = float(expit(point[0]))
+            return (np.asarray(Y) - n * p)[:, None]
     else:
         raise ValueError(f"unknown parameterization {parameterization!r}")
 
@@ -265,7 +337,8 @@ def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
         label=f"bernoulli-sum(n={n},{parameterization})",
         support=support, dim_interest=1, dim_nuisance=0,
         in_domain=in_domain, log_density=log_density,
-        score_interest=score_interest, meta={"n": n})
+        score_interest=score_interest, meta={"n": n},
+        log_density_rows=log_density_rows, score_rows=score_rows)
 
 
 def normal_location(n: int) -> ModelFamily:
@@ -282,15 +355,24 @@ def normal_location(n: int) -> ModelFamily:
         return 0.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi) \
             - 0.5 * n * (float(y) - a) ** 2
 
+    def log_density_rows(Y, point):
+        a = float(point[0])
+        return 0.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi) \
+            - 0.5 * n * (np.asarray(Y, dtype=float) - a) ** 2
+
     def score_interest(y, point):
         return np.array([n * (float(y) - float(point[0]))])
+
+    def score_rows(Y, point):
+        return (n * (np.asarray(Y, dtype=float) - float(point[0])))[:, None]
 
     return ModelFamily(
         label=f"normal-location(n={n})",
         support=support, dim_interest=1, dim_nuisance=0,
         in_domain=lambda point: np.isfinite(point[0]),
         log_density=log_density, score_interest=score_interest,
-        meta={"n": n})
+        meta={"n": n}, log_density_rows=log_density_rows,
+        score_rows=score_rows)
 
 
 def _location_vector_family(label, n, log_phi, score_one, sampler_one):
@@ -307,12 +389,22 @@ def _location_vector_family(label, n, log_phi, score_one, sampler_one):
         d = np.asarray(y, dtype=float) - float(point[0])
         return np.array([float(np.sum(score_one(d)))])
 
+    # Y is (N, n): one sample of size n per row
+    def log_density_rows(Y, point):
+        D = np.asarray(Y, dtype=float) - float(point[0])
+        return np.sum(log_phi(D), axis=-1)
+
+    def score_rows(Y, point):
+        D = np.asarray(Y, dtype=float) - float(point[0])
+        return np.sum(score_one(D), axis=-1)[:, None]
+
     return ModelFamily(
         label=f"{label}(n={n})", support=support,
         dim_interest=1, dim_nuisance=0,
         in_domain=lambda point: np.isfinite(point[0]),
         log_density=log_density, score_interest=score_interest,
-        meta={"n": n})
+        meta={"n": n}, log_density_rows=log_density_rows,
+        score_rows=score_rows)
 
 
 def cauchy_location(n: int) -> ModelFamily:
@@ -366,27 +458,26 @@ def two_binomial_probs(theta: float, tnuis: float, n1: int, n2: int):
 
 def two_binomial(n1: int, n2: int) -> ModelFamily:
     """Independent Bin(n1,p1), Bin(n2,p2) with interest theta = log OR
-    and nuisance tnuis = n1*p1 + n2*p2 (score-orthogonal to theta)."""
+    and nuisance tnuis = n1*p1 + n2*p2 (score-orthogonal to theta).
+
+    ``meta["probs"]`` is the family's memoized (theta, tnuis) -> (p1, p2)
+    inversion, a bounded LRU with ``cache_info()``.
+    """
     n1 = _check_n(n1)
     n2 = _check_n(n2)
     lg1 = log_choose(n1, np.arange(n1 + 1))
     lg2 = log_choose(n2, np.arange(n2 + 1))
 
-    # the (theta, tnuis) -> (p1, p2) inversion is called once per outcome in
-    # enumeration loops, so memoize it per parameter point; the domain check
-    # shares this memo with the density and the scores (a rejected point
-    # raises before it is stored, so no failure is cached)
-    _probs_cache: dict = {}
+    # the domain check, the density, the scores and the sampler all need the
+    # (theta, tnuis) -> (p1, p2) inversion at the same point, so memoize it
+    # per point in a bounded LRU; a rejected point raises, and lru_cache
+    # stores no failure
+    @functools.lru_cache(maxsize=PROBS_CACHE_SIZE)
+    def cached_probs(theta, tnuis):
+        return two_binomial_probs(theta, tnuis, n1, n2)
 
     def probs(point):
-        key = (float(point[0]), float(point[1]))
-        hit = _probs_cache.get(key)
-        if hit is None:
-            hit = two_binomial_probs(key[0], key[1], n1, n2)
-            if len(_probs_cache) > 4096:
-                _probs_cache.clear()
-            _probs_cache[key] = hit
-        return hit
+        return cached_probs(float(point[0]), float(point[1]))
 
     def in_domain(point):
         if not (0.0 < point[1] < n1 + n2) or not np.isfinite(point[0]):
@@ -421,6 +512,23 @@ def two_binomial(n1: int, n2: int) -> ModelFamily:
         den = n1 * a1 + n2 * a2
         return np.array([(y[0] + y[1] - point[1]) / den])
 
+    def log_density_rows(Y, point):
+        p1, p2 = probs(point)
+        x1, x2 = Y[:, 0], Y[:, 1]
+        return (lg1[x1] + x1 * math.log(p1) + (n1 - x1) * math.log1p(-p1)
+                + lg2[x2] + x2 * math.log(p2) + (n2 - x2) * math.log1p(-p2))
+
+    def score_rows(Y, point):
+        p1, p2 = probs(point)
+        a1, a2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
+        den = n1 * a1 + n2 * a2
+        dp1 = n2 * a1 * a2 / den
+        dp2 = -n1 * a1 * a2 / den
+        x1, x2 = Y[:, 0], Y[:, 1]
+        return np.column_stack([
+            (x1 - n1 * p1) / a1 * dp1 + (x2 - n2 * p2) / a2 * dp2,
+            (x1 + x2 - point[1]) / den])
+
     def sampler(rng, point, size):
         p1, p2 = probs(point)
         return np.column_stack([rng.binomial(n1, p1, size),
@@ -434,7 +542,8 @@ def two_binomial(n1: int, n2: int) -> ModelFamily:
         support=support, dim_interest=1, dim_nuisance=1,
         in_domain=in_domain, log_density=log_density,
         score_interest=score_interest, score_nuisance=score_nuisance,
-        meta={"n1": n1, "n2": n2})
+        meta={"n1": n1, "n2": n2, "probs": cached_probs},
+        log_density_rows=log_density_rows, score_rows=score_rows)
 
 
 def builtin_families() -> dict:

@@ -176,3 +176,16 @@ class TestVerify:
         assert "FAIL" not in res.output
         assert res.output.count("[PASS]") == 7
         assert "all checks passed" in res.output
+
+    def test_degenerate_estimator_is_a_fail_line(self, runner):
+        # at n = 3 and p = 0.9, y - n p - 0.5 < 0 for every outcome, so the
+        # orthogonalized sign estimator is 0 there and has variance 0
+        res = runner.invoke(main, ["verify", "--n", "3"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert ("[FAIL] information bound for the estimator suite "
+                "(EstimatorError: variance matrix not positive definite"
+                in res.output)
+        assert res.output.count("[PASS]") + res.output.count("[FAIL]") == 7
+        assert "all checks passed" not in res.output

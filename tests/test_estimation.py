@@ -8,6 +8,7 @@ import pytest
 
 from genestim import estimation as E
 from genestim import families as F
+from test_families import _expect_loop
 
 ENGINE = F.ExpectationEngine(mode="exact")
 
@@ -190,3 +191,132 @@ class TestRegistry:
         labels = E.bernoulli_suite(6, ENGINE).labels()
         assert labels == ["score", "centered-proportion",
                           "centered-shrinkage", "sign-coarse-orthogonalized"]
+
+
+# --- per-outcome loop oracles: the estimation layer before its row form ---
+
+
+def _variance_loop(fam, g, point):
+    k = fam.dim_interest
+    return _expect_loop(
+        fam, point, lambda y: np.outer(g(y, point), g(y, point)).ravel()
+    ).reshape(k, k)
+
+
+def _lambda_loop(fam, g, point):
+    """Covariance-route information, E(s gbar^t) E(gbar s^t), per outcome."""
+    k = fam.dim_interest
+    s, _ = E.orthogonalized_score(ENGINE, fam, point)
+    W = E.inv_sqrt_psd(_variance_loop(fam, g, point))
+    A = _expect_loop(fam, point,
+                     lambda y: np.outer(s(y), W @ g(y, point)).ravel())
+    A = A.reshape(k, k)
+    return A @ A.T, A
+
+
+def _mean_slope_loop(fam, g, point):
+    """Direct-route slope E[d gbar / d theta] per outcome (k = 1)."""
+    h = F.FD_STEP * max(1.0, abs(point[0]))
+
+    def gbar_at(q):
+        W = E.inv_sqrt_psd(_variance_loop(fam, g, q))
+        return lambda y: W @ g(y, q)
+
+    gp, gm = gbar_at(point + h), gbar_at(point - h)
+    return _expect_loop(fam, point, lambda y: (gp(y) - gm(y)) / (2.0 * h))
+
+
+def _score_equation_loop(fam, g, point):
+    k = fam.dim_interest
+    s, _ = E.orthogonalized_score(ENGINE, fam, point)
+    h = 1e-4 * max(1.0, abs(point[0]))
+
+    def term(y):
+        vals = [g(y, point + np.array([c * h])) for c in (-2, -1, 1, 2)]
+        grad = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12 * h)
+        return (grad[None, :] + np.outer(s(y), g(y, point))).ravel()
+
+    def scale(y):
+        vals = [np.abs(g(y, point + np.array([c * h])))
+                for c in (-2, -1, 1, 2)]
+        grad = (vals[0] + 8.0 * vals[1] + 8.0 * vals[2] + vals[3]) / (12 * h)
+        return (grad[None, :] + np.abs(np.outer(s(y), g(y, point)))).ravel()
+
+    return (_expect_loop(fam, point, term).reshape(k, k),
+            _expect_loop(fam, point, scale).reshape(k, k))
+
+
+class TestRowFormsMatchTheLoop:
+    N = 20
+    POINTS = (0.05, 0.3, 0.5, 0.77, 0.95)
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return E.bernoulli_suite(self.N, ENGINE)
+
+    def test_suite_rows_equal_the_stacked_per_outcome_values(self, suite):
+        fam = F.bernoulli_sum(self.N)
+        Y = fam.support.outcomes
+        # p = (y - 0.5)/n puts outcome y exactly on the sign estimator's jump
+        jumps = [(y - 0.5) / self.N for y in range(1, self.N + 1)]
+        for p in (*self.POINTS, *jumps):
+            for est in suite:
+                np.testing.assert_array_equal(
+                    est.rows(Y, [p]), [est.g(y, [p]) for y in Y],
+                    err_msg=f"{est.label} at p={p}")
+
+    def test_variance_and_information_match_the_loop(self, suite):
+        fam = F.bernoulli_sum(self.N)
+        for p in self.POINTS:
+            point = np.array([p])
+            for est in suite:
+                V = E.variance(ENGINE, fam, est, point)
+                np.testing.assert_allclose(
+                    V, _variance_loop(fam, est, point), rtol=1e-12)
+                rep = E.information(ENGINE, fam, est, point)
+                lam, A = _lambda_loop(fam, est, point)
+                np.testing.assert_allclose(rep.Lambda, lam, rtol=1e-12)
+                np.testing.assert_allclose(
+                    rep.R, E.inv_sqrt_psd(rep.fisher_bound) @ A, rtol=1e-12)
+                np.testing.assert_allclose(
+                    E._mean_slope(ENGINE, fam, est, point, [0]).ravel(),
+                    _mean_slope_loop(fam, est, point), rtol=1e-12)
+                assert rep.routes_agree
+
+    def test_score_equation_matches_the_loop(self, suite):
+        fam = F.bernoulli_sum(self.N)
+        for p in self.POINTS:
+            point = np.array([p])
+            for est in suite:
+                got = E.check_score_equation(ENGINE, fam, est, point)
+                want, scale = _score_equation_loop(fam, est, point)
+                np.testing.assert_array_less(np.abs(got - want),
+                                             1e-12 * scale)
+
+    def test_two_binomial_orthogonalized_estimator_matches_the_loop(self):
+        fam = F.two_binomial(8, 6)
+        point = np.array(F.two_binomial_params(0.4, 0.55, 8, 6))
+        pre = E.PreEstimator(f=lambda y, point: np.array([float(y[0])]),
+                             label="first-count")
+        g = E.orthogonalize(ENGINE, fam, pre)
+        Y = fam.support.outcomes
+        np.testing.assert_allclose(g.rows(Y, point),
+                                   [g.g(y, point) for y in Y],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(E.variance(ENGINE, fam, g, point),
+                                   _variance_loop(fam, g, point), rtol=1e-12)
+        lam, _ = _lambda_loop(fam, g, point)
+        np.testing.assert_allclose(
+            E.information(ENGINE, fam, g, point).Lambda, lam, rtol=1e-12)
+
+    def test_orthogonalize_cache_is_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(E, "COEFFS_CACHE_SIZE", 8)
+        fam = F.bernoulli_sum(4)
+        pre = E.PreEstimator(f=lambda y, point: np.array([float(y > 1)]),
+                             label="threshold")
+        g = E.orthogonalize(ENGINE, fam, pre)
+        for i in range(1, 21):
+            g(2, [0.04 * i])
+        info = g.g.cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
+        assert info.misses == 20

@@ -12,6 +12,55 @@ from genestim import families as F
 ENGINE = F.ExpectationEngine(mode="exact")
 
 
+def _expect_loop(family, point, h):
+    """Oracle: the per-outcome exact summation, sum of exp(log p(y)) h(y)
+    over the outcomes in order, from the scalar log-density."""
+    point = family.check_point(point)
+    total = None
+    for y in family.support.outcomes:
+        w = math.exp(family.log_density(y, point))
+        hv = np.atleast_1d(np.asarray(h(y), dtype=float))
+        total = w * hv if total is None else total + w * hv
+    return total
+
+
+def assert_matches_loop(got, family, point, h, rel=1e-12):
+    """``got`` equals the loop's E[h] to ``rel`` of E|h|, the scale that
+    round-off acts on even where E[h] itself cancels to about 0."""
+    want = _expect_loop(family, point, h)
+    scale = _expect_loop(family, point, lambda y: np.abs(h(y)))
+    np.testing.assert_array_less(np.abs(np.asarray(got) - want),
+                                 rel * scale + 1e-300)
+
+
+# finite built-in families with points at the edges of their domains:
+# p near 0 and 1, and a two-binomial nuisance near 0 and near n1 + n2
+FINITE_CASES = [
+    (F.bernoulli_sum(20), [p]) for p in (1e-6, 0.3, 0.5, 1.0 - 1e-6)
+] + [
+    (F.bernoulli_sum(20, "logit"), [eta]) for eta in (-13.8, 0.4, 13.8)
+] + [
+    (F.two_binomial(20, 30), [theta, tn])
+    for theta in (-1.0, 0.0, 2.0) for tn in (1e-3, 22.0, 50.0 - 1e-3)
+] + [(F.two_binomial(3, 1), [0.7, 2.5])]
+
+
+def _moments(family, point):
+    """(per-outcome h, row-form H) of the outcome, its score and the
+    score's outer product: every moment the engine's callers take."""
+    def h(y):
+        s = F.score(family, y, point)
+        return np.concatenate([[1.0], np.atleast_1d(y), s,
+                               np.outer(s, s).ravel()])
+
+    def H(Y):
+        S = F.score_rows(family, Y, point)
+        return np.hstack([np.ones((len(Y), 1)), Y.reshape(len(Y), -1), S,
+                          F.outer_rows(S, S)])
+
+    return h, H
+
+
 class TestExpectationEngine:
     def test_exact_moments_of_the_binomial(self):
         fam = F.bernoulli_sum(20)
@@ -49,6 +98,44 @@ class TestExpectationEngine:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             F.ExpectationEngine(mode="bootstrap")
+
+    @pytest.mark.parametrize("family,point", FINITE_CASES,
+                             ids=lambda c: getattr(c, "label", str(c)))
+    def test_expect_rows_matches_the_loop(self, family, point):
+        h, H = _moments(family, point)
+        assert_matches_loop(ENGINE.expect_rows(family, point, H),
+                            family, point, h)
+        assert_matches_loop(ENGINE.expect(family, point, h),
+                            family, point, h)
+
+    @pytest.mark.parametrize("family,point", FINITE_CASES,
+                             ids=lambda c: getattr(c, "label", str(c)))
+    def test_row_forms_equal_the_per_outcome_forms(self, family, point):
+        Y = family.support.outcomes
+        np.testing.assert_array_equal(
+            family.log_density_rows(Y, point),
+            [family.log_density(y, point) for y in Y])
+        np.testing.assert_array_equal(
+            F.score_rows(family, Y, point),
+            [F.score(family, y, point) for y in Y])
+
+    def test_expect_rows_keeps_the_row_shape(self):
+        fam = F.bernoulli_sum(6)
+        assert ENGINE.expect_rows(fam, [0.3], lambda Y: Y).shape == (1,)
+        out = ENGINE.expect_rows(
+            fam, [0.3], lambda Y: np.ones((len(Y), 2, 3)))
+        np.testing.assert_allclose(out, np.ones((2, 3)), atol=1e-14)
+
+    def test_mc_rows_average_the_same_draws_as_the_adapter(self):
+        fam = F.two_binomial(5, 7)
+        point = np.array(F.two_binomial_params(0.3, 0.6, 5, 7))
+        mc = F.ExpectationEngine(mode="mc", replications=2000, seed=11)
+        v_rows, se_rows = mc.expect_rows_se(
+            fam, point, lambda Y: F.score_rows(fam, Y, point))
+        v_one, se_one = mc.expect_se(
+            fam, point, lambda y: F.score(fam, y, point))
+        np.testing.assert_array_equal(v_rows, v_one)
+        np.testing.assert_array_equal(se_rows, se_one)
 
 
 class TestSupportDescriptor:
@@ -151,6 +238,32 @@ class TestFisherInfo:
         F.fisher_info(ENGINE, fam, point)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("family,point", FINITE_CASES,
+                             ids=lambda c: getattr(c, "label", str(c)))
+    def test_fisher_blocks_match_the_loop(self, family, point):
+        def outer(y):
+            s = F.score(family, y, point)
+            return np.outer(s, s).ravel()
+
+        full = F.fisher_info(ENGINE, family, point)
+        got = np.block([[full.I, full.I_cross],
+                        [full.I_cross.T, full.I_nuis]]).ravel()
+        assert_matches_loop(got, family, point, outer)
+
+    def test_probs_cache_is_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(F, "PROBS_CACHE_SIZE", 8)
+        fam = F.two_binomial(5, 6)
+        points = [[0.1 * i, 5.0] for i in range(20)]
+        for point in points:
+            fam.check_point(point)
+        info = fam.meta["probs"].cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
+        assert info.misses == 20
+        fam.check_point(points[-1])  # most recent: still cached
+        fam.check_point(points[0])  # evicted: inverted again
+        info = fam.meta["probs"].cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 21, 8)
+
 
 class TestTwoBinomialReparameterization:
     @given(p1=st.floats(0.02, 0.98), p2=st.floats(0.02, 0.98))
@@ -181,7 +294,7 @@ class TestLocationFamilies:
     def test_t3_density_integrates_to_one(self):
         fam = F.t3_location(1)
         grid = np.linspace(-60, 60, 400_001)
-        dens = np.exp([fam.log_density([g], [0.0]) for g in grid])
+        dens = np.exp(fam.log_density_rows(grid[:, None], [0.0]))
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_cauchy_score_shape(self):
