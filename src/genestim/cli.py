@@ -148,22 +148,30 @@ def binom_ci(n, y, z, side, out_dir):
               default=(0.1, 0.3, 0.5, 0.7, 0.9), show_default=True)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
 def info_report(n, p, out_dir):
-    """Information/efficiency table for the binomial estimator suite."""
+    """Information/efficiency table for the binomial estimator suite.
+
+    A row that fails numerically is left out with a ``[skip]`` line; the
+    command fails only when every row does.
+    """
     man = _manifest("info-report", {"n": n, "p": list(p)}, out_dir)
     engine = families.ExpectationEngine(mode="exact")
     fam = families.bernoulli_sum(n)
+    suite = estimation.bernoulli_suite(n, engine)
     rows = []
-    try:
-        suite = estimation.bernoulli_suite(n, engine)
-        for point in p:
-            for est in suite:
+    for point in p:
+        for est in suite:
+            try:
                 rep = estimation.information(engine, fam, est, [point])
-                rows.append((est.label, point, rep.lambda_scalar,
-                             float(rep.fisher_bound[0, 0]),
-                             float(rep.efficiency[0, 0]),
-                             float(rep.R[0, 0])))
-    except (ValueError, RuntimeError) as err:
-        _fail_numeric(err, out_dir)
+            except (ValueError, RuntimeError) as err:
+                last_err = err
+                click.echo(f"[skip] {est.label} at p={point} "
+                           f"({type(err).__name__}: {err})")
+                continue
+            rows.append((est.label, point, rep.lambda_scalar,
+                         float(rep.fisher_bound[0, 0]),
+                         float(rep.efficiency[0, 0]), float(rep.R[0, 0])))
+    if not rows:
+        _fail_numeric(last_err, out_dir)
     _write_csv(out_dir / "info_report.csv", man,
                ["estimator", "p", "lambda", "fisher_bound", "efficiency",
                 "R"], rows)
@@ -364,7 +372,6 @@ def verify(n):
           lambda gap: gap >= -1e-8)
 
     biased = estimation.GeneralizedEstimator(
-        g=lambda y, point: np.array([(y + 2.0) / (n + 4.0)]),
         label="biased-unorthogonalized",
         rows=lambda Y, point: ((Y + 2.0) / (n + 4.0))[:, None])
     check("biased estimator flagged by the score equation",

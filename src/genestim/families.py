@@ -1,12 +1,15 @@
 """Model families, expectation machinery, scores, and Fisher information.
 
-A :class:`ModelFamily` bundles a support descriptor, a log-density over
-(outcome, parameter point) and optional analytic scores, each optionally
-also in a row form over a whole outcome array.  Parameter points are flat
-float arrays ``(interest..., nuisance...)``.  The
-:class:`ExpectationEngine` evaluates expectations either by exact
-enumeration over a finite support or by seeded Monte Carlo; both are one
-weighted sum over the rows of an (N, m) outcome matrix.
+A :class:`ModelFamily` is a support descriptor plus two row callables
+over a whole outcome array: the log-density and the full score.  The
+value for one outcome is the one-row case (:func:`one_row`), so each
+family is defined once.  Parameter points are flat float arrays
+``(interest..., nuisance...)``.  Every finite family is an exponential
+family on its outcome grid, built by :func:`finite_exponential_family`
+from log h, T and the natural parameter.  The :class:`ExpectationEngine`
+evaluates expectations either by exact enumeration over a finite
+support or by seeded Monte Carlo; both are one weighted sum over the
+rows of an (N, m) outcome matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from scipy.special import expit, gammaln, logit, xlog1py, xlogy
 from ._kernels import invert_p1_batch
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-# parameter points whose two-binomial (p1, p2) inversion each family keeps
-PROBS_CACHE_SIZE = 4096
+# parameter points whose natural parameter, A(eta) and E T each finite
+# exponential family keeps
+STATS_CACHE_SIZE = 4096
 
 
 class DomainError(ValueError):
@@ -56,21 +60,20 @@ class SupportDescriptor:
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """A parameterized family of distributions on a common support."""
+    """A parameterized family of distributions on a common support.
+
+    The model is its two row callables over an outcome array Y, (N,) or
+    (N, d); a single outcome is the one-row case (:func:`one_row`).
+    """
 
     label: str
     support: SupportDescriptor
     dim_interest: int
     dim_nuisance: int
     in_domain: Callable[[np.ndarray], bool]
-    log_density: Callable  # (y, point) -> float
-    score_interest: Optional[Callable] = None  # (y, point) -> (k,)
-    score_nuisance: Optional[Callable] = None  # (y, point) -> (k',)
+    log_density_rows: Callable  # (Y, point) -> (N,)
+    score_rows: Callable  # (Y, point) -> (N, k + k')
     meta: dict = field(default_factory=dict)
-    # row forms over a whole outcome array Y, (N,) or (N, d); without them
-    # the per-outcome forms above are stacked
-    log_density_rows: Optional[Callable] = None  # (Y, point) -> (N,)
-    score_rows: Optional[Callable] = None  # (Y, point) -> (N, k + k')
 
     @property
     def dim(self) -> int:
@@ -124,7 +127,7 @@ class ExpectationEngine:
                 raise EngineError("exact enumeration needs a finite support")
             Y = family.support.outcomes
             vals = _as_rows(H(Y))
-            w = np.exp(_log_density_rows(family, Y, point))
+            w = np.exp(family.log_density_rows(Y, point))
             # pmf @ vals as an elementwise weighted row sum: the first BLAS
             # matrix-vector call would raise each process's peak RSS
             mean = (w[:, None] * vals.reshape(len(Y), -1)).sum(axis=0)
@@ -155,57 +158,20 @@ def outer_rows(A, B) -> np.ndarray:
     return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
 
 
-def _log_density_rows(family: ModelFamily, Y, point) -> np.ndarray:
-    if family.log_density_rows is not None:
-        return family.log_density_rows(Y, point)
-    return np.array([family.log_density(y, point) for y in Y], dtype=float)
+def one_row(rows, y, *args):
+    """``rows(Y, *args)`` on the single outcome y: row 0 of its one-row
+    array, so a per-outcome value is the row value itself."""
+    return rows(np.asarray(y)[None], *args)[0]
 
 
 def score(family: ModelFamily, y, point) -> np.ndarray:
-    """Full score vector (interest then nuisance) at an interior point.
-
-    Analytic scores are used when present; otherwise central finite
-    differences of the log-density with per-axis step
-    cbrt(eps) * max(1, |theta_j|).
-    """
-    point = family.check_point(point)
-    parts = []
-    if family.score_interest is not None:
-        parts.append(np.atleast_1d(family.score_interest(y, point)))
-    else:
-        parts.append(_fd_score(family, y, point, 0, family.dim_interest))
-    if family.dim_nuisance > 0:
-        if family.score_nuisance is not None:
-            parts.append(np.atleast_1d(family.score_nuisance(y, point)))
-        else:
-            parts.append(_fd_score(family, y, point,
-                                   family.dim_interest, family.dim))
-    return np.concatenate(parts)
+    """Full score vector (interest then nuisance) of one outcome."""
+    return one_row(functools.partial(score_rows, family), y, point)
 
 
 def score_rows(family: ModelFamily, Y, point) -> np.ndarray:
     """Full scores of every outcome of Y, as (N, k + k') rows."""
-    point = family.check_point(point)
-    if family.score_rows is not None:
-        return family.score_rows(Y, point)
-    return stack_rows(lambda y: score(family, y, point), Y)
-
-
-def _fd_score(family, y, point, lo, hi):
-    out = np.empty(hi - lo)
-    for j in range(lo, hi):
-        step = FD_STEP * max(1.0, abs(point[j]))
-        plus = point.copy()
-        plus[j] += step
-        minus = point.copy()
-        minus[j] -= step
-        lp = family.log_density(y, plus)
-        lm = family.log_density(y, minus)
-        if not (math.isfinite(lp) and math.isfinite(lm)):
-            raise DomainError(
-                f"{family.label}: non-finite log-density in FD stencil at {point}")
-        out[j - lo] = (lp - lm) / (2.0 * step)
-    return out
+    return family.score_rows(Y, family.check_point(point))
 
 
 @dataclass(frozen=True)
@@ -236,13 +202,10 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
     I_nuis = full[k:, k:]
     if kp == 0:
         return FisherInfo(I, I_cross, I_nuis, I.copy())
-    try:
-        sol = np.linalg.solve(I_nuis, I_cross.T)
-    except np.linalg.LinAlgError:
+    if np.linalg.cond(I_nuis) > 1e12:  # inf when exactly singular
         return FisherInfo(I, I_cross, I_nuis, None, nuis_singular=True)
-    if np.linalg.cond(I_nuis) > 1e12:
-        return FisherInfo(I, I_cross, I_nuis, None, nuis_singular=True)
-    return FisherInfo(I, I_cross, I_nuis, I - I_cross @ sol)
+    return FisherInfo(I, I_cross, I_nuis,
+                      I - I_cross @ np.linalg.solve(I_nuis, I_cross.T))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +229,73 @@ def _check_n(n):
     return int(n)
 
 
+def finite_exponential_family(label, outcomes, log_h, T, natural, k, kp,
+                              in_domain, sampler, meta) -> ModelFamily:
+    """Exponential family log f(y) = log h(y) + T(y).eta - A(eta) on a grid.
+
+    ``log_h(Y)`` -> (N,) and ``T(Y)`` -> (N, m) act on outcome rows;
+    ``natural(point)`` returns the natural parameter eta (m,) and its
+    Jacobian J = d eta / d point, (m, k + k'), and raises DomainError
+    where the point has none.  A(eta) is the log-sum-exp of
+    log h + T.eta over ``outcomes`` and E T is taken under the same pmf,
+    so the score is (T - E T) J.  ``sampler(rng, eta, size)`` draws at
+    eta.  A point is in the domain when ``in_domain`` holds and
+    ``natural`` accepts it.
+
+    eta, J, c, A and E[T - c] are kept per point in one bounded LRU,
+    reachable as ``meta["stats"]`` with ``cache_info()``.  c is T at the
+    mode: centring T there leaves the law unchanged but keeps (T - c).eta
+    and T - c - E[T - c] small where the mass is, so large |eta| costs no
+    precision there.
+    """
+    LH, TY = log_h(outcomes), T(outcomes)
+
+    # the domain check, both row forms and the sampler all need eta at the
+    # same point; a rejected point raises, and lru_cache stores no failure.
+    # Products with eta and J are einsum sums, not @: no BLAS call, and a
+    # row's value does not depend on how many rows come with it.
+    @functools.lru_cache(maxsize=STATS_CACHE_SIZE)
+    def stats(key):
+        eta, J = natural(np.array(key))
+        top = int((LH + np.einsum("nm,m->n", TY, eta)).argmax())
+        c = TY[top]
+        Tc = TY - c
+        x = LH + np.einsum("nm,m->n", Tc, eta)
+        A = x[top] + math.log(np.exp(x - x[top]).sum())
+        w = np.exp(x - A)
+        return eta, J, c, A, (w[:, None] * Tc).sum(axis=0)
+
+    def at(point):
+        return stats(tuple(np.asarray(point, dtype=float).tolist()))
+
+    def accepts(point):
+        if not in_domain(point):
+            return False
+        try:
+            at(point)
+        except DomainError:
+            return False
+        return True
+
+    def log_density_rows(Y, point):
+        eta, _, c, A, _ = at(point)
+        return log_h(Y) + np.einsum("nm,m->n", T(Y) - c, eta) - A
+
+    def score_rows(Y, point):
+        _, J, c, _, mean_Tc = at(point)
+        return np.einsum("nm,ma->na", (T(Y) - c) - mean_Tc, J)
+
+    def draw(rng, point, size):
+        return sampler(rng, at(point)[0], size)
+
+    support = SupportDescriptor("finite-discrete", outcomes=outcomes,
+                                sampler=draw)
+    return ModelFamily(
+        label=label, support=support, dim_interest=k, dim_nuisance=kp,
+        in_domain=accepts, log_density_rows=log_density_rows,
+        score_rows=score_rows, meta={**meta, "stats": stats})
+
+
 def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
     """Binomial count y ~ Bin(n, p) on {0..n}.
 
@@ -273,72 +303,31 @@ def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
     the two describe the same manifold of distributions.
     """
     n = _check_n(n)
-    lgam = log_choose(n, np.arange(n + 1))
-
-    def sampler(rng, point, size):
-        return rng.binomial(n, _as_p(point), size)
-
-    support = SupportDescriptor("finite-discrete",
-                                outcomes=np.arange(n + 1), sampler=sampler)
-
     if parameterization == "p":
-        def _as_p(point):
-            return float(point[0])
-
         def in_domain(point):
             return 0.0 < point[0] < 1.0
 
-        def log_density(y, point):
+        def natural(point):
             p = float(point[0])
-            y = int(y)
-            return float(lgam[y]) + y * math.log(p) + (n - y) * math.log1p(-p)
-
-        def log_density_rows(Y, point):
-            p = float(point[0])
-            Y = np.asarray(Y, dtype=int)
-            return lgam[Y] + Y * math.log(p) + (n - Y) * math.log1p(-p)
-
-        def score_interest(y, point):
-            p = float(point[0])
-            return np.array([(y - n * p) / (p * (1.0 - p))])
-
-        def score_rows(Y, point):
-            p = float(point[0])
-            return ((np.asarray(Y) - n * p) / (p * (1.0 - p)))[:, None]
+            return (np.array([math.log(p) - math.log1p(-p)]),
+                    np.array([[1.0 / (p * (1.0 - p))]]))
     elif parameterization == "logit":
-        def _as_p(point):
-            return float(expit(point[0]))
-
         def in_domain(point):
             return np.isfinite(point[0])
 
-        def log_density(y, point):
-            eta = float(point[0])
-            y = int(y)
-            # y*eta - n*log(1+e^eta), stable via logaddexp
-            return float(lgam[y]) + y * eta - n * np.logaddexp(0.0, eta)
-
-        def log_density_rows(Y, point):
-            eta = float(point[0])
-            Y = np.asarray(Y, dtype=int)
-            return lgam[Y] + Y * eta - n * np.logaddexp(0.0, eta)
-
-        def score_interest(y, point):
-            p = float(expit(point[0]))
-            return np.array([y - n * p])
-
-        def score_rows(Y, point):
-            p = float(expit(point[0]))
-            return (np.asarray(Y) - n * p)[:, None]
+        def natural(point):
+            return np.array([float(point[0])]), np.ones((1, 1))
     else:
         raise ValueError(f"unknown parameterization {parameterization!r}")
 
-    return ModelFamily(
-        label=f"bernoulli-sum(n={n},{parameterization})",
-        support=support, dim_interest=1, dim_nuisance=0,
-        in_domain=in_domain, log_density=log_density,
-        score_interest=score_interest, meta={"n": n},
-        log_density_rows=log_density_rows, score_rows=score_rows)
+    lgam = log_choose(n, np.arange(n + 1))
+    return finite_exponential_family(
+        f"bernoulli-sum(n={n},{parameterization})", np.arange(n + 1),
+        log_h=lambda Y: lgam[np.asarray(Y, dtype=int)],
+        T=lambda Y: np.asarray(Y, dtype=float)[:, None],
+        natural=natural, k=1, kp=0, in_domain=in_domain,
+        sampler=lambda rng, eta, size: rng.binomial(n, expit(eta[0]), size),
+        meta={"n": n})
 
 
 def normal_location(n: int) -> ModelFamily:
@@ -348,46 +337,26 @@ def normal_location(n: int) -> ModelFamily:
     def sampler(rng, point, size):
         return rng.normal(point[0], 1.0 / math.sqrt(n), size)
 
-    support = SupportDescriptor("continuous", sampler=sampler)
-
-    def log_density(y, point):
-        a = float(point[0])
-        return 0.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi) \
-            - 0.5 * n * (float(y) - a) ** 2
-
     def log_density_rows(Y, point):
         a = float(point[0])
         return 0.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi) \
             - 0.5 * n * (np.asarray(Y, dtype=float) - a) ** 2
-
-    def score_interest(y, point):
-        return np.array([n * (float(y) - float(point[0]))])
 
     def score_rows(Y, point):
         return (n * (np.asarray(Y, dtype=float) - float(point[0])))[:, None]
 
     return ModelFamily(
         label=f"normal-location(n={n})",
-        support=support, dim_interest=1, dim_nuisance=0,
+        support=SupportDescriptor("continuous", sampler=sampler),
+        dim_interest=1, dim_nuisance=0,
         in_domain=lambda point: np.isfinite(point[0]),
-        log_density=log_density, score_interest=score_interest,
-        meta={"n": n}, log_density_rows=log_density_rows,
-        score_rows=score_rows)
+        log_density_rows=log_density_rows, score_rows=score_rows,
+        meta={"n": n})
 
 
 def _location_vector_family(label, n, log_phi, score_one, sampler_one):
     def sampler(rng, point, size):
         return sampler_one(rng, (size, n)) + point[0]
-
-    support = SupportDescriptor("continuous", sampler=sampler)
-
-    def log_density(y, point):
-        d = np.asarray(y, dtype=float) - float(point[0])
-        return float(np.sum(log_phi(d)))
-
-    def score_interest(y, point):
-        d = np.asarray(y, dtype=float) - float(point[0])
-        return np.array([float(np.sum(score_one(d)))])
 
     # Y is (N, n): one sample of size n per row
     def log_density_rows(Y, point):
@@ -399,12 +368,12 @@ def _location_vector_family(label, n, log_phi, score_one, sampler_one):
         return np.sum(score_one(D), axis=-1)[:, None]
 
     return ModelFamily(
-        label=f"{label}(n={n})", support=support,
+        label=f"{label}(n={n})",
+        support=SupportDescriptor("continuous", sampler=sampler),
         dim_interest=1, dim_nuisance=0,
         in_domain=lambda point: np.isfinite(point[0]),
-        log_density=log_density, score_interest=score_interest,
-        meta={"n": n}, log_density_rows=log_density_rows,
-        score_rows=score_rows)
+        log_density_rows=log_density_rows, score_rows=score_rows,
+        meta={"n": n})
 
 
 def cauchy_location(n: int) -> ModelFamily:
@@ -460,98 +429,35 @@ def two_binomial(n1: int, n2: int) -> ModelFamily:
     """Independent Bin(n1,p1), Bin(n2,p2) with interest theta = log OR
     and nuisance tnuis = n1*p1 + n2*p2 (score-orthogonal to theta).
 
-    ``meta["probs"]`` is the family's memoized (theta, tnuis) -> (p1, p2)
-    inversion, a bounded LRU with ``cache_info()``.
+    The natural parameter is (logit p1, logit p2); ``meta["stats"]`` holds
+    the one (theta, tnuis) -> (p1, p2) inversion made per point.
     """
     n1 = _check_n(n1)
     n2 = _check_n(n2)
     lg1 = log_choose(n1, np.arange(n1 + 1))
     lg2 = log_choose(n2, np.arange(n2 + 1))
 
-    # the domain check, the density, the scores and the sampler all need the
-    # (theta, tnuis) -> (p1, p2) inversion at the same point, so memoize it
-    # per point in a bounded LRU; a rejected point raises, and lru_cache
-    # stores no failure
-    @functools.lru_cache(maxsize=PROBS_CACHE_SIZE)
-    def cached_probs(theta, tnuis):
-        return two_binomial_probs(theta, tnuis, n1, n2)
-
-    def probs(point):
-        return cached_probs(float(point[0]), float(point[1]))
-
     def in_domain(point):
-        if not (0.0 < point[1] < n1 + n2) or not np.isfinite(point[0]):
-            return False
-        try:
-            probs(point)
-        except DomainError:
-            return False
-        return True
+        return 0.0 < point[1] < n1 + n2 and np.isfinite(point[0])
 
-    def log_density(y, point):
-        p1, p2 = probs(point)
-        x1, x2 = int(y[0]), int(y[1])
-        return (float(lg1[x1]) + x1 * math.log(p1)
-                + (n1 - x1) * math.log1p(-p1)
-                + float(lg2[x2]) + x2 * math.log(p2)
-                + (n2 - x2) * math.log1p(-p2))
-
-    def score_interest(y, point):
-        p1, p2 = probs(point)
-        a1, a2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
-        # dp/dtheta at fixed tnuis from the two parameterization constraints
-        den = n1 * a1 + n2 * a2
-        dp1 = n2 * a1 * a2 / den
-        dp2 = -n1 * a1 * a2 / den
-        return np.array([(y[0] - n1 * p1) / a1 * dp1
-                         + (y[1] - n2 * p2) / a2 * dp2])
-
-    def score_nuisance(y, point):
-        p1, p2 = probs(point)
+    def natural(point):
+        p1, p2 = two_binomial_probs(point[0], point[1], n1, n2)
         a1, a2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
         den = n1 * a1 + n2 * a2
-        return np.array([(y[0] + y[1] - point[1]) / den])
+        # d(logit p1, logit p2) / d(theta, tnuis) from theta = eta1 - eta2
+        # and tnuis = n1 p1 + n2 p2
+        return (np.array([logit(p1), logit(p2)]),
+                np.array([[n2 * a2 / den, 1.0 / den],
+                          [-n1 * a1 / den, 1.0 / den]]))
 
-    def log_density_rows(Y, point):
-        p1, p2 = probs(point)
-        x1, x2 = Y[:, 0], Y[:, 1]
-        return (lg1[x1] + x1 * math.log(p1) + (n1 - x1) * math.log1p(-p1)
-                + lg2[x2] + x2 * math.log(p2) + (n2 - x2) * math.log1p(-p2))
-
-    def score_rows(Y, point):
-        p1, p2 = probs(point)
-        a1, a2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
-        den = n1 * a1 + n2 * a2
-        dp1 = n2 * a1 * a2 / den
-        dp2 = -n1 * a1 * a2 / den
-        x1, x2 = Y[:, 0], Y[:, 1]
-        return np.column_stack([
-            (x1 - n1 * p1) / a1 * dp1 + (x2 - n2 * p2) / a2 * dp2,
-            (x1 + x2 - point[1]) / den])
-
-    def sampler(rng, point, size):
-        p1, p2 = probs(point)
+    def sampler(rng, eta, size):
+        p1, p2 = expit(eta)
         return np.column_stack([rng.binomial(n1, p1, size),
                                 rng.binomial(n2, p2, size)])
 
-    support = SupportDescriptor("finite-discrete",
-                                outcomes=two_binomial_outcomes(n1, n2),
-                                sampler=sampler)
-    return ModelFamily(
-        label=f"two-binomial(n1={n1},n2={n2})",
-        support=support, dim_interest=1, dim_nuisance=1,
-        in_domain=in_domain, log_density=log_density,
-        score_interest=score_interest, score_nuisance=score_nuisance,
-        meta={"n1": n1, "n2": n2, "probs": cached_probs},
-        log_density_rows=log_density_rows, score_rows=score_rows)
-
-
-def builtin_families() -> dict:
-    """Constructors for all built-in families, keyed by name."""
-    return {
-        "bernoulli-sum": bernoulli_sum,
-        "normal-location": normal_location,
-        "cauchy-location": cauchy_location,
-        "t3-location": t3_location,
-        "two-binomial": two_binomial,
-    }
+    return finite_exponential_family(
+        f"two-binomial(n1={n1},n2={n2})", two_binomial_outcomes(n1, n2),
+        log_h=lambda Y: lg1[Y[:, 0]] + lg2[Y[:, 1]],
+        T=lambda Y: np.asarray(Y, dtype=float),
+        natural=natural, k=1, kp=1, in_domain=in_domain, sampler=sampler,
+        meta={"n1": n1, "n2": n2})

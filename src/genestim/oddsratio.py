@@ -215,18 +215,6 @@ def _cond_law(logc: np.ndarray, log_psi) -> np.ndarray:
     return np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))
 
 
-def _cond_tails(n1, n2, t, x1, log_psi):
-    """(Pr(X <= x1 | t), Pr(X >= x1 | t)) under the tilted conditional law.
-
-    t, x1 and log_psi broadcast; one ``logsumexp`` normalises every law.
-    """
-    xs = np.arange(n1 + 1)
-    x1 = np.asarray(x1)[..., None]
-    w = _cond_law(_cond_log_coef(n1, n2, t), log_psi)
-    return (np.where(xs <= x1, w, 0.0).sum(axis=-1),
-            np.where(xs >= x1, w, 0.0).sum(axis=-1))
-
-
 def fisher_exact_intervals(x1, x2, n1: int, n2: int,
                            confidence: float = 0.95):
     """Conditional exact odds-ratio intervals of many outcomes at once.

@@ -101,6 +101,41 @@ class TestInfoReport:
         assert float(score_row[4]) == pytest.approx(1.0, abs=1e-10)
 
 
+    def test_degenerate_row_is_skipped_and_the_rest_written(self, runner,
+                                                            tmp_path):
+        # at p = 0.999 the sign pre-estimator is -1 for every outcome
+        res = runner.invoke(main, ["info-report", "--n", "20",
+                                   "--p", "0.999", "--p", "0.5",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        skips = [ln for ln in res.output.splitlines()
+                 if ln.startswith("[skip]")]
+        assert len(skips) == 1
+        assert skips[0].startswith(
+            "[skip] sign-coarse-orthogonalized at p=0.999 (EstimatorError: ")
+        lines = (tmp_path / "info_report.csv").read_text().splitlines()
+        body = [ln.split(",") for ln in lines[2:]]
+        assert len(body) == 7
+        assert all(len(row) == 6 for row in body)
+        assert ("sign-coarse-orthogonalized", "0.5") in {
+            (row[0], row[1]) for row in body}
+
+    def test_every_row_failing_exits_numeric(self, runner, tmp_path):
+        res = runner.invoke(main, ["info-report", "--n", "20", "--p", "1.5",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert not (tmp_path / "info_report.csv").exists()
+        err = json.loads((tmp_path / "error.json").read_text())
+        assert err["error"] == "DomainError"
+
+    def test_points_next_to_the_edges_are_reported(self, runner, tmp_path):
+        res = runner.invoke(main, ["info-report", "--n", "20",
+                                   "--p", "1e-6", "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        lines = (tmp_path / "info_report.csv").read_text().splitlines()
+        assert len(lines) == 2 + 4
+
+
 class TestZetaLab:
     def test_artifacts(self, runner, tmp_path):
         res = runner.invoke(main, ["zeta-lab", "--family", "normal",
@@ -179,13 +214,14 @@ class TestVerify:
 
     def test_degenerate_estimator_is_a_fail_line(self, runner):
         # at n = 3 and p = 0.9, y - n p - 0.5 < 0 for every outcome, so the
-        # orthogonalized sign estimator is 0 there and has variance 0
+        # sign pre-estimator is constant there and its orthogonalized
+        # version is degenerate
         res = runner.invoke(main, ["verify", "--n", "3"])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert ("[FAIL] information bound for the estimator suite "
-                "(EstimatorError: variance matrix not positive definite"
+                "(EstimatorError: sign-coarse is degenerate at [0.9]"
                 in res.output)
         assert res.output.count("[PASS]") + res.output.count("[FAIL]") == 7
         assert "all checks passed" not in res.output

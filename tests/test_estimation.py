@@ -8,7 +8,7 @@ import pytest
 
 from genestim import estimation as E
 from genestim import families as F
-from test_families import _expect_loop
+from test_families import _expect_loop, oracle_score
 
 ENGINE = F.ExpectationEngine(mode="exact")
 
@@ -23,11 +23,6 @@ class TestMatrixHelpers:
         V = np.array([[4.0, 1.0], [1.0, 3.0]])
         W = E.inv_sqrt_psd(V)
         np.testing.assert_allclose(W @ V @ W, np.eye(2), atol=1e-12)
-
-    def test_sqrt_psd_squares_back(self):
-        V = np.array([[2.0, 0.5], [0.5, 1.0]])
-        S = E.sqrt_psd(V)
-        np.testing.assert_allclose(S @ S, V, atol=1e-12)
 
     def test_near_singular_variance_is_an_error(self):
         with pytest.raises(E.EstimatorError):
@@ -117,9 +112,10 @@ class TestOrthogonalization:
             label="bernoulli-with-idle-nuisance", support=base.support,
             dim_interest=1, dim_nuisance=1,
             in_domain=lambda point: 0.0 < point[0] < 1.0,
-            log_density=lambda y, point: base.log_density(y, point[:1]),
-            score_interest=lambda y, point: base.score_interest(y, point[:1]),
-            score_nuisance=lambda y, point: np.zeros(1))
+            log_density_rows=lambda Y, point: base.log_density_rows(
+                Y, point[:1]),
+            score_rows=lambda Y, point: np.column_stack(
+                [base.score_rows(Y, point[:1]), np.zeros(len(Y))]))
         pre = E.PreEstimator(f=lambda y, point: np.array([float(y > 2)]),
                              label="threshold")
         g = E.orthogonalize(ENGINE, fam, pre)
@@ -193,7 +189,8 @@ class TestRegistry:
                           "centered-shrinkage", "sign-coarse-orthogonalized"]
 
 
-# --- per-outcome loop oracles: the estimation layer before its row form ---
+# --- per-outcome loop oracles: the estimation layer before its row form,
+# on the hand-written scores and densities of test_families ---
 
 
 def _variance_loop(fam, g, point):
@@ -203,10 +200,30 @@ def _variance_loop(fam, g, point):
     ).reshape(k, k)
 
 
+def _orth_score_loop(fam, point):
+    """The oracle interest score less its projection on the nuisance
+    score, with the Fisher blocks summed per outcome."""
+    k, d = fam.dim_interest, fam.dim
+    if d == k:
+        return lambda y: oracle_score(fam, y, point)
+    full = _expect_loop(
+        fam, point,
+        lambda y: np.outer(oracle_score(fam, y, point),
+                           oracle_score(fam, y, point)).ravel()
+    ).reshape(d, d)
+    proj = np.linalg.solve(full[k:, k:], full[:k, k:].T).T
+
+    def s(y):
+        sc = oracle_score(fam, y, point)
+        return sc[:k] - proj @ sc[k:]
+
+    return s
+
+
 def _lambda_loop(fam, g, point):
     """Covariance-route information, E(s gbar^t) E(gbar s^t), per outcome."""
     k = fam.dim_interest
-    s, _ = E.orthogonalized_score(ENGINE, fam, point)
+    s = _orth_score_loop(fam, point)
     W = E.inv_sqrt_psd(_variance_loop(fam, g, point))
     A = _expect_loop(fam, point,
                      lambda y: np.outer(s(y), W @ g(y, point)).ravel())
@@ -215,20 +232,22 @@ def _lambda_loop(fam, g, point):
 
 
 def _mean_slope_loop(fam, g, point):
-    """Direct-route slope E[d gbar / d theta] per outcome (k = 1)."""
+    """Direct-route slope E[d gbar / d theta] per outcome (k = 1), over
+    the step the rounded stencil points take."""
     h = F.FD_STEP * max(1.0, abs(point[0]))
 
     def gbar_at(q):
         W = E.inv_sqrt_psd(_variance_loop(fam, g, q))
         return lambda y: W @ g(y, q)
 
-    gp, gm = gbar_at(point + h), gbar_at(point - h)
-    return _expect_loop(fam, point, lambda y: (gp(y) - gm(y)) / (2.0 * h))
+    qp, qm = point + h, point - h
+    gp, gm = gbar_at(qp), gbar_at(qm)
+    return _expect_loop(fam, point, lambda y: (gp(y) - gm(y)) / (qp - qm))
 
 
 def _score_equation_loop(fam, g, point):
     k = fam.dim_interest
-    s, _ = E.orthogonalized_score(ENGINE, fam, point)
+    s = _orth_score_loop(fam, point)
     h = 1e-4 * max(1.0, abs(point[0]))
 
     def term(y):
@@ -262,7 +281,7 @@ class TestRowFormsMatchTheLoop:
         for p in (*self.POINTS, *jumps):
             for est in suite:
                 np.testing.assert_array_equal(
-                    est.rows(Y, [p]), [est.g(y, [p]) for y in Y],
+                    est.rows(Y, [p]), [est(y, [p]) for y in Y],
                     err_msg=f"{est.label} at p={p}")
 
     def test_variance_and_information_match_the_loop(self, suite):
@@ -300,9 +319,8 @@ class TestRowFormsMatchTheLoop:
                              label="first-count")
         g = E.orthogonalize(ENGINE, fam, pre)
         Y = fam.support.outcomes
-        np.testing.assert_allclose(g.rows(Y, point),
-                                   [g.g(y, point) for y in Y],
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(g.rows(Y, point),
+                                      [g(y, point) for y in Y])
         np.testing.assert_allclose(E.variance(ENGINE, fam, g, point),
                                    _variance_loop(fam, g, point), rtol=1e-12)
         lam, _ = _lambda_loop(fam, g, point)
@@ -317,6 +335,65 @@ class TestRowFormsMatchTheLoop:
         g = E.orthogonalize(ENGINE, fam, pre)
         for i in range(1, 21):
             g(2, [0.04 * i])
-        info = g.g.cache_info()
+        info = g.rows.cache_info()
         assert info.maxsize == 8 and info.currsize == 8
         assert info.misses == 20
+
+
+class TestDegenerateEstimators:
+    """Estimators whose variance is round-off are errors, not tiny numbers."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.77])
+    def test_constant_pre_estimator_is_rejected(self, p):
+        fam = F.bernoulli_sum(20)
+        pre = E.PreEstimator(f=lambda y, point: np.array([-1.0]),
+                             label="constant")
+        g = E.orthogonalize(ENGINE, fam, pre)
+        with pytest.raises(E.EstimatorError, match="constant is degenerate"):
+            E.information(ENGINE, fam, g, [p])
+
+    def test_pre_estimator_in_the_nuisance_span_is_rejected(self):
+        # x1 + x2 is affine in the nuisance score (x1 + x2 - tnuis) / den
+        fam = F.two_binomial(8, 6)
+        point = np.array(F.two_binomial_params(0.4, 0.55, 8, 6))
+        pre = E.PreEstimator(f=lambda y, point: np.array([float(y[0] + y[1])]),
+                             label="total")
+        g = E.orthogonalize(ENGINE, fam, pre)
+        with pytest.raises(E.EstimatorError, match="total is degenerate"):
+            E.information(ENGINE, fam, g, point)
+
+    def test_nearly_constant_pre_estimator_is_kept(self):
+        # Pr(y = 20) = 0.01**20 is tiny but its variance is not round-off
+        fam = F.bernoulli_sum(20)
+        pre = E.PreEstimator(f=lambda y, point: np.array([float(y >= 10)]),
+                             label="threshold")
+        g = E.orthogonalize(ENGINE, fam, pre)
+        assert E.variance(ENGINE, fam, g, [0.2])[0, 0] > 0.0
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize("p", [1e-6, 1.0 - 1e-6])
+    def test_both_routes_agree_next_to_the_edges(self, p):
+        fam = F.bernoulli_sum(20)
+        seen = []
+        for est in E.bernoulli_suite(20, ENGINE):
+            if p > 0.5 and est.label == "sign-coarse-orthogonalized":
+                # y - 20 p - 0.5 < 0 for every y: a constant pre-estimator
+                with pytest.raises(E.EstimatorError):
+                    E.information(ENGINE, fam, est, [p])
+                continue
+            rep = E.information(ENGINE, fam, est, [p])
+            assert rep.routes_agree, (est.label, rep.route_gap)
+            seen.append(est.label)
+        assert len(seen) == (4 if p < 0.5 else 3)
+
+    @pytest.mark.parametrize("tnuis", [1e-6, 14.0 - 1e-6])
+    def test_nuisance_information_next_to_the_edges(self, tnuis):
+        fam = F.two_binomial(8, 6)
+        pre = E.PreEstimator(f=lambda y, point: np.array([float(y[0])]),
+                             label="first-count")
+        g = E.orthogonalize(ENGINE, fam, pre)
+        point = [0.3, tnuis]
+        nuis = E.nuisance_information(ENGINE, fam, g, point)
+        I_nuis = F.fisher_info(ENGINE, fam, point).I_nuis
+        assert abs(nuis[0, 0]) <= 1e-9 * I_nuis[0, 0]

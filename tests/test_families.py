@@ -1,5 +1,6 @@
 """Model families, expectation engines, scores, Fisher information."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,13 +13,77 @@ from genestim import families as F
 ENGINE = F.ExpectationEngine(mode="exact")
 
 
+# --- independent per-outcome oracles: scalar densities and scores written
+# out by hand for each finite built-in family ---
+
+
+def _log_binom(k, n, log_p, log_q):
+    """log Pr(Bin(n, p) = k) for one count, from math.lgamma, given
+    log p and log q = log(1 - p)."""
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * log_p + (n - k) * log_q)
+
+
+def _binomial_p(family, point):
+    """(n, p, q = 1 - p, log p, log q, logit?) of a bernoulli-sum family;
+    in the logit parameterization each of p and q comes from eta itself,
+    so neither loses precision near 0 or 1."""
+    x = float(point[0])
+    n = family.meta["n"]
+    if family.label.endswith(",logit)"):
+        return (n, 1.0 / (1.0 + math.exp(-x)), 1.0 / (1.0 + math.exp(x)),
+                -math.log1p(math.exp(-x)), -math.log1p(math.exp(x)), True)
+    return n, x, 1.0 - x, math.log(x), math.log1p(-x), False
+
+
+@functools.lru_cache(maxsize=64)
+def _two_binomial_probs(theta, tnuis, n1, n2):
+    return F.two_binomial_probs(theta, tnuis, n1, n2)
+
+
+def _two_binomial_p(family, point):
+    n1, n2 = family.meta["n1"], family.meta["n2"]
+    p1, p2 = _two_binomial_probs(float(point[0]), float(point[1]), n1, n2)
+    return n1, n2, p1, p2, 1.0 - p1, 1.0 - p2
+
+
+def oracle_log_density(family, y, point):
+    """Scalar log-density of one outcome of a finite built-in family."""
+    if "n1" in family.meta:
+        n1, n2, p1, p2, q1, q2 = _two_binomial_p(family, point)
+        return (_log_binom(int(y[0]), n1, math.log(p1), math.log(q1))
+                + _log_binom(int(y[1]), n2, math.log(p2), math.log(q2)))
+    n, _, _, log_p, log_q, _ = _binomial_p(family, point)
+    return _log_binom(int(y), n, log_p, log_q)
+
+
+def oracle_score(family, y, point):
+    """Full score of one outcome: in p, in logit p, or in (theta, tnuis)
+    for the two-binomial through dp/dtheta at fixed tnuis.  y - n p is
+    written y q - (n - y) p, which stays exact as p nears 1."""
+    if "n1" in family.meta:
+        n1, n2, p1, p2, q1, q2 = _two_binomial_p(family, point)
+        a1, a2 = p1 * q1, p2 * q2
+        den = n1 * a1 + n2 * a2
+        dp1 = n2 * a1 * a2 / den
+        dp2 = -n1 * a1 * a2 / den
+        return np.array([(y[0] / p1 - (n1 - y[0]) / q1) * dp1
+                         + (y[1] / p2 - (n2 - y[1]) / q2) * dp2,
+                         (y[0] * q1 - (n1 - y[0]) * p1
+                          + y[1] * q2 - (n2 - y[1]) * p2) / den])
+    n, p, q, _, _, logit = _binomial_p(family, point)
+    if logit:
+        return np.array([y * q - (n - y) * p])
+    return np.array([y / p - (n - y) / q])
+
+
 def _expect_loop(family, point, h):
     """Oracle: the per-outcome exact summation, sum of exp(log p(y)) h(y)
-    over the outcomes in order, from the scalar log-density."""
+    over the outcomes in order, from the scalar oracle log-density."""
     point = family.check_point(point)
     total = None
     for y in family.support.outcomes:
-        w = math.exp(family.log_density(y, point))
+        w = math.exp(oracle_log_density(family, y, point))
         hv = np.atleast_1d(np.asarray(h(y), dtype=float))
         total = w * hv if total is None else total + w * hv
     return total
@@ -49,7 +114,7 @@ def _moments(family, point):
     """(per-outcome h, row-form H) of the outcome, its score and the
     score's outer product: every moment the engine's callers take."""
     def h(y):
-        s = F.score(family, y, point)
+        s = oracle_score(family, y, point)
         return np.concatenate([[1.0], np.atleast_1d(y), s,
                                np.outer(s, s).ravel()])
 
@@ -90,8 +155,9 @@ class TestExpectationEngine:
         crippled = F.ModelFamily(
             label="no-sampler", support=F.SupportDescriptor(
                 "finite-discrete", outcomes=np.arange(5)),
-            dim_interest=1, dim_nuisance=0,
-            in_domain=fam.in_domain, log_density=fam.log_density)
+            dim_interest=1, dim_nuisance=0, in_domain=fam.in_domain,
+            log_density_rows=fam.log_density_rows,
+            score_rows=fam.score_rows)
         with pytest.raises(F.EngineError):
             F.ExpectationEngine(mode="mc").expect(crippled, [0.5], lambda y: y)
 
@@ -111,13 +177,26 @@ class TestExpectationEngine:
     @pytest.mark.parametrize("family,point", FINITE_CASES,
                              ids=lambda c: getattr(c, "label", str(c)))
     def test_row_forms_equal_the_per_outcome_forms(self, family, point):
+        # one outcome is the one-row case of the rows: equal, not close
         Y = family.support.outcomes
         np.testing.assert_array_equal(
             family.log_density_rows(Y, point),
-            [family.log_density(y, point) for y in Y])
+            [F.one_row(family.log_density_rows, y, point) for y in Y])
         np.testing.assert_array_equal(
             F.score_rows(family, Y, point),
             [F.score(family, y, point) for y in Y])
+
+    @pytest.mark.parametrize("family,point", FINITE_CASES,
+                             ids=lambda c: getattr(c, "label", str(c)))
+    def test_rows_match_the_oracles(self, family, point):
+        Y = family.support.outcomes
+        want = [oracle_log_density(family, y, point) for y in Y]
+        np.testing.assert_allclose(family.log_density_rows(Y, point), want,
+                                   rtol=1e-12, atol=1e-12)
+        want = np.array([oracle_score(family, y, point) for y in Y])
+        np.testing.assert_allclose(F.score_rows(family, Y, point), want,
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     def test_expect_rows_keeps_the_row_shape(self):
         fam = F.bernoulli_sum(6)
@@ -161,18 +240,6 @@ class TestScores:
         fam = F.bernoulli_sum(12)
         val = ENGINE.expect(fam, [p], lambda y: F.score(fam, y, [p]))
         assert abs(val[0]) < 1e-10
-
-    def test_fd_score_matches_analytic_score(self):
-        analytic = F.bernoulli_sum(15)
-        silent = F.ModelFamily(
-            label="fd-only", support=analytic.support,
-            dim_interest=1, dim_nuisance=0,
-            in_domain=analytic.in_domain,
-            log_density=analytic.log_density)
-        for y in (0, 4, 15):
-            a = F.score(analytic, y, [0.4])[0]
-            b = F.score(silent, y, [0.4])[0]
-            assert b == pytest.approx(a, abs=1e-6)
 
     def test_out_of_domain_point_raises(self):
         fam = F.bernoulli_sum(10)
@@ -242,7 +309,7 @@ class TestFisherInfo:
                              ids=lambda c: getattr(c, "label", str(c)))
     def test_fisher_blocks_match_the_loop(self, family, point):
         def outer(y):
-            s = F.score(family, y, point)
+            s = oracle_score(family, y, point)
             return np.outer(s, s).ravel()
 
         full = F.fisher_info(ENGINE, family, point)
@@ -251,18 +318,43 @@ class TestFisherInfo:
         assert_matches_loop(got, family, point, outer)
 
     def test_probs_cache_is_a_bounded_lru(self, monkeypatch):
-        monkeypatch.setattr(F, "PROBS_CACHE_SIZE", 8)
+        monkeypatch.setattr(F, "STATS_CACHE_SIZE", 8)
         fam = F.two_binomial(5, 6)
         points = [[0.1 * i, 5.0] for i in range(20)]
         for point in points:
             fam.check_point(point)
-        info = fam.meta["probs"].cache_info()
+        info = fam.meta["stats"].cache_info()
         assert info.maxsize == 8 and info.currsize == 8
         assert info.misses == 20
         fam.check_point(points[-1])  # most recent: still cached
         fam.check_point(points[0])  # evicted: inverted again
-        info = fam.meta["probs"].cache_info()
+        info = fam.meta["stats"].cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 21, 8)
+
+
+class TestExponentialFamilyProperties:
+    @given(n=st.integers(1, 400), p=st.floats(1e-9, 1.0 - 1e-9))
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_pmf_score_and_information(self, n, p):
+        fam = F.bernoulli_sum(n)
+        Y = fam.support.outcomes
+        w = np.exp(fam.log_density_rows(Y, [p]))
+        assert abs(w.sum() - 1.0) <= 1e-13
+        s = F.score_rows(fam, Y, [p])[:, 0]
+        assert abs((w * s).sum()) <= 1e-10 * (w * np.abs(s)).sum()
+        info = F.fisher_info(ENGINE, fam, [p])
+        assert info.I[0, 0] == pytest.approx(n / (p * (1.0 - p)), rel=1e-12)
+
+    @given(n1=st.integers(1, 40), n2=st.integers(1, 40),
+           theta=st.floats(-5.0, 5.0), gap=st.floats(1e-3, 0.1),
+           upper=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_two_binomial_blocks_stay_orthogonal_near_the_edges(
+            self, n1, n2, theta, gap, upper):
+        fam = F.two_binomial(n1, n2)
+        tnuis = n1 + n2 - gap if upper else gap
+        info = F.fisher_info(ENGINE, fam, [theta, tnuis])
+        assert abs(info.I_cross[0, 0]) <= 1e-10 * info.I[0, 0]
 
 
 class TestTwoBinomialReparameterization:
@@ -301,8 +393,3 @@ class TestLocationFamilies:
         fam = F.cauchy_location(3)
         s = F.score(fam, [0.0, 1.0, -1.0], [0.0])
         assert s.shape == (1,) and s[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_builtin_registry_contains_all(self):
-        names = set(F.builtin_families())
-        assert names == {"bernoulli-sum", "normal-location",
-                         "cauchy-location", "t3-location", "two-binomial"}
