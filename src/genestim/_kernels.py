@@ -19,7 +19,21 @@ EDGE_ITERS = 60  # bisection steps per z-interval edge
 
 
 def _expit(x):
+    """Logistic function 1/(1 + exp(-x)) as 0.5 (1 + tanh(x/2)).
+
+    Overflows nowhere.  Its error is absolute, below ulp(1) = 2.2e-16,
+    so from x = -38 down it returns 0.
+    """
     return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _logit(p):
+    """log(p / (1 - p)).
+
+    Its error is a few ulp of max(1, |logit p|): absolute near p = 1/2,
+    where SciPy switches to a log1p form.
+    """
+    return np.log(p / (1.0 - p))
 
 
 def invert_p1_batch(theta, tnuis, n1, n2):
@@ -40,7 +54,7 @@ def invert_p1_batch(theta, tnuis, n1, n2):
     hi = np.where(bad, 0.75, hi)
 
     def f(p1):
-        return n1 * p1 + n2 * _expit(np.log(p1 / (1.0 - p1)) - theta) - tnuis
+        return n1 * p1 + n2 * _expit(_logit(p1) - theta) - tnuis
 
     a, b = lo.copy(), hi.copy()
     for _ in range(INVERT_ITERS):

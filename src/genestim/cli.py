@@ -155,8 +155,8 @@ def info_report(n, p, out_dir):
     """
     man = _manifest("info-report", {"n": n, "p": list(p)}, out_dir)
     engine = families.ExpectationEngine(mode="exact")
-    fam = families.bernoulli_sum(n)
     suite = estimation.bernoulli_suite(n, engine)
+    fam = suite.family
     rows = []
     for point in p:
         for est in suite:
@@ -305,7 +305,8 @@ def or_endpoint_tails(n1, n2, level, out_dir):
 def verify(n):
     """Run the module-level invariant suites; nonzero exit on failure."""
     engine = families.ExpectationEngine(mode="exact")
-    fam = families.bernoulli_sum(n)
+    suite = estimation.bernoulli_suite(n, engine)
+    fam = suite.family
     checks = []
 
     def check(name, measure, passed, detail=None):
@@ -348,8 +349,6 @@ def verify(n):
 
     check("E(s^2) matches -E(grad s)", information_identity,
           lambda w: w < 1e-6, lambda w: f"max rel gap = {w:.2e}")
-
-    suite = estimation.bernoulli_suite(n, engine)
 
     def suite_residual():
         return max(float(np.max(np.abs(

@@ -419,9 +419,11 @@ def corr_sq_with_se(a, b, blocks: int):
 
 @dataclass
 class EstimatorRegistry:
-    """Write-once store of labelled estimators plus metadata."""
+    """Write-once store of labelled estimators, with the family they are
+    defined on when there is one."""
 
     _entries: dict = field(default_factory=dict)
+    family: Optional[ModelFamily] = None
 
     def register(self, est: GeneralizedEstimator):
         if est.label in self._entries:
@@ -448,12 +450,14 @@ def bernoulli_suite(n: int, engine: Optional[ExpectationEngine] = None
     p = (y - 0.5)/n; the half-count offset keeps those jumps off verify's
     p grid (0.1, 0.3, ..., 0.9) only for even n.  For odd n a jump sits
     at p = 0.5, where verify's score-equation check fails: a known, still
-    open defect.
+    open defect.  The registry's ``family`` is the ``bernoulli_sum(n)``
+    they are defined on; expectations taken on it share its per-point
+    statistics with the suite.
     """
     engine = engine or ExpectationEngine(mode="exact")
     from .families import bernoulli_sum
     fam = bernoulli_sum(n)
-    reg = EstimatorRegistry()
+    reg = EstimatorRegistry(family=fam)
     reg.register(GeneralizedEstimator(
         label="score", rows=functools.partial(score_rows, fam)))
     reg.register(GeneralizedEstimator(

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, gammaln, logit, xlog1py, xlogy
 
-from ._kernels import invert_p1_batch
+from ._kernels import _expit, _logit, invert_p1_batch
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # parameter points whose natural parameter, A(eta) and E T each finite
@@ -213,14 +212,44 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
 # ---------------------------------------------------------------------------
 
 
+_LOG_FACTORIALS = np.zeros(1)  # log k! for k = 0, 1, ...
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n at least, from ``math.lgamma``.
+
+    One table per process, grown (at least doubled) when a larger n is
+    asked for, so its size is bounded by twice the largest n requested.
+    """
+    global _LOG_FACTORIALS
+    if n >= len(_LOG_FACTORIALS):
+        size = max(n + 1, 2 * len(_LOG_FACTORIALS))
+        _LOG_FACTORIALS = np.array([math.lgamma(k + 1.0)
+                                    for k in range(size)])
+    return _LOG_FACTORIALS
+
+
 def log_choose(n, k):
-    """log C(n, k), elementwise over integer arrays with 0 <= k <= n."""
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    """log C(n, k), elementwise over integers with 0 <= k <= n.
+
+    A difference of three log-factorial table entries, so its absolute
+    error is about ulp(log n!).
+    """
+    lf = _log_factorials(int(np.max(n)))
+    return lf[n] - lf[k] - lf[np.subtract(n, k)]
 
 
 def log_binom_pmf(k, n, p):
-    """log Pr(Bin(n, p) = k), elementwise."""
-    return log_choose(n, k) + xlogy(k, p) + xlog1py(n - k, -p)
+    """log Pr(Bin(n, p) = k), elementwise over k and p in [0, 1].
+
+    A zero count contributes 0, not 0 * log 0, so p = 0 or 1 gives the
+    degenerate law, with no divide warning.
+    """
+    k, p = np.asarray(k), np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+    return (log_choose(n, k) + k * np.where(k == 0, 0.0, log_p)
+            + (n - k) * np.where(k == n, 0.0, log_q))
 
 
 def _check_n(n):
@@ -326,7 +355,8 @@ def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
         log_h=lambda Y: lgam[np.asarray(Y, dtype=int)],
         T=lambda Y: np.asarray(Y, dtype=float)[:, None],
         natural=natural, k=1, kp=0, in_domain=in_domain,
-        sampler=lambda rng, eta, size: rng.binomial(n, expit(eta[0]), size),
+        sampler=lambda rng, eta, size: rng.binomial(n, _expit(eta[0]),
+                                                    size),
         meta={"n": n})
 
 
@@ -386,8 +416,8 @@ def cauchy_location(n: int) -> ModelFamily:
         sampler_one=lambda rng, shape: rng.standard_cauchy(shape))
 
 
-_T3_LOGC = float(gammaln(2.0) - gammaln(1.5)
-                 - 0.5 * math.log(3.0 * math.pi))
+_T3_LOGC = (math.lgamma(2.0) - math.lgamma(1.5)
+            - 0.5 * math.log(3.0 * math.pi))
 
 
 def t3_location(n: int) -> ModelFamily:
@@ -413,7 +443,7 @@ def two_binomial_params(p1: float, p2: float, n1: int, n2: int):
     """(p1, p2) -> (theta, tnuis): log odds ratio and n1*p1 + n2*p2."""
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise DomainError("success probabilities must be in (0,1)")
-    return float(logit(p1) - logit(p2)), float(n1 * p1 + n2 * p2)
+    return float(_logit(p1) - _logit(p2)), float(n1 * p1 + n2 * p2)
 
 
 def two_binomial_probs(theta: float, tnuis: float, n1: int, n2: int):
@@ -446,12 +476,12 @@ def two_binomial(n1: int, n2: int) -> ModelFamily:
         den = n1 * a1 + n2 * a2
         # d(logit p1, logit p2) / d(theta, tnuis) from theta = eta1 - eta2
         # and tnuis = n1 p1 + n2 p2
-        return (np.array([logit(p1), logit(p2)]),
+        return (np.array([_logit(p1), _logit(p2)]),
                 np.array([[n2 * a2 / den, 1.0 / den],
                           [-n1 * a1 / den, 1.0 / den]]))
 
     def sampler(rng, eta, size):
-        p1, p2 = expit(eta)
+        p1, p2 = _expit(eta)
         return np.column_stack([rng.binomial(n1, p1, size),
                                 rng.binomial(n2, p2, size)])
 

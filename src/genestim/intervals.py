@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betaincinv
 
-from .families import ModelFamily, log_binom_pmf
+from .families import ModelFamily, log_binom_pmf, log_choose
 
 DEFAULT_GRID = np.linspace(1e-4, 1.0 - 1e-4, 512)
+TAIL_ROOT_ITERS = 100  # cap on the Newton steps of one tail root
 
 
 @dataclass(frozen=True)
@@ -189,14 +189,52 @@ def vertical_slice(curves: CurveGrid, family: ModelFamily, p: float):
             for v, m, s in zip(vals, mass, slopes)]
 
 
+def _binom_tail_root(n: int, y: int, alpha: float, side: str) -> float:
+    """The p in (0, 1) where a binomial tail at y equals alpha.
+
+    side="upper": Pr_p(Y <= y) = alpha, for y < n; side="lower":
+    Pr_p(Y >= y) = alpha, for y > 0.  Newton's method on the log of the
+    tail, a sum of binomial log-pmf terms with log C(n, k) taken once,
+    and d/dp Pr_p(Y >= y) = n Pr_p(Bin(n - 1) = y - 1).  The tail is a
+    Beta distribution (lower) or survival (upper) function with a
+    log-concave density, so its log is concave, and Newton started on
+    the side where the tail is below alpha moves monotonically to the
+    root.  The start is where the union bound C(n, y) p^y on
+    Pr(Y >= y) (mirrored for the upper side) reaches alpha.
+    """
+    if side == "upper":
+        ks, j, k, sign = np.arange(y + 1), y, n - y, -1.0
+    else:
+        ks, j, k, sign = np.arange(y, n + 1), y - 1, y, 1.0
+    log_c, rest = log_choose(n, ks), n - ks
+    log_cd = math.log(n) + float(log_choose(n - 1, j))
+    log_alpha = math.log(alpha)
+    v = (log_alpha - float(log_choose(n, k))) / k
+    p = math.exp(v) if side == "lower" else -math.expm1(v)
+    for _ in range(TAIL_ROOT_ITERS):
+        lp, lq = math.log(p), math.log1p(-p)
+        terms = log_c + ks * lp + rest * lq  # finite for p in (0, 1)
+        top = terms.max()
+        log_tail = float(top) + math.log(np.exp(terms - top).sum())
+        step = sign * (log_alpha - log_tail) * math.exp(
+            log_tail - log_cd - j * lp - (n - 1 - j) * lq)
+        # every step moves towards the root; one back, or within two
+        # ulp, is round-off: p is the root
+        if not sign * step > 2.0 * math.ulp(p):
+            return p
+        p += step
+    raise RuntimeError(f"tail root at n={n}, y={y}, alpha={alpha} did not "
+                       f"converge in {TAIL_ROOT_ITERS} Newton steps")
+
+
 def tail_z_adjusted_ci(family: ModelFamily, y: int, alpha: float,
                        side: str) -> IntervalResult:
-    """Exact one-sided binomial (Clopper-Pearson) endpoint.
+    """Exact one-sided binomial (Clopper-Pearson 1934) endpoint.
 
     side="upper": p with Pr_p(Y <= y) = alpha (exact upper bound), the
     1 - alpha quantile of Beta(y + 1, n - y);
     side="lower": p with Pr_p(Y >= y) = alpha, the alpha quantile of
-    Beta(y, n - y + 1).
+    Beta(y, n - y + 1).  Both come from :func:`_binom_tail_root`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
@@ -208,16 +246,16 @@ def tail_z_adjusted_ci(family: ModelFamily, y: int, alpha: float,
             return IntervalResult(lower=0.0, upper=1.0, side="upper-only",
                                   boundary_note="y = n: upper endpoint at "
                                   "domain boundary")
-        root = float(betaincinv(y + 1, n - y, 1.0 - alpha))
-        return IntervalResult(lower=0.0, upper=root, side="upper-only",
-                              closed_lower=False)
+        return IntervalResult(lower=0.0,
+                              upper=_binom_tail_root(n, y, alpha, side),
+                              side="upper-only", closed_lower=False)
     if side == "lower":
         if y == 0:
             return IntervalResult(lower=0.0, upper=1.0, side="lower-only",
                                   boundary_note="y = 0: lower endpoint at "
                                   "domain boundary")
-        root = float(betaincinv(y, n - y + 1, alpha))
-        return IntervalResult(lower=root, upper=1.0, side="lower-only",
+        return IntervalResult(lower=_binom_tail_root(n, y, alpha, side),
+                              upper=1.0, side="lower-only",
                               closed_upper=False)
     raise ValueError(f"unknown side {side!r}")
 

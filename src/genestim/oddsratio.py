@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._kernels import invert_p1_batch, sbar_profiled_batch, zinterval_p1_batch
 from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
@@ -23,6 +22,7 @@ from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
 from .intervals import IntervalResult
 
 Z_95 = 1.959964  # two-sided nominal 0.95
+TAIL_BLOCK = 1 << 16  # (row, outcome) elements per block of score_tails
 
 # (odds ratio, p1, p2) parameter cells of the standard coverage study
 COVERAGE_CELLS = (
@@ -209,10 +209,25 @@ def _cond_log_coef(n1: int, n2: int, t) -> np.ndarray:
                     -np.inf)
 
 
+def logsumexp(a):
+    """log sum exp(a) over the last axis, shifted by the row maximum.
+
+    A row that is all -inf gives -inf, with no warning.  ``_cond_law``
+    looks it up by this module-level name, which
+    ``perfbench/trace_runner.py`` wraps to count conditional-law
+    evaluations.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max(axis=-1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
+
+
 def _cond_law(logc: np.ndarray, log_psi) -> np.ndarray:
     """Tilt each row of log coefficients by psi**x and normalise it."""
     logw = logc + np.arange(logc.shape[-1]) * np.asarray(log_psi)[..., None]
-    return np.exp(logw - logsumexp(logw, axis=-1, keepdims=True))
+    return np.exp(logw - logsumexp(logw)[..., None])
 
 
 def fisher_exact_intervals(x1, x2, n1: int, n2: int,
@@ -322,8 +337,10 @@ def _z_intervals_all(n1: int, n2: int, c: float, z: float):
 
 
 def _log_masses(n1, n2, p1, p2):
+    """Log masses of every outcome, one row per entry of p1 and p2."""
     x1, x2 = two_binomial_outcomes(n1, n2).T
-    return log_binom_pmf(x1, n1, p1) + log_binom_pmf(x2, n2, p2)
+    return (log_binom_pmf(x1, n1, np.asarray(p1)[..., None])
+            + log_binom_pmf(x2, n2, np.asarray(p2)[..., None]))
 
 
 def _mass_sum(logm, which):
@@ -392,41 +409,76 @@ def _norm_cdf(z):
 # ---------------------------------------------------------------------------
 
 
-def _profiled_sbar_all_outcomes(n1, n2, theta):
-    """Profiled standardized score of every outcome at a common theta.
+def _profile(n1: int, n2: int, theta):
+    """(p1, p2) on the curve log OR = theta at each interior profiled
+    nuisance t' = 1..n1+n2-1: two arrays of shape theta.shape + (n1+n2-1,).
+    """
+    tn = np.arange(1, n1 + n2)
+    p1 = invert_p1_batch(np.asarray(theta, dtype=float)[..., None],
+                         tn.astype(float), n1, n2)
+    return p1, (tn - n1 * p1) / n2
 
-    Each outcome uses its own profiled nuisance t' = x1' + x2'; the two
-    all-boundary outcomes (t' = 0 or n1+n2) take the degenerate limit 0.
+
+def _profiled_sbar_all_outcomes(n1: int, n2: int, p1, p2):
+    """Profiled standardized score of every outcome, one row per profile.
+
+    ``(p1, p2)`` is a :func:`_profile`; each outcome takes the column of
+    its own profiled nuisance t' = x1' + x2', and the two all-boundary
+    outcomes (t' = 0 or n1+n2) take the degenerate limit 0.
     """
     x1, x2 = two_binomial_outcomes(n1, n2).T
     t = x1 + x2
-    stats = np.zeros(x1.shape)
     interior = (t > 0) & (t < n1 + n2)
-    p1 = invert_p1_batch(theta, t[interior].astype(float), n1, n2)
-    p2 = (t[interior] - n1 * p1) / n2
-    stats[interior] = sbar_profiled_batch(x1[interior], x2[interior],
-                                          n1, n2, p1, p2)
+    cols = t[interior] - 1
+    stats = np.zeros(p1.shape[:-1] + x1.shape)
+    stats[..., interior] = sbar_profiled_batch(
+        x1[interior], x2[interior], n1, n2, p1[..., cols], p2[..., cols])
     return stats
 
 
-def score_tail_at(data: TwoBinomialData, theta: float, side: str) -> float:
-    """Exact tail probability of the one-sided profiled-score test.
+def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
+    """Exact tail probabilities of the one-sided profiled-score test.
 
-    The null (p1, p2) lies on the curve theta = const pinned by the
-    observed profiled nuisance x1 + x2; outcomes are ordered by their
-    profiled standardized score at theta.  side="ge" sums the mass with
-    statistic >= the observed one, side="le" the mass <= it.
+    Row r observes (x1[r], x2[r]), with 0 < x1 + x2 < n1 + n2, and tests
+    theta[r]: the null (p1, p2) lies on the curve log OR = theta[r]
+    pinned by the observed profiled nuisance x1[r] + x2[r], and outcomes
+    are ordered by their profiled standardized score at theta[r].  Where
+    ge[r] holds the row sums the mass with statistic >= the observed one,
+    else the mass <= it, largest term first in ``math.fsum``.  p1 is
+    inverted once per (theta, t') pair; the (rows, outcomes) arrays are
+    built TAIL_BLOCK elements at a time.
     """
-    n1, n2 = data.n1, data.n2
-    p1, p2 = two_binomial_probs(theta, float(data.x1 + data.x2), n1, n2)
-    stats = _profiled_sbar_all_outcomes(n1, n2, theta)
-    obs = stats[data.x1 * (n2 + 1) + data.x2]
-    logm = _log_masses(n1, n2, p1, p2)
-    if side == "ge":
-        return _mass_sum(logm, stats >= obs - 1e-12)
-    if side == "le":
-        return _mass_sum(logm, stats <= obs + 1e-12)
-    raise ValueError(f"unknown side {side!r}")
+    x1, x2, theta, ge = (np.ravel(a) for a in np.broadcast_arrays(
+        x1, x2, theta, ge))
+    t = x1 + x2
+    if np.any((t <= 0) | (t >= n1 + n2)):
+        raise InfeasibleNuisance(
+            f"observed nuisance outside (0, {n1 + n2}): no null (p1, p2)")
+    p1, p2 = _profile(n1, n2, theta)
+    rows = np.arange(len(t))
+    obs_p1, obs_p2 = p1[rows, t - 1], p2[rows, t - 1]
+    out = np.empty(len(t))
+    block = max(1, TAIL_BLOCK // ((n1 + 1) * (n2 + 1)))
+    for start in range(0, len(t), block):
+        r = slice(start, start + block)
+        stats = _profiled_sbar_all_outcomes(n1, n2, p1[r], p2[r])
+        obs = stats[np.arange(len(stats)), x1[r] * (n2 + 1) + x2[r], None]
+        keep = np.where(ge[r, None], stats >= obs - 1e-12,
+                        stats <= obs + 1e-12)
+        logm = np.where(keep, _log_masses(n1, n2, obs_p1[r], obs_p2[r]),
+                        -np.inf)
+        # largest first; the left-out outcomes add exact zeros at the end
+        out[r] = [math.fsum(row) for row in np.exp(-np.sort(-logm, axis=1))]
+    return out
+
+
+def score_tail_at(data: TwoBinomialData, theta: float, side: str) -> float:
+    """One row of :func:`score_tails`: side="ge" sums the mass with
+    statistic >= the observed one, side="le" the mass <= it."""
+    if side not in ("ge", "le"):
+        raise ValueError(f"unknown side {side!r}")
+    return float(score_tails(data.n1, data.n2, data.x1, data.x2, theta,
+                             side == "ge")[0])
 
 
 def fisher_endpoint_tails(n1: int, n2: int, z_level: float = 0.95) -> list:
@@ -434,17 +486,19 @@ def fisher_endpoint_tails(n1: int, n2: int, z_level: float = 0.95) -> list:
 
     For each (x1, x2) with 0 < x1 < n1 and 0 < x2 < n2: compute the
     ``z_level`` exact interval, then the one-sided score tails at its
-    two endpoints.  Rows are (x1, x2, left_tail, right_tail) where
-    left refers to the lower endpoint.
+    two endpoints, all in one :func:`score_tails` call.  Rows are
+    (x1, x2, left_tail, right_tail) where left refers to the lower
+    endpoint; an endpoint at 0 or inf has tail 0.
     """
     x1, x2 = np.mgrid[1:n1, 1:n2].reshape(2, -1)
     lower, upper = fisher_exact_intervals(x1, x2, n1, n2, z_level)
-    rows = []
-    for a, b, lo, hi in zip(x1.tolist(), x2.tolist(), lower, upper):
-        data = TwoBinomialData(a, b, n1, n2)
-        # lower endpoint: observed data sits in the upper score tail
-        left = score_tail_at(data, math.log(lo), "ge") if lo > 0.0 else 0.0
-        right = score_tail_at(data, math.log(hi), "le") \
-            if math.isfinite(hi) else 0.0
-        rows.append((a, b, left, right))
-    return rows
+    # at the lower endpoint the observed data sit in the upper score tail
+    ends = np.concatenate([lower, upper])
+    finite = (ends > 0.0) & np.isfinite(ends)
+    ge = np.repeat([True, False], len(x1))
+    tails = np.zeros(len(ends))
+    tails[finite] = score_tails(n1, n2, np.tile(x1, 2)[finite],
+                                np.tile(x2, 2)[finite], np.log(ends[finite]),
+                                ge[finite])
+    left, right = tails.reshape(2, -1).tolist()
+    return list(zip(x1.tolist(), x2.tolist(), left, right))

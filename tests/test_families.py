@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,42 @@ class TestExponentialFamilyProperties:
         tnuis = n1 + n2 - gap if upper else gap
         info = F.fisher_info(ENGINE, fam, [theta, tnuis])
         assert abs(info.I_cross[0, 0]) <= 1e-10 * info.I[0, 0]
+
+
+class TestSpecialFunctionsAgainstScipy:
+    """The NumPy and ``math`` forms that replace ``scipy.special``."""
+
+    def test_log_choose_matches_gammaln(self):
+        from scipy.special import gammaln
+        for n in list(range(1, 201)) + [1000, 5000, 19999, 20000]:
+            k = np.arange(n + 1)
+            want = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+            # both are differences of log-factorials near log n!, so they
+            # agree relative to log n!, not to a small log C(n, 1): at
+            # n = 19999 gammaln's own log C(n, 1) is 4e-11 off log n
+            scale = max(1.0, float(gammaln(n + 1)))
+            assert np.max(np.abs(F.log_choose(n, k) - want)) <= 1e-12 * scale
+        assert F.log_choose(20000, 0) == 0.0
+        assert F.log_choose(20000, 20000) == 0.0
+
+    def test_log_factorial_table_is_reused(self):
+        F.log_choose(300, np.arange(301))
+        table = F._log_factorials(300)
+        F.log_choose(250, 7)
+        assert F._log_factorials(300) is table
+
+    def test_log_binom_pmf_matches_scipy_and_handles_the_ends(self):
+        from scipy.stats import binom
+        k = np.arange(41)
+        for p in (1e-12, 0.03, 0.5, 0.97, 1.0 - 1e-12):
+            np.testing.assert_allclose(F.log_binom_pmf(k, 40, p),
+                                       binom.logpmf(k, 40, p), rtol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at0 = F.log_binom_pmf(k, 40, 0.0)
+            at1 = F.log_binom_pmf(k, 40, 1.0)
+        assert at0[0] == 0.0 and np.all(at0[1:] == -np.inf)
+        assert at1[-1] == 0.0 and np.all(at1[:-1] == -np.inf)
 
 
 class TestTwoBinomialReparameterization:

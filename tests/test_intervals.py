@@ -152,6 +152,26 @@ class TestTailAdjustedCi:
         res = I.tail_z_adjusted_ci(FAM, 6, 0.025, side="lower")
         assert binom.sf(5, 20, res.lower) == pytest.approx(0.025, abs=1e-9)
 
+    def test_endpoints_match_betaincinv(self):
+        # the Beta quantiles that SciPy inverts, over every y of each n
+        from scipy.special import betaincinv
+        worst = 0.0
+        for n in list(range(1, 61)) + [100, 200, 500]:
+            fam = F.bernoulli_sum(n)
+            y = np.arange(n + 1)
+            for alpha in (0.005, 0.025, 0.05, 0.1):
+                upper = [I.tail_z_adjusted_ci(fam, k, alpha, "upper").upper
+                         for k in range(n + 1)]
+                lower = [I.tail_z_adjusted_ci(fam, k, alpha, "lower").lower
+                         for k in range(n + 1)]
+                want_up = np.where(y == n, 1.0, betaincinv(
+                    y + 1, np.maximum(n - y, 1), 1.0 - alpha))
+                want_lo = np.where(y == 0, 0.0, betaincinv(
+                    np.maximum(y, 1), n - y + 1, alpha))
+                worst = max(worst, np.max(np.abs(upper - want_up)),
+                            np.max(np.abs(lower - want_lo)))
+        assert worst <= 1e-12, worst
+
     def test_boundary_outcomes(self):
         assert I.tail_z_adjusted_ci(FAM, 0, 0.025, "lower").boundary_note
         assert I.tail_z_adjusted_ci(FAM, 20, 0.025, "upper").boundary_note

@@ -34,6 +34,36 @@ def test_invert_p1_degenerate_nuisance_is_nan():
     assert np.isnan(out).all()
 
 
+def test_expit_matches_scipy_to_an_ulp_of_one():
+    from scipy.special import expit
+    x = np.concatenate([np.linspace(-700.0, 700.0, 20001),
+                        [-700.0, -38.0, -37.0, -1e-300, 0.0, 37.0, 700.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = K._expit(x)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    # the tanh form's error is absolute, below ulp(1) = 2.2e-16
+    np.testing.assert_allclose(got, expit(x), rtol=0.0, atol=2.3e-16)
+    assert K._expit(700.0) == 1.0 and K._expit(-700.0) < 1e-300
+
+
+def test_logit_matches_scipy_near_the_ends_and_inside():
+    from scipy.special import logit
+    ends = np.array([1e-300, 2.0 ** -53, 5e-16, 1e-15, 1.0 - 1e-15,
+                     1.0 - 2.0 ** -53, 1.0 - 5e-16])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = K._logit(ends)
+    np.testing.assert_allclose(got, logit(ends), rtol=1e-15)
+    # near 1/2 SciPy switches to log1p(2p - 1) - log1p(1 - 2p); the ratio
+    # form keeps an absolute error of a few ulp of 1
+    p = np.linspace(1e-6, 1.0 - 1e-6, 20001)
+    np.testing.assert_allclose(K._logit(p), logit(p), rtol=1e-15,
+                               atol=1e-15)
+    np.testing.assert_allclose(K._expit(K._logit(p)), p, rtol=0.0,
+                               atol=4.5e-16)
+
+
 def _sq_polynomial(x1, x2, t, z):
     """Cleared-denominator form of sbar^2 = z^2, degree six in p1.
 

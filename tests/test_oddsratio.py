@@ -1,6 +1,7 @@
 """Two-binomial log-odds-ratio: intervals, coverage, endpoint tails."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,7 +79,8 @@ class TestProfiledScore:
         # exact second moment of the statistic over the outcome grid,
         # evaluated at the parameter pair the statistic is centered at
         theta = 0.0
-        stats = O._profiled_sbar_all_outcomes(N1, N2, theta)
+        stats = O._profiled_sbar_all_outcomes(N1, N2,
+                                              *O._profile(N1, N2, theta))
         # variance taken conditionally-null at p1 = p2 = 0.5 is close to
         # one by construction of the standardization
         logm = O._log_masses(N1, N2, 0.5, 0.5)
@@ -239,6 +241,51 @@ class TestExactCoverage:
         assert all(0.0 <= r.coverage <= 1.0 for r in rows)
 
 
+def _score_tail_loop(x1, x2, n1, n2, theta, side):
+    """Oracle: one score-test tail, an outcome at a time."""
+    def stat(a, b):
+        if a + b in (0, n1 + n2):
+            return 0.0
+        return O.profiled_sbar(_data(a, b, n1, n2), theta)
+
+    obs = stat(x1, x2)
+    t = x1 + x2
+    p1, p2 = O.two_binomial_probs(theta, float(t), n1, n2)
+    terms = []
+    for a in range(n1 + 1):
+        for b in range(n2 + 1):
+            s = stat(a, b)
+            if (s >= obs - 1e-12) if side == "ge" else (s <= obs + 1e-12):
+                terms.append(_log_comb(n1, a) + _log_comb(n2, b)
+                             + a * math.log(p1) + (n1 - a) * math.log1p(-p1)
+                             + b * math.log(p2) + (n2 - b) * math.log1p(-p2))
+    return math.fsum(math.exp(v) for v in sorted(terms, reverse=True))
+
+
+class TestLogSumExp:
+    def test_logsumexp_matches_scipy_at_the_extremes(self):
+        from scipy.special import logsumexp
+        inf = np.inf
+        rows = np.array([
+            [1e300, 1e300, -1e300], [-1e300, -1e300, -1e300],
+            [1e300, -inf, 0.0], [-inf, -inf, -inf], [-inf, 0.5, -inf],
+            [-745.0, -746.0, -inf], [700.0, 709.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = O.logsumexp(rows)
+            one = O.logsumexp(rows[3])
+        want = logsumexp(rows, axis=-1)
+        assert got[3] == -inf and one == -inf
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15)
+        rng = np.random.default_rng(5)
+        a = rng.normal(0.0, 30.0, (50, 40))
+        a[rng.random(a.shape) < 0.3] = -inf
+        np.testing.assert_allclose(O.logsumexp(a), logsumexp(a, axis=-1),
+                                   rtol=1e-14)
+
+
 class TestScoreTails:
     def test_sides_partition_up_to_the_observed_atom(self):
         d = _data(8, 12)
@@ -255,6 +302,27 @@ class TestScoreTails:
         tails = [O.score_tail_at(d, t, "ge")
                  for t in (t_hat, t_hat - 1.0, t_hat - 2.0)]
         assert tails[0] > tails[1] > tails[2]
+
+    def test_batched_tails_match_a_loop_over_cells(self):
+        # oracle: each row's statistics from the scalar profiled score and
+        # its masses from math.lgamma, summed largest first
+        n1, n2 = 4, 5
+        rows = O.fisher_endpoint_tails(n1, n2)
+        lower, upper = O.fisher_exact_intervals(
+            *np.mgrid[1:n1, 1:n2].reshape(2, -1), n1, n2, 0.95)
+        for (a, b, left, right), lo, hi in zip(rows, lower, upper):
+            for end, side, got in ((lo, "ge", left), (hi, "le", right)):
+                want = _score_tail_loop(a, b, n1, n2, math.log(end), side)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_blocks_do_not_change_the_tails(self, monkeypatch):
+        whole = O.fisher_endpoint_tails(6, 8)
+        monkeypatch.setattr(O, "TAIL_BLOCK", 100)  # one row per block
+        assert O.fisher_endpoint_tails(6, 8) == whole
+
+    def test_boundary_data_have_no_null(self):
+        with pytest.raises(O.InfeasibleNuisance):
+            O.score_tail_at(_data(0, 0), 0.3, "ge")
 
     def test_endpoint_tails_are_below_the_nominal_half_level(self):
         rows = O.fisher_endpoint_tails(6, 8)
