@@ -197,16 +197,32 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     return p1_lo, p1_hi, at_lo, at_hi, ok
 
 
-def t3_mle_batch(samples):
+def row_median(x):
+    """Row medians of a 2-D array from one sort, as np.median(x, axis=1).
+
+    np.median takes the mean of the middle value or two, a sum that starts
+    from +0.0, so here an even row gives (a + b + 0.0) / 2 and an odd row
+    its middle value + 0.0 (a -0.0 median comes out +0.0); a row holding a
+    NaN gives NaN.  The two agree bit for bit.
+    """
+    s = np.sort(x, axis=1)
+    n = s.shape[1]
+    h = n // 2
+    med = s[:, h] + 0.0 if n % 2 else (s[:, h - 1] + s[:, h] + 0.0) / 2.0
+    return np.where(np.isnan(s[:, -1]), np.nan, med)
+
+
+def t3_mle_batch(samples, start=None):
     """Location MLE of the unit-scale t3 family, one root per sample row.
 
     Safeguarded Newton on psi(a) = sum 4(x-a)/(3+(x-a)^2) starting from
-    the row median, with a bracket kept on [min(x)-1, max(x)+1] where a
-    sign change is guaranteed.  Returns (roots, converged).
+    ``start``, by default the row median, with a bracket kept on
+    [min(x)-1, max(x)+1] where a sign change is guaranteed.  Returns
+    (roots, converged).
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     m = x.shape[0]
-    a = np.median(x, axis=1)
+    a = row_median(x) if start is None else np.asarray(start, dtype=float)
     lo = x.min(axis=1) - 1.0
     hi = x.max(axis=1) + 1.0
     active = np.ones(m, dtype=bool)

@@ -9,6 +9,14 @@ manifests produce byte-identical CSV bodies.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # OpenBLAS's idle worker spins ~0.1 CPU-s; no product here needs a pool
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+import itertools
 import json
 import math
 import sys
@@ -22,6 +30,7 @@ from . import estimation, families, intervals, location, oddsratio
 
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
+CSV_BLOCK = 4096  # rows per formatting template
 
 
 def _fmt(v) -> str:
@@ -49,11 +58,29 @@ def _manifest(command: str, params: dict, out_dir: Path) -> dict:
 
 
 def _write_csv(path: Path, manifest: dict, header: list, rows):
+    """Write the manifest line, the header and ``rows`` as ``_fmt`` would.
+
+    Rows are formatted ``CSV_BLOCK`` at a time with one ``%`` template: a
+    column whose values in the block are all floats takes ``%.17g``, which
+    prints nan and +-inf as ``_fmt`` does, any other column ``%s``; only a
+    column that mixes floats with other types goes through ``_fmt``.
+    """
+    rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK):
+            block = rows[start:start + CSV_BLOCK]
+            cols = list(zip(*block))
+            specs = []
+            for j, col in enumerate(cols):
+                floats = [issubclass(t, float) for t in set(map(type, col))]
+                if any(floats) and not all(floats):
+                    cols[j] = [_fmt(v) for v in col]
+                specs.append("%.17g" if all(floats) else "%s")
+            line = ",".join(specs) + "\n"
+            fh.write((line * len(block))
+                     % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
 def _write_json(path: Path, payload: dict):

@@ -51,9 +51,12 @@ class SupportDescriptor:
         if self.kind == "finite-discrete":
             if self.outcomes is None or len(self.outcomes) == 0:
                 raise ValueError("finite-discrete support needs outcomes")
+            # equal rows are neighbours once sorted; np.unique(axis=0)
+            # would say the same but imports numpy.ma to do it
             arr = np.asarray(self.outcomes)
             flat = arr.reshape(len(arr), -1)
-            if len(np.unique(flat, axis=0)) != len(flat):
+            srt = flat[np.lexsort(flat.T[::-1])]
+            if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
                 raise ValueError("duplicate outcomes in finite support")
 
 

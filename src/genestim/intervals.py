@@ -261,14 +261,18 @@ def tail_z_adjusted_ci(family: ModelFamily, y: int, alpha: float,
 
 
 def curves_to_rows(curves: CurveGrid, realized_y: Optional[int] = None):
-    """Flatten a curve grid to (y, p, value, realized, slope_sign) rows."""
-    rows = []
-    grid = curves.parameter_grid
-    slopes = np.gradient(curves.values, grid, axis=1)
-    for y in range(curves.values.shape[0]):
-        realized = 1 if realized_y is not None and y == realized_y else 0
-        for j, p in enumerate(grid):
-            rows.append((y, float(p), float(curves.values[y, j]), realized,
-                         int(math.copysign(1.0, slopes[y, j]))
-                         if slopes[y, j] != 0 else 0))
-    return rows
+    """Flatten a curve grid to (y, p, value, realized, slope_sign) rows.
+
+    The slope sign is ``int(copysign(1, s)) if s != 0 else 0``: a NaN
+    slope keeps the sign of its sign bit, where ``np.sign`` would give NaN.
+    """
+    values = np.asarray(curves.values, dtype=float)
+    grid = np.asarray(curves.parameter_grid, dtype=float)
+    slopes = np.gradient(values, grid, axis=1)
+    ys = np.repeat(np.arange(values.shape[0]), len(grid))
+    realized = (np.zeros_like(ys) if realized_y is None
+                else (ys == realized_y).astype(int))
+    signs = np.where(slopes != 0, np.copysign(1.0, slopes), 0.0)
+    return list(zip(ys.tolist(), np.tile(grid, values.shape[0]).tolist(),
+                    values.ravel().tolist(), realized.tolist(),
+                    signs.astype(int).ravel().tolist()))

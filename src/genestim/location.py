@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import t3_mle_batch
+from ._kernels import row_median, t3_mle_batch
 from .estimation import corr_sq_with_se
 
 ZETA_PROBS = np.round(np.arange(0.005, 0.9951, 0.01), 3)  # .005..0.995 step .01
@@ -44,6 +44,9 @@ class McRunConfig:
                              "stable efficiency estimates")
         if any(r <= 0 for r in self.rescale):
             raise ValueError("rescale factors must be positive")
+        unknown = set(self.estimators) - set(DEFAULT_ESTIMATORS)
+        if unknown:
+            raise ValueError(f"unknown estimators {sorted(unknown)}")
 
     def to_dict(self):
         return {
@@ -118,61 +121,68 @@ def _draw(rng, family, m, n):
 def run_comparison(config: McRunConfig) -> ComparisonResult:
     """Replicate the estimator comparison at true location 0.
 
-    Replications run in pre-assigned seed blocks (order-independent);
-    the efficiency of each estimator is the squared correlation with the
-    generating family's score across replications, variance ratios are
-    relative to the sample mean, and overlay archives (alternate sample
-    sizes, rescaled data) are recorded for the tail-depth curves.
+    Replications run in pre-assigned seed blocks (order-independent), the
+    last block taking the remainder of ``reps``; each block draws its main
+    sample and then the overlay samples in ``n_overlays`` order.  Every
+    block writes its slice of preallocated ``reps``-long archives and
+    scores, and one sort per block gives the row medians that serve as
+    the median archive, the t3 MLE's Newton start and its fallback for
+    rows that do not converge.  The efficiency of each estimator is the
+    squared correlation with the generating family's score across
+    replications, variance ratios are relative to the sample mean, and
+    overlay archives (alternate sample sizes, rescaled data) are recorded
+    for the tail-depth curves.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.blocks)
     per = [config.reps // config.blocks] * config.blocks
     per[-1] += config.reps - sum(per)
 
-    main = {label: [] for label in config.estimators}
-    scores = []
-    overlays = {f"mean_n{n}": [] for n in config.n_overlays}
-    overlays.update({f"mean_rescale_{fac:g}": [] for fac in config.rescale})
+    labels = (list(config.estimators)
+              + [f"mean_n{n}" for n in config.n_overlays]
+              + [f"mean_rescale_{fac:g}" for fac in config.rescale])
+    archives = {label: np.empty(config.reps) for label in labels}
+    score_vals = np.empty(config.reps)
     failures = 0
 
+    stop = 0
     for ss, m in zip(seeds, per):
+        rows = slice(stop, stop + m)
+        stop += m
         rng = np.random.default_rng(ss)
         x = _draw(rng, config.data_family, m, config.n)
-        if "mean" in main:
-            main["mean"].append(x.mean(axis=1))
-        if "median" in main:
-            main["median"].append(np.median(x, axis=1))
-        if "t3_mle" in main:
-            roots, conv = t3_mle_batch(x)
+        xbar = x.mean(axis=1)
+        if "mean" in archives:
+            archives["mean"][rows] = xbar
+        if "median" in archives or "t3_mle" in archives:
+            med = row_median(x)
+        if "median" in archives:
+            archives["median"][rows] = med
+        if "t3_mle" in archives:
+            roots, conv = t3_mle_batch(x, start=med)
             failures += int(np.sum(~conv))
-            roots = np.where(conv, roots, np.median(x, axis=1))
-            main["t3_mle"].append(roots)
+            archives["t3_mle"][rows] = np.where(conv, roots, med)
         if config.data_family == "normal":
-            scores.append(config.n * x.mean(axis=1))
+            score_vals[rows] = config.n * xbar
         else:
-            scores.append(t3_score_sum(x))
+            score_vals[rows] = t3_score_sum(x)
         for n_alt in config.n_overlays:
             x_alt = _draw(rng, config.data_family, m, n_alt)
-            overlays[f"mean_n{n_alt}"].append(x_alt.mean(axis=1))
+            archives[f"mean_n{n_alt}"][rows] = x_alt.mean(axis=1)
         for fac in config.rescale:
-            overlays[f"mean_rescale_{fac:g}"].append(fac * x.mean(axis=1))
+            archives[f"mean_rescale_{fac:g}"][rows] = fac * xbar
 
     if failures > 0.001 * config.reps:
         raise McRunError(f"{failures} t3-MLE failures out of {config.reps}")
 
-    result = ComparisonResult(config=config, failures=failures)
-    score_vals = np.concatenate(scores)
-    for label, chunks in main.items():
-        vals = np.concatenate(chunks)
-        result.archives[label] = vals
-        result.efficiency[label] = corr_sq_with_se(score_vals, vals,
-                                                   config.blocks)
-    for label, chunks in overlays.items():
-        result.archives[label] = np.concatenate(chunks)
-    if "mean" in result.archives:
-        vm = result.archives["mean"].var(ddof=1)
+    result = ComparisonResult(config=config, archives=archives,
+                              failures=failures)
+    for label in config.estimators:
+        result.efficiency[label] = corr_sq_with_se(
+            score_vals, archives[label], config.blocks)
+    if "mean" in archives:
+        vm = archives["mean"].var(ddof=1)
         for label in config.estimators:
-            result.var_ratio[label] = float(
-                vm / result.archives[label].var(ddof=1))
+            result.var_ratio[label] = float(vm / archives[label].var(ddof=1))
     return result
 
 

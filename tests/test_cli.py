@@ -1,14 +1,17 @@
 """Command-line front end: artifacts, manifests, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import genestim
+from genestim import cli
 from genestim.cli import main
 
 
@@ -23,12 +26,17 @@ def _manifest_line(path):
     return json.loads(first[2:])
 
 
-def test_import_leaves_out_scipy_stats_and_optimize():
-    # a fresh interpreter, since this test process may have loaded them
+def _subprocess_env():
     src = os.path.dirname(os.path.dirname(genestim.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # a fresh interpreter, since this test process may have loaded them
+    env = _subprocess_env()
     # SciPy is a test-only oracle: no scipy module at all, not only the
     # heavy stats and optimize subpackages
     code = ("import sys, genestim.cli; "
@@ -37,6 +45,99 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc to count threads")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS starts no worker on one CPU")
+def test_cli_main_runs_blas_on_one_thread(tmp_path):
+    # run genestim.cli as __main__, as `python -m` does, with the two-thread
+    # BLAS cap a caller may set, and count the threads it ends with
+    env = _subprocess_env()
+    env.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"))
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['genestim.cli', 'binom-ci', '--n', '20', '--y', '6',"
+        f" '--out-dir', {str(tmp_path)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('genestim.cli', run_name='__main__',"
+        " alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print([line.split()[1] for line in fh"
+        " if line.startswith('Threads:')][0])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "1"
+    assert (tmp_path / "interval.json").exists()
+
+
+def test_import_leaves_the_environment_alone():
+    # only running the CLI as __main__ pins BLAS; a library import must not
+    env = _subprocess_env()
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    env.pop("OMP_NUM_THREADS", None)
+    code = ("import os; before = dict(os.environ); import genestim.cli; "
+            "print(dict(os.environ) == before)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "True"
+
+
+def _write_csv_per_value(path, manifest, header, rows):
+    """The writer before block templates: one ``_fmt`` call per value."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cli._fmt(v) for v in row) + "\n")
+
+
+class TestWriteCsv:
+    MAN = {"command": "test", "params": {"k": 1}}
+    HEADER = ["label", "x", "y", "count", "flag", "mixed", "sometimes"]
+
+    def _rows(self, m):
+        rng = np.random.default_rng(3)
+        specials = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                    5e-324, 1e300, 1.0 / 3.0, 0.1]
+        rows = []
+        for i in range(m):
+            x = specials[i % len(specials)] if i % 3 else float(
+                rng.standard_normal())
+            rows.append((f"est-{i % 4}", x, np.float64(rng.standard_t(3)),
+                         i - 5, bool(i % 2),
+                         (1, 2.5, "s", np.float64(-0.0), math.inf,
+                          True)[i % 6],
+                         0.5 * i if i % 10 else i))
+        return rows
+
+    def _check(self, tmp_path, rows):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_csv(got, self.MAN, self.HEADER, rows)
+        _write_csv_per_value(want, self.MAN, self.HEADER, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_matches_the_per_value_writer(self, tmp_path, monkeypatch):
+        self._check(tmp_path, self._rows(50))
+        # several blocks, the last one short; "sometimes" is all floats in
+        # some blocks and mixed in others
+        monkeypatch.setattr(cli, "CSV_BLOCK", 7)
+        self._check(tmp_path, self._rows(50))
+
+    def test_more_than_one_default_block(self, tmp_path):
+        self._check(tmp_path, self._rows(2 * cli.CSV_BLOCK + 5))
+
+    def test_no_rows_and_generators(self, tmp_path):
+        self._check(tmp_path, [])
+        got = tmp_path / "gen.csv"
+        cli._write_csv(got, self.MAN, self.HEADER, iter(self._rows(9)))
+        _write_csv_per_value(tmp_path / "want.csv", self.MAN, self.HEADER,
+                             self._rows(9))
+        assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestBinomCurves:

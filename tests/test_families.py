@@ -2,6 +2,9 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -223,6 +226,35 @@ class TestSupportDescriptor:
         with pytest.raises(ValueError):
             F.SupportDescriptor("finite-discrete",
                                 outcomes=np.array([1, 2, 2]))
+
+    def test_duplicate_rows_rejected_not_shared_values(self):
+        # rows sharing a first or a second value are distinct outcomes
+        grid = np.array([[0, 1], [1, 0], [1, 1], [0, 0], [2, 1]])
+        F.SupportDescriptor("finite-discrete", outcomes=grid)
+        F.SupportDescriptor("finite-discrete", outcomes=np.array([3, 1, 2]))
+        for dup in ([[0, 1], [1, 0], [2, 2], [0, 1]],
+                    [[5, 5], [5, 5]], [[0.5, 1.0], [1.0, 0.5], [0.5, 1.0]]):
+            with pytest.raises(ValueError, match="duplicate"):
+                F.SupportDescriptor("finite-discrete",
+                                    outcomes=np.array(dup))
+        with pytest.raises(ValueError, match="duplicate"):
+            F.SupportDescriptor("finite-discrete",
+                                outcomes=np.array([4, 0, 3, 0]))
+
+    def test_family_construction_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma; a fresh interpreter, since this one
+        # may have loaded it
+        src = os.path.dirname(os.path.dirname(F.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys; from genestim import families as F; "
+                "F.bernoulli_sum(30); F.two_binomial(5, 7); "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_finite_support_needs_outcomes(self):
         with pytest.raises(ValueError):

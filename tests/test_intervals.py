@@ -1,6 +1,7 @@
 """Score-inversion confidence sets for the binomial count."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +77,58 @@ class TestCurves:
         with pytest.raises(ValueError):
             I.CurveGrid(parameter_grid=np.array([0.2, 0.1]),
                         values=np.zeros((1, 2)))
+
+
+def _curves_to_rows_loop(curves, realized_y=None):
+    """The per-value loop that ``curves_to_rows`` replaced."""
+    rows = []
+    grid = curves.parameter_grid
+    slopes = np.gradient(curves.values, grid, axis=1)
+    for y in range(curves.values.shape[0]):
+        realized = 1 if realized_y is not None and y == realized_y else 0
+        for j, p in enumerate(grid):
+            rows.append((y, float(p), float(curves.values[y, j]), realized,
+                         int(math.copysign(1.0, slopes[y, j]))
+                         if slopes[y, j] != 0 else 0))
+    return rows
+
+
+def _same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [type(v) for v in g] == [type(v) for v in w]
+        assert repr(g) == repr(w)
+
+
+class TestCurvesToRows:
+    def test_matches_the_loop_on_real_curves(self):
+        grid = np.linspace(1e-4, 1 - 1e-4, 64)
+        for curves in (I.score_curves(FAM, grid), I.llr_curves(FAM, grid)):
+            for realized_y in (None, 0, 6, 20, 21):
+                _same_rows(I.curves_to_rows(curves, realized_y),
+                           _curves_to_rows_loop(curves, realized_y))
+
+    def test_zero_negative_zero_and_nan_slopes(self):
+        # rows: flat (slopes 0); alternating zeros (-0.0 at the ends);
+        # NaNs of either sign bit; overflow to infinite slopes
+        values = np.array([[1.0, 1.0, 1.0, 1.0],
+                           [0.0, -0.0, 0.0, -0.0],
+                           [0.0, np.nan, 2.0, 3.0],
+                           [0.0, 1.0, -np.nan, 3.0],
+                           [-1e308, 1e308, -1e308, 1e308]])
+        # CurveGrid refuses non-finite values; the function reads only
+        # these two fields
+        curves = SimpleNamespace(
+            parameter_grid=np.array([0.125, 0.25, 0.375, 0.5]),
+            values=values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            slopes = np.gradient(values, curves.parameter_grid, axis=1)
+            got = I.curves_to_rows(curves, realized_y=2)
+            want = _curves_to_rows_loop(curves, realized_y=2)
+        assert (slopes == 0).any() and np.signbit(slopes[slopes == 0]).any()
+        nan_signs = np.signbit(slopes[np.isnan(slopes)])
+        assert nan_signs.any() and not nan_signs.all()
+        _same_rows(got, want)
 
 
 def _assert_end(value, root, edge, case):

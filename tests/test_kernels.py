@@ -285,3 +285,30 @@ def test_t3_mle_equivariance_under_shift():
     r0, _ = K.t3_mle_batch(x)
     r1, _ = K.t3_mle_batch(x + 2.5)
     np.testing.assert_allclose(r1, r0 + 2.5, atol=1e-8)
+
+
+def test_row_median_is_np_median_bit_for_bit():
+    rng = _rng()
+    for n in (1, 2, 3, 4, 9, 10, 11):
+        x = rng.standard_t(3, (400, n))
+        # ties, signed zeros and infinities in some rows
+        x[::7] = np.round(x[::7])
+        x[1::11, 0] = np.inf
+        x[2::13, -1] = -np.inf
+        x[3::17] = np.inf
+        x[4::19, :] = -0.0
+        x[5::23, n // 2] = np.nan
+        with np.errstate(invalid="ignore"):  # inf + -inf in both
+            want = np.median(x, axis=1)
+            got = K.row_median(x)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_t3_mle_default_start_is_the_row_median():
+    rng = _rng()
+    x = rng.standard_t(3, (200, 10))
+    r0, c0 = K.t3_mle_batch(x)
+    r1, c1 = K.t3_mle_batch(x, start=np.median(x, axis=1))
+    np.testing.assert_array_equal(r0, r1)
+    np.testing.assert_array_equal(c0, c1)

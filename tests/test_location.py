@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from genestim import _kernels as K
 from genestim import location as L
+from genestim.estimation import corr_sq_with_se
 
 
 class TestZeta:
@@ -142,3 +144,71 @@ class TestTailsAndCurves:
         probs = L.ZETA_PROBS
         assert probs[0] == 0.005 and probs[-1] == 0.995
         assert np.allclose(np.diff(probs), 0.01)
+
+
+def _chunked_comparison(config):
+    """The block loop before preallocation: per-block chunk lists joined
+    by np.concatenate, and np.median called for every use of the median."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.blocks)
+    per = [config.reps // config.blocks] * config.blocks
+    per[-1] += config.reps - sum(per)
+    main = {label: [] for label in config.estimators}
+    scores = []
+    overlays = {f"mean_n{n}": [] for n in config.n_overlays}
+    overlays.update({f"mean_rescale_{fac:g}": [] for fac in config.rescale})
+    for ss, m in zip(seeds, per):
+        rng = np.random.default_rng(ss)
+        x = L._draw(rng, config.data_family, m, config.n)
+        if "mean" in main:
+            main["mean"].append(x.mean(axis=1))
+        if "median" in main:
+            main["median"].append(np.median(x, axis=1))
+        if "t3_mle" in main:
+            roots, conv = K.t3_mle_batch(x, start=np.median(x, axis=1))
+            main["t3_mle"].append(np.where(conv, roots,
+                                           np.median(x, axis=1)))
+        if config.data_family == "normal":
+            scores.append(config.n * x.mean(axis=1))
+        else:
+            scores.append(L.t3_score_sum(x))
+        for n_alt in config.n_overlays:
+            x_alt = L._draw(rng, config.data_family, m, n_alt)
+            overlays[f"mean_n{n_alt}"].append(x_alt.mean(axis=1))
+        for fac in config.rescale:
+            overlays[f"mean_rescale_{fac:g}"].append(fac * x.mean(axis=1))
+    score_vals = np.concatenate(scores)
+    archives, efficiency, var_ratio = {}, {}, {}
+    for label, chunks in main.items():
+        archives[label] = np.concatenate(chunks)
+        efficiency[label] = corr_sq_with_se(score_vals, archives[label],
+                                            config.blocks)
+    for label, chunks in overlays.items():
+        archives[label] = np.concatenate(chunks)
+    vm = archives["mean"].var(ddof=1)
+    for label in config.estimators:
+        var_ratio[label] = float(vm / archives[label].var(ddof=1))
+    return archives, efficiency, var_ratio
+
+
+@pytest.mark.parametrize("config", [
+    L.McRunConfig(data_family="normal", n=10, reps=2003, seed=7, blocks=10,
+                  n_overlays=(7, 9)),
+    L.McRunConfig(data_family="t3", n=10, reps=3001, seed=11, blocks=7,
+                  n_overlays=(15, 17), rescale=(1.50 ** -0.5, 1.78 ** -0.5)),
+    L.McRunConfig(data_family="t3", n=6, reps=1000, seed=2, blocks=3,
+                  rescale=(0.8,)),
+], ids=["normal-overlays", "t3-overlays-rescale", "t3-even-n"])
+def test_run_comparison_matches_the_chunked_loop_bit_for_bit(config):
+    assert config.reps % config.blocks != 0
+    res = L.run_comparison(config)
+    archives, efficiency, var_ratio = _chunked_comparison(config)
+    assert list(res.archives) == list(archives)
+    for label, want in archives.items():
+        np.testing.assert_array_equal(res.archives[label], want)
+    assert res.efficiency == efficiency
+    assert res.var_ratio == var_ratio
+
+
+def test_unknown_estimator_rejected():
+    with pytest.raises(ValueError):
+        L.McRunConfig(estimators=("mean", "trimmed"))
