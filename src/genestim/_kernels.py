@@ -212,17 +212,16 @@ def row_median(x):
     return np.where(np.isnan(s[:, -1]), np.nan, med)
 
 
-def t3_mle_batch(samples, start=None):
+def t3_mle_batch(samples):
     """Location MLE of the unit-scale t3 family, one root per sample row.
 
     Safeguarded Newton on psi(a) = sum 4(x-a)/(3+(x-a)^2) starting from
-    ``start``, by default the row median, with a bracket kept on
-    [min(x)-1, max(x)+1] where a sign change is guaranteed.  Returns
-    (roots, converged).
+    the row median, with a bracket kept on [min(x)-1, max(x)+1] where a
+    sign change is guaranteed.  Returns (roots, converged).
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     m = x.shape[0]
-    a = row_median(x) if start is None else np.asarray(start, dtype=float)
+    a = row_median(x)
     lo = x.min(axis=1) - 1.0
     hi = x.max(axis=1) + 1.0
     active = np.ones(m, dtype=bool)

@@ -9,12 +9,9 @@ manifests produce byte-identical CSV bodies.
 
 from __future__ import annotations
 
-import os
-
 if __name__ == "__main__":
-    # OpenBLAS's idle worker spins ~0.1 CPU-s; no product here needs a pool
-    os.environ.update(dict.fromkeys(
-        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    from ._entry import pin_blas
+    pin_blas()  # before NumPy loads; see _entry
 
 import itertools
 import json

@@ -126,8 +126,9 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     sample and then the overlay samples in ``n_overlays`` order.  Every
     block writes its slice of preallocated ``reps``-long archives and
     scores, and one sort per block gives the row medians that serve as
-    the median archive, the t3 MLE's Newton start and its fallback for
-    rows that do not converge.  The efficiency of each estimator is the
+    the median archive and replace t3 MLE roots that do not converge
+    (``t3_mle_batch`` takes its own row medians as Newton starts).  The
+    efficiency of each estimator is the
     squared correlation with the generating family's score across
     replications, variance ratios are relative to the sample mean, and
     overlay archives (alternate sample sizes, rescaled data) are recorded
@@ -158,7 +159,7 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
         if "median" in archives:
             archives["median"][rows] = med
         if "t3_mle" in archives:
-            roots, conv = t3_mle_batch(x, start=med)
+            roots, conv = t3_mle_batch(x)
             failures += int(np.sum(~conv))
             archives["t3_mle"][rows] = np.where(conv, roots, med)
         if config.data_family == "normal":

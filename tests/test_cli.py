@@ -47,23 +47,35 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     assert out.stdout.strip() == "[]"
 
 
+# the two launch paths: `python -m genestim.cli`, which runs the module as
+# __main__, and the `genestim` console script, which calls its entry point
+LAUNCH = {
+    "python -m": ("import runpy\n"
+                  "runpy.run_module('genestim.cli', run_name='__main__',"
+                  " alter_sys=True)\n"),
+    "console script": ("from genestim._entry import main\n"
+                       "main()\n"),
+}
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs /proc to count threads")
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="OpenBLAS starts no worker on one CPU")
-def test_cli_main_runs_blas_on_one_thread(tmp_path):
-    # run genestim.cli as __main__, as `python -m` does, with the two-thread
-    # BLAS cap a caller may set, and count the threads it ends with
+@pytest.mark.parametrize("launch", sorted(LAUNCH))
+def test_cli_main_runs_blas_on_one_thread(tmp_path, launch):
+    # launch the CLI with the two-thread BLAS cap a caller may set, and
+    # count the threads it ends with
     env = _subprocess_env()
     env.update(dict.fromkeys(
         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"))
+    body = "".join("    " + line + "\n"
+                   for line in LAUNCH[launch].splitlines())
     code = (
-        "import runpy, sys\n"
-        "sys.argv = ['genestim.cli', 'binom-ci', '--n', '20', '--y', '6',"
+        "import sys\n"
+        "sys.argv = ['genestim', 'binom-ci', '--n', '20', '--y', '6',"
         f" '--out-dir', {str(tmp_path)!r}]\n"
-        "try:\n"
-        "    runpy.run_module('genestim.cli', run_name='__main__',"
-        " alter_sys=True)\n"
+        "try:\n" + body +
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
         "with open('/proc/self/status') as fh:\n"
@@ -75,12 +87,25 @@ def test_cli_main_runs_blas_on_one_thread(tmp_path):
     assert (tmp_path / "interval.json").exists()
 
 
+def test_console_script_is_the_pinning_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(
+        os.path.dirname(genestim.__file__)))
+    path = os.path.join(root, "pyproject.toml")
+    if not os.path.exists(path):
+        pytest.skip("not a source checkout")
+    with open(path, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"genestim": "genestim._entry:main"}
+
+
 def test_import_leaves_the_environment_alone():
-    # only running the CLI as __main__ pins BLAS; a library import must not
+    # only launching the CLI pins BLAS; a library import must not
     env = _subprocess_env()
     env["OPENBLAS_NUM_THREADS"] = "2"
     env.pop("OMP_NUM_THREADS", None)
-    code = ("import os; before = dict(os.environ); import genestim.cli; "
+    code = ("import os; before = dict(os.environ); "
+            "import genestim._entry, genestim.cli; "
             "print(dict(os.environ) == before)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

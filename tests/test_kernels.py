@@ -304,11 +304,3 @@ def test_row_median_is_np_median_bit_for_bit():
         np.testing.assert_array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-
-def test_t3_mle_default_start_is_the_row_median():
-    rng = _rng()
-    x = rng.standard_t(3, (200, 10))
-    r0, c0 = K.t3_mle_batch(x)
-    r1, c1 = K.t3_mle_batch(x, start=np.median(x, axis=1))
-    np.testing.assert_array_equal(r0, r1)
-    np.testing.assert_array_equal(c0, c1)

@@ -164,7 +164,7 @@ def _chunked_comparison(config):
         if "median" in main:
             main["median"].append(np.median(x, axis=1))
         if "t3_mle" in main:
-            roots, conv = K.t3_mle_batch(x, start=np.median(x, axis=1))
+            roots, conv = K.t3_mle_batch(x)
             main["t3_mle"].append(np.where(conv, roots,
                                            np.median(x, axis=1)))
         if config.data_family == "normal":
