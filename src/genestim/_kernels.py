@@ -3,7 +3,9 @@
 Profile-root inversion of the two-binomial nuisance equation, the
 standardized log-odds-ratio score, the z-interval of that score in p1,
 and the t3 location MLE.  Each kernel works on whole arrays of rows at
-once; there is one implementation of each.
+once; there is one implementation of each.  Every two-binomial root in
+the package is bracketed by ``_p1_range``, the clipped feasible p1 range
+at a nuisance value, or by a fixed bracket, and halved by ``_bisect``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,28 @@ __all__ = ["invert_p1_batch", "sbar_profiled_batch", "zinterval_p1_batch",
            "t3_mle_batch"]
 
 P1_CLIP = 1e-9  # shrink of the feasible p1 range away from the singular ends
-INVERT_ITERS = 80  # bisection steps; 2^-80 of the unit interval << 1e-12
+BISECT_ITERS = 80  # bisection steps; 2^-80 of the unit interval << 1e-12
 EDGE_ITERS = 60  # bisection steps per z-interval edge
+
+
+def _bisect(to_a, a, b, iters):
+    """Halve the brackets (a, b) elementwise ``iters`` times: mid replaces
+    a where ``to_a(mid)`` holds, else b, so a may lie above b."""
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        left = to_a(mid)
+        a = np.where(left, mid, a)
+        b = np.where(left, b, mid)
+    return a, b
+
+
+def _p1_range(tnuis, n1, n2):
+    """(lo, hi, ok): the p1 range where p2 = (tnuis - n1 p1)/n2 is in
+    (0, 1) at nuisance ``tnuis``, both ends moved in by P1_CLIP; ``ok`` is
+    False where tnuis is outside (0, n1+n2) or the range is empty."""
+    lo = np.maximum(P1_CLIP, (tnuis - n2) / n1 + P1_CLIP)
+    hi = np.minimum(1.0 - P1_CLIP, tnuis / n1 - P1_CLIP)
+    return lo, hi, (tnuis > 0.0) & (tnuis < n1 + n2) & (lo < hi)
 
 
 def _expit(x):
@@ -40,30 +62,21 @@ def invert_p1_batch(theta, tnuis, n1, n2):
     """Solve n1*p1 + n2*expit(logit(p1) - theta) = tnuis for p1, elementwise.
 
     ``theta`` and ``tnuis`` broadcast against each other.  The map is
-    strictly increasing in p1 on the feasible range
-    (max(0, (tnuis - n2)/n1), min(1, tnuis/n1)), so plain bisection is
-    reliable.  Entries with tnuis outside (0, n1+n2) come back as NaN.
+    strictly increasing in p1 on the feasible range (:func:`_p1_range`),
+    so plain bisection is reliable.  Entries with tnuis outside
+    (0, n1+n2) come back as NaN.
     """
     theta = np.asarray(theta, dtype=float)
     tnuis = np.asarray(tnuis, dtype=float)
     theta, tnuis = np.broadcast_arrays(theta, tnuis)
-    lo = np.maximum(P1_CLIP, (tnuis - n2) / n1 + P1_CLIP)
-    hi = np.minimum(1.0 - P1_CLIP, tnuis / n1 - P1_CLIP)
-    bad = ~((tnuis > 0.0) & (tnuis < n1 + n2) & (lo < hi))
-    lo = np.where(bad, 0.25, lo)
-    hi = np.where(bad, 0.75, hi)
+    lo, hi, ok = _p1_range(tnuis, n1, n2)
 
-    def f(p1):
-        return n1 * p1 + n2 * _expit(_logit(p1) - theta) - tnuis
+    def low(p1):
+        return n1 * p1 + n2 * _expit(_logit(p1) - theta) - tnuis < 0.0
 
-    a, b = lo.copy(), hi.copy()
-    for _ in range(INVERT_ITERS):
-        mid = 0.5 * (a + b)
-        low = f(mid) < 0.0
-        a = np.where(low, mid, a)
-        b = np.where(low, b, mid)
-    out = 0.5 * (a + b)
-    return np.where(bad, np.nan, out)
+    a, b = _bisect(low, np.where(ok, lo, 0.25), np.where(ok, hi, 0.75),
+                   BISECT_ITERS)
+    return np.where(ok, 0.5 * (a + b), np.nan)
 
 
 def sbar_profiled_batch(x1, x2, n1, n2, p1, p2):
@@ -132,9 +145,7 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
     tnuis = np.atleast_1d(np.asarray(tnuis, dtype=float))
     m = x1.shape[0]
-    lo = np.maximum(P1_CLIP, (tnuis - n2) / n1 + P1_CLIP)
-    hi = np.minimum(1.0 - P1_CLIP, tnuis / n1 - P1_CLIP)
-    ok = (tnuis > 0.0) & (tnuis < n1 + n2) & (lo < hi)
+    lo, hi, ok = _p1_range(tnuis, n1, n2)
     p1_lo = np.full(m, np.nan)
     p1_hi = np.full(m, np.nan)
     at_lo = np.zeros(m, dtype=bool)
@@ -165,8 +176,12 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     pts = np.empty((len(t), 2 * ends.shape[1] - 1))
     pts[:, 0::2] = ends
     pts[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
+
+    def within(sm):
+        return sm * sm - z * z <= 0.0
+
     s = sbar(pts)
-    inside = s * s - z * z <= 0.0
+    inside = within(s)
 
     # the run of inside points jl..jr around the anchor j; when any point
     # is inside, so is the anchor
@@ -176,16 +191,11 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     jl = np.where(~inside & (idx < j[:, None]), idx, -1).max(axis=1) + 1
     jr = np.where(~inside & (idx > j[:, None]), idx, len(idx)).min(axis=1) - 1
 
-    # both edges of every row at once: a stays outside, b inside the set
+    # both edges of every row at once: b starts inside the set, a outside
+    b = np.stack([pts[rows, jl], pts[rows, jr]], axis=1)
     a = np.stack([pts[rows, np.maximum(jl - 1, 0)],
                   pts[rows, np.minimum(jr + 1, len(idx) - 1)]], axis=1)
-    b = np.stack([pts[rows, jl], pts[rows, jr]], axis=1)
-    for _ in range(EDGE_ITERS):
-        mid = 0.5 * (a + b)
-        sm = sbar(mid)
-        inner = sm * sm - z * z <= 0.0
-        b = np.where(inner, mid, b)
-        a = np.where(inner, a, mid)
+    b, _ = _bisect(lambda p1: within(sbar(p1)), b, a, EDGE_ITERS)
 
     none = ~inside.any(axis=1)
     lo_end = none | (jl == 0)

@@ -268,8 +268,8 @@ def or_interval(n1, n2, x1, x2, z, c, nuisance_value, open_interval, out_dir):
             rule = oddsratio.NuisanceRule("plus-c", c=c)
         zres = oddsratio.z_interval(data, z, rule,
                                     equal_sign=not open_interval)
-        fres = oddsratio.fisher_exact_interval(
-            data, 2.0 * oddsratio._norm_cdf(z) - 1.0)
+        fres = oddsratio.fisher_exact_interval(data,
+                                               oddsratio.z_confidence(z))
     except (ValueError, RuntimeError) as err:
         _fail_numeric(err, out_dir)
     payload = {

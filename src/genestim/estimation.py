@@ -36,6 +36,7 @@ COEFFS_CACHE_SIZE = 4096
 DEGENERATE_RATIO = 1e-12
 # a difference step h keeps this many steps of room to the domain's edge
 STENCIL_ROOM = 5e3
+ROUTE_TOL = 1e-6  # route gap allowed, as a share of max(1, max |Lambda|)
 
 
 class EstimatorError(RuntimeError):
@@ -245,7 +246,6 @@ def standardize(engine: ExpectationEngine, family: ModelFamily,
 def information(engine: ExpectationEngine, family: ModelFamily,
                 g: GeneralizedEstimator, point,
                 direct_route: bool = True,
-                route_tol: float = 1e-6,
                 info: Optional[FisherInfo] = None) -> InformationReport:
     """Information utilized by g, its bound, efficiency, and correlation.
 
@@ -271,7 +271,8 @@ def information(engine: ExpectationEngine, family: ModelFamily,
         B = _mean_slope(engine, family, g, point, axes=range(k))
         Lam_dir = B @ B.T
         route_gap = float(np.max(np.abs(Lam_dir - Lam)))
-        routes_agree = route_gap <= route_tol * max(1.0, float(np.max(np.abs(Lam))))
+        routes_agree = route_gap <= ROUTE_TOL * max(
+            1.0, float(np.max(np.abs(Lam))))
 
     binv = inv_sqrt_psd(bound)
     eff = binv @ Lam @ binv

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from ._kernels import invert_p1_batch, sbar_profiled_batch, zinterval_p1_batch
+from ._kernels import (BISECT_ITERS, _bisect, _logit, _p1_range,
+                       invert_p1_batch, sbar_profiled_batch,
+                       zinterval_p1_batch)
 from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
                        two_binomial_probs)
 from .intervals import IntervalResult
@@ -73,10 +74,14 @@ class NuisanceRule:
 
 def plus_c_nuisance(data: TwoBinomialData, c: float) -> float:
     """Shrinkage-adjusted nuisance estimate; c = 0 recovers x1 + x2."""
+    return _plus_c(data.x1, data.x2, data.n1, data.n2, c)
+
+
+def _plus_c(x1, x2, n1: int, n2: int, c: float):
+    """:func:`plus_c_nuisance` elementwise over counts x1, x2."""
     if c < 0.0:
         raise ValueError("adjustment constant must be nonnegative")
-    return (data.n1 * (data.x1 + c) / (data.n1 + 2.0 * c)
-            + data.n2 * (data.x2 + c) / (data.n2 + 2.0 * c))
+    return n1 * (x1 + c) / (n1 + 2.0 * c) + n2 * (x2 + c) / (n2 + 2.0 * c)
 
 
 def profiled_sbar(data: TwoBinomialData, theta: float,
@@ -91,13 +96,28 @@ def profiled_sbar(data: TwoBinomialData, theta: float,
                                      p1, p2))
 
 
-def log_or(p1: float, p2: float) -> float:
-    return math.log(p1 / (1.0 - p1)) - math.log(p2 / (1.0 - p2))
+def log_or(p1, p2):
+    """logit p1 - logit p2, elementwise."""
+    return _logit(p1) - _logit(p2)
+
+
+def _theta_intervals(x1, x2, n1: int, n2: int, tnuis, z: float):
+    """(lower, upper, at_lo, at_hi, ok) of sbar^2 <= z^2 at fixed nuisance
+    values: the p1 ends of :func:`zinterval_p1_batch` mapped to theta,
+    flagged ends and rows with no feasible range at -inf / +inf."""
+    tnuis = np.asarray(tnuis, dtype=float)
+    p1_lo, p1_hi, at_lo, at_hi, ok = zinterval_p1_batch(x1, x2, n1, n2,
+                                                        tnuis, z)
+    with np.errstate(divide="ignore"):
+        lower = log_or(p1_lo, (tnuis - n1 * p1_lo) / n2)
+        upper = log_or(p1_hi, (tnuis - n1 * p1_hi) / n2)
+    lower[at_lo | ~ok] = -np.inf
+    upper[at_hi | ~ok] = np.inf
+    return lower, upper, at_lo, at_hi, ok
 
 
 def z_interval(data: TwoBinomialData, z: float = Z_95,
                rule: NuisanceRule = NuisanceRule(),
-               side: str = "two-sided",
                equal_sign: bool = True) -> IntervalResult:
     """Invert sbar^2 <= z^2 into a log-odds-ratio interval.
 
@@ -112,39 +132,29 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
     if z <= 0.0:
         raise ValueError("z must be positive")
     tnuis = rule.resolve(data)
-    n1, n2 = data.n1, data.n2
-    if not 0.0 < tnuis < n1 + n2:
+    if not 0.0 < tnuis < data.n1 + data.n2:
         if equal_sign:
             return IntervalResult(lower=-math.inf, upper=math.inf, z=z,
-                                  side=side,
                                   boundary_note="degenerate nuisance: "
                                   "whole line under the closed convention")
         return IntervalResult(lower=math.nan, upper=math.nan, empty=True,
-                              z=z, side=side,
-                              boundary_note="degenerate nuisance: empty "
-                              "under the open convention")
-    p1_lo, p1_hi, at_lo, at_hi, ok = zinterval_p1_batch(
-        [data.x1], [data.x2], n1, n2, [tnuis], z)
-    notes = []
-    if not ok[0]:
+                              z=z, boundary_note="degenerate nuisance: "
+                              "empty under the open convention")
+    (lower,), (upper,), (at_lo,), (at_hi,), (ok,) = _theta_intervals(
+        [data.x1], [data.x2], data.n1, data.n2, [tnuis], z)
+    if not ok:
         raise InfeasibleNuisance(f"no feasible p1 range at nuisance {tnuis}")
-    if at_lo[0] and at_hi[0] and not np.isfinite(
+    notes = []
+    if at_lo and at_hi and not np.isfinite(
             sbar_zero_theta(data, rule, allow_nan=True)):
         notes.append("score root not bracketed: whole feasible range")
-
-    def to_theta(p1):
-        return log_or(p1, (tnuis - n1 * p1) / n2)
-
-    lower = -math.inf if at_lo[0] else to_theta(float(p1_lo[0]))
-    upper = math.inf if at_hi[0] else to_theta(float(p1_hi[0]))
-    if at_lo[0]:
+    if at_lo:
         notes.append("lower endpoint unbounded (boundary of feasible range)")
-    if at_hi[0]:
+    if at_hi:
         notes.append("upper endpoint unbounded (boundary of feasible range)")
-    return IntervalResult(lower=lower, upper=upper,
+    return IntervalResult(lower=float(lower), upper=float(upper),
                           closed_lower=equal_sign, closed_upper=equal_sign,
-                          z=z, side=side,
-                          boundary_note="; ".join(notes) or None)
+                          z=z, boundary_note="; ".join(notes) or None)
 
 
 def sbar_zero_theta(data: TwoBinomialData,
@@ -158,38 +168,27 @@ def sbar_zero_theta(data: TwoBinomialData,
             if allow_nan:
                 return math.nan
             raise InfeasibleNuisance("boundary data: score root at infinity")
-        return log_or(data.x1 / n1, data.x2 / n2)
+        return float(log_or(data.x1 / n1, data.x2 / n2))
     # generic rules: solve sbar = 0 by bisection in p1
-    lo = max(0.0, (tnuis - n2) / n1) + 1e-9
-    hi = min(1.0, tnuis / n1) - 1e-9
-    if not lo < hi:
+    lo, hi, ok = _p1_range(tnuis, n1, n2)
+    if not ok:
         if allow_nan:
             return math.nan
         raise InfeasibleNuisance(f"nuisance value {tnuis} infeasible")
 
     def s_at(p1):
-        return float(sbar_profiled_batch(data.x1, data.x2, n1, n2, p1,
-                                         (tnuis - n1 * p1) / n2))
+        return sbar_profiled_batch(data.x1, data.x2, n1, n2, p1,
+                                   (tnuis - n1 * p1) / n2)
 
     slo, shi = s_at(lo), s_at(hi)
     if slo * shi > 0.0:
         if allow_nan:
             return math.nan
         raise InfeasibleNuisance("score root not bracketed")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if s_at(mid) > 0.0:  # sbar decreasing in p1 would flip; track sign
-            if slo > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if slo > 0.0:
-                hi = mid
-            else:
-                lo = mid
-    p1 = 0.5 * (lo + hi)
-    return log_or(p1, (tnuis - n1 * p1) / n2)
+    a, b = _bisect(lambda p1: (s_at(p1) > 0.0) == (slo > 0.0), lo, hi,
+                   BISECT_ITERS)
+    p1 = 0.5 * (a + b)
+    return float(log_or(p1, (tnuis - n1 * p1) / n2))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def fisher_exact_intervals(x1, x2, n1: int, n2: int,
     Conditional on t = x1 + x2, x1 follows the noncentral hypergeometric
     law with parameter psi (Cornfield 1956).  Each endpoint inverts a
     one-sided exact test at (1 - confidence)/2; all endpoints of all
-    outcomes are bisected together in log psi over [-50, 50], 80 steps.
+    outcomes are bisected together in log psi over [-50, 50].
     Returns (lower, upper) arrays in psi: lower is 0 where x1 is the
     smallest value its conditional support allows, upper is inf where
     x1 is the largest, so t = 0 or n1 + n2 gives (0, inf).
@@ -254,14 +253,13 @@ def fisher_exact_intervals(x1, x2, n1: int, n2: int,
     # row 0: Pr(X >= x1) increases with psi, lower endpoint where it is
     # alpha; row 1: Pr(X <= x1) decreases with psi, upper endpoint likewise
     tail = np.stack([xs >= x1[..., None], xs <= x1[..., None]])
-    a = np.full((2,) + t.shape, -50.0)
-    b = np.full((2,) + t.shape, 50.0)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        p = np.where(tail, _cond_law(logc, mid), 0.0).sum(axis=-1)
-        right = np.stack([p[0] < alpha, p[1] > alpha])
-        a = np.where(right, mid, a)
-        b = np.where(right, b, mid)
+
+    def right(lam):
+        p = np.where(tail, _cond_law(logc, lam), 0.0).sum(axis=-1)
+        return np.stack([p[0] < alpha, p[1] > alpha])
+
+    a, b = _bisect(right, np.full((2,) + t.shape, -50.0),
+                   np.full((2,) + t.shape, 50.0), BISECT_ITERS)
     lam = 0.5 * (a + b)
     lower = np.where(x1 == np.maximum(0, t - n2), 0.0, np.exp(lam[0]))
     upper = np.where(x1 == np.minimum(n1, t), np.inf, np.exp(lam[1]))
@@ -315,25 +313,9 @@ def _z_intervals_all(n1: int, n2: int, c: float, z: float):
     there: whole line when closed, empty when open).
     """
     x1, x2 = two_binomial_outcomes(n1, n2).T
-    tn = np.array([
-        NuisanceRule("plus-c", c=c).resolve(TwoBinomialData(a, b, n1, n2))
-        for a, b in zip(x1, x2)])
-    degenerate = (tn <= 0.0) | (tn >= n1 + n2)
-    work = ~degenerate
-    lower = np.full(x1.shape, -np.inf)
-    upper = np.full(x1.shape, np.inf)
-    p1_lo, p1_hi, at_lo, at_hi, ok = zinterval_p1_batch(
-        x1[work], x2[work], n1, n2, tn[work], z)
-    p2_lo = (tn[work] - n1 * p1_lo) / n2
-    p2_hi = (tn[work] - n1 * p1_hi) / n2
-    with np.errstate(divide="ignore"):
-        th_lo = np.log(p1_lo / (1 - p1_lo)) - np.log(p2_lo / (1 - p2_lo))
-        th_hi = np.log(p1_hi / (1 - p1_hi)) - np.log(p2_hi / (1 - p2_hi))
-    th_lo[at_lo | ~ok] = -np.inf
-    th_hi[at_hi | ~ok] = np.inf
-    lower[work] = th_lo
-    upper[work] = th_hi
-    return lower, upper, degenerate
+    tn = _plus_c(x1, x2, n1, n2, c)
+    lower, upper = _theta_intervals(x1, x2, n1, n2, tn, z)[:2]
+    return lower, upper, (tn <= 0.0) | (tn >= n1 + n2)
 
 
 def _log_masses(n1, n2, p1, p2):
@@ -344,9 +326,8 @@ def _log_masses(n1, n2, p1, p2):
 
 
 def _mass_sum(logm, which):
-    """Sum exp(logm[which]) largest-first for accuracy."""
-    sel = np.sort(logm[which])[::-1]
-    return float(math.fsum(np.exp(sel)))
+    """Correctly rounded sum of exp(logm[which])."""
+    return math.fsum(np.exp(logm[which]))
 
 
 def coverage_z(n1: int, n2: int, or_true: float, p1: float, p2: float,
@@ -379,29 +360,27 @@ def coverage_fisher(n1: int, n2: int, or_true: float, p1: float, p2: float,
 
 
 def coverage_table(n1: int, n2: int, cells, c_list=(0.0, 0.5, 1.0),
-                   equal_options=(True, False), z: float = Z_95,
-                   methods=("z-standard", "fisher-exact")) -> list:
+                   equal_options=(True, False), z: float = Z_95) -> list:
     """Exact coverage for each (or, p1, p2) cell over rules and methods."""
+    conf = z_confidence(z)
     out = []
     for or_true, p1, p2 in cells:
         for eq in equal_options:
-            if "z-standard" in methods:
-                for c in c_list:
-                    out.append(CoverageCell(
-                        or_true, p1, p2, c, eq,
-                        coverage_z(n1, n2, or_true, p1, p2, c, eq, z),
-                        "z-standard"))
-            if "fisher-exact" in methods:
-                conf = 2.0 * _norm_cdf(z) - 1.0
+            for c in c_list:
                 out.append(CoverageCell(
-                    or_true, p1, p2, 0.0, eq,
-                    coverage_fisher(n1, n2, or_true, p1, p2, conf),
-                    "fisher-exact"))
+                    or_true, p1, p2, c, eq,
+                    coverage_z(n1, n2, or_true, p1, p2, c, eq, z),
+                    "z-standard"))
+            out.append(CoverageCell(
+                or_true, p1, p2, 0.0, eq,
+                coverage_fisher(n1, n2, or_true, p1, p2, conf),
+                "fisher-exact"))
     return out
 
 
-def _norm_cdf(z):
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def z_confidence(z: float) -> float:
+    """Two-sided confidence 2 Phi(z) - 1 of the interval |score| <= z."""
+    return 2.0 * (0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +423,7 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     pinned by the observed profiled nuisance x1[r] + x2[r], and outcomes
     are ordered by their profiled standardized score at theta[r].  Where
     ge[r] holds the row sums the mass with statistic >= the observed one,
-    else the mass <= it, largest term first in ``math.fsum``.  p1 is
+    else the mass <= it, in ``math.fsum``.  p1 is
     inverted once per (theta, t') pair; the (rows, outcomes) arrays are
     built TAIL_BLOCK elements at a time.
     """
@@ -467,8 +446,7 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
                         stats <= obs + 1e-12)
         logm = np.where(keep, _log_masses(n1, n2, obs_p1[r], obs_p2[r]),
                         -np.inf)
-        # largest first; the left-out outcomes add exact zeros at the end
-        out[r] = [math.fsum(row) for row in np.exp(-np.sort(-logm, axis=1))]
+        out[r] = [math.fsum(row) for row in np.exp(logm)]
     return out
 
 

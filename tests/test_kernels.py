@@ -1,7 +1,9 @@
 """Kernels against independent oracles."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -304,3 +306,13 @@ def test_row_median_is_np_median_bit_for_bit():
         np.testing.assert_array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+
+def test_every_exported_kernel_has_a_trace_row_count():
+    # the trace runner counts rows for each name in __all__ and fails on
+    # a name it does not know
+    path = (Path(__file__).resolve().parents[1] / "perfbench"
+            / "trace_runner.py")
+    spec = importlib.util.spec_from_file_location("trace_runner", path)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    assert set(K.__all__) == set(runner.KERNEL_ROWS)

@@ -104,6 +104,16 @@ class TestProfiledScore:
         with pytest.raises(O.InfeasibleNuisance):
             O.sbar_zero_theta(_data(0, 9))
 
+    def test_bisected_point_estimate_is_the_closed_form(self):
+        # plus-c at c = 0 pins the nuisance at x1 + x2 like the profile,
+        # but takes the bisection branch
+        rule = O.NuisanceRule("plus-c", c=0.0)
+        for x1 in range(1, N1):
+            for x2 in range(1, N2):
+                got = O.sbar_zero_theta(_data(x1, x2), rule)
+                assert got == pytest.approx(O.log_or(x1 / N1, x2 / N2),
+                                            abs=1e-12), (x1, x2)
+
 
 class TestZInterval:
     def test_symmetric_data_gives_a_symmetric_interval(self):
@@ -137,6 +147,24 @@ class TestZInterval:
         open_ = O.z_interval(_data(N1, N2), equal_sign=False)
         assert open_.empty
         assert not open_.contains(0.0)
+
+    @pytest.mark.parametrize("x1,x2,n1,n2,value", [(20, 0, 20, 30, 49.99999),
+                                                   (1, 0, 1, 1, 1.9999995)])
+    def test_unbracketed_score_root_gives_the_whole_range(self, x1, x2, n1,
+                                                          n2, value):
+        # a nuisance value this close to n1 + n2 leaves sbar of one sign
+        # over the whole feasible p1 range
+        d = _data(x1, x2, n1, n2)
+        rule = O.NuisanceRule("fixed-value", value=value)
+        res = O.z_interval(d, z=1.959964, rule=rule)
+        assert res.lower == -math.inf and res.upper == math.inf
+        assert res.boundary_note == (
+            "score root not bracketed: whole feasible range; "
+            "lower endpoint unbounded (boundary of feasible range); "
+            "upper endpoint unbounded (boundary of feasible range)")
+        assert math.isnan(O.sbar_zero_theta(d, rule, allow_nan=True))
+        with pytest.raises(O.InfeasibleNuisance, match="not bracketed"):
+            O.sbar_zero_theta(d, rule)
 
     def test_bad_z_rejected(self):
         with pytest.raises(ValueError):
