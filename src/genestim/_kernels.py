@@ -1,11 +1,11 @@
 """The hot numerical kernels, batched in NumPy.
 
 Profile-root inversion of the two-binomial nuisance equation, the
-standardized log-odds-ratio score, the z-interval of that score in p1,
-and the t3 location MLE.  Each kernel works on whole arrays of rows at
-once; there is one implementation of each.  Every two-binomial root in
-the package is bracketed by ``_p1_range``, the clipped feasible p1 range
-at a nuisance value, or by a fixed bracket, and halved by ``_bisect``.
+standardized log-odds-ratio score, its z-interval in p1, the t3 location
+MLE and exact one-sided tail inversion, each on whole arrays of rows at
+once, with one implementation.  Every two-binomial root is bracketed by
+``_p1_range``, the clipped feasible p1 range at a nuisance value, or by
+a fixed bracket, and halved by ``_bisect``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ __all__ = ["invert_p1_batch", "sbar_profiled_batch", "zinterval_p1_batch",
 P1_CLIP = 1e-9  # shrink of the feasible p1 range away from the singular ends
 BISECT_ITERS = 80  # bisection steps; 2^-80 of the unit interval << 1e-12
 EDGE_ITERS = 60  # bisection steps per z-interval edge
+TAIL_BLOCK = 1 << 17  # (row, support point) elements per block of tail roots
+TAIL_ITERS = 100  # cap on the safeguarded Newton steps of one tail root
 
 
 def _bisect(to_a, a, b, iters):
@@ -205,6 +207,62 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     at_lo[ok] = lo_end
     at_hi[ok] = hi_end
     return p1_lo, p1_hi, at_lo, at_hi, ok
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _invert_tails(coef, which, cut, ge, log_alpha, center, se, bound, name):
+    """lam with log Pr_lam(tail) = log_alpha, one per row.
+
+    Row i has Pr(X = k) proportional to exp(coef[which[i], k] + k lam),
+    k = 0..K-1, and tail X >= cut[i] where ge[i], else X < cut[i].  Newton
+    steps, by d/dlam log Pr(tail) = E[X | tail] - E[X], go from center[i]
+    -/+ z se[i] (- where ge[i]; z: Shore's 1982 normal alpha quantile) in
+    a bracket, first [-bound, bound], that shrinks to each point
+    evaluated; a step out of it goes to its midpoint.  Rows go TAIL_BLOCK
+    elements at a time, each done after a step within 1e-7 (its error is
+    of order the step squared) or a bracket too narrow to halve.  No root
+    in [-bound, bound] raises RuntimeError naming ``name(i)``.
+    """
+    ks = np.arange(coef.shape[1], dtype=float)
+    which, cut, ge = (np.atleast_1d(v) for v in (which, cut, ge))
+    alpha = np.exp(log_alpha)
+    z = 5.5556 * (1.0 - (alpha / (1.0 - alpha)) ** 0.1186)
+    out = np.clip(center - np.where(ge, z, -z) * se, -bound, bound)
+    block = max(1, TAIL_BLOCK // len(ks))
+    for first in range(0, len(out), block):
+        rows = np.arange(first, min(first + block, len(out)))
+        lc, up, lam = coef[which[rows]], ge[rows], out[rows]
+        tail = (ks >= cut[rows, None]) == up[:, None]
+        lo, hi = np.full(len(rows), -bound), np.full(len(rows), bound)
+        for _ in range(TAIL_ITERS):
+            w = lam[:, None] * ks + lc
+            w = np.exp(w - w.max(axis=1, keepdims=True))
+            s, m = w.sum(axis=1), w @ ks
+            w *= tail
+            s_t, m_t = w.sum(axis=1), w @ ks
+            h = np.log(s_t / s) - log_alpha
+            step = h / (m / s - m_t / s_t)
+            rise = (h < 0.0) == up  # the root lies above lam
+            np.copyto(lo, lam, where=rise)
+            np.copyto(hi, lam, where=~rise)
+            lam = lam + step
+            done = np.abs(step) <= 1e-7
+            bad = ~(done | (lam > lo) & (lam < hi))
+            if np.count_nonzero(bad):
+                np.copyto(lam, 0.5 * (lo + hi), where=bad)
+                # done: a bracket too narrow to halve, unless shut on a bound
+                done |= (bad & ((lam == lo) | (lam == hi)) & (lo > -bound)
+                         & (hi < bound))
+            if np.count_nonzero(done):
+                out[rows[done]] = lam[done]
+                if done.all():
+                    break
+                rows, lc, up, tail, lam, lo, hi = (
+                    v[~done] for v in (rows, lc, up, tail, lam, lo, hi))
+        else:
+            raise RuntimeError(f"{name(rows[0])}: no tail root in "
+                               f"[{-bound:g}, {bound:g}]")
+    return out
 
 
 def row_median(x):

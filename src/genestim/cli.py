@@ -13,6 +13,7 @@ if __name__ == "__main__":
     from ._entry import pin_blas
     pin_blas()  # before NumPy loads; see _entry
 
+import contextlib
 import itertools
 import json
 import math
@@ -25,7 +26,6 @@ import numpy as np
 from . import __version__
 from . import estimation, families, intervals, location, oddsratio
 
-EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 CSV_BLOCK = 4096  # rows per formatting template
 
@@ -47,10 +47,7 @@ def _manifest(command: str, params: dict, out_dir: Path) -> dict:
         "toolkit_version": __version__,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(man, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", man)
     return man
 
 
@@ -88,10 +85,8 @@ def _write_json(path: Path, payload: dict):
 
 def _fail_numeric(err: Exception, out_dir: Path):
     payload = {"error": type(err).__name__, "message": str(err)}
-    try:
+    with contextlib.suppress(OSError):
         _write_json(out_dir / "error.json", payload)
-    except OSError:
-        pass
     click.echo(json.dumps(payload), err=True)
     sys.exit(EXIT_NUMERIC)
 
@@ -131,12 +126,10 @@ def binom_curves(n, y, grid_points, out_dir):
         fam = families.bernoulli_sum(n)
         grid = np.linspace(1e-4, 1 - 1e-4, grid_points)
         header = ["y", "p", "value", "realized", "slope_sign"]
-        sc = intervals.score_curves(fam, grid)
-        _write_csv(out_dir / "score_curves.csv", man, header,
-                   intervals.curves_to_rows(sc, realized_y=y))
-        llr = intervals.llr_curves(fam, grid)
-        _write_csv(out_dir / "llr_curves.csv", man, header,
-                   intervals.curves_to_rows(llr, realized_y=y))
+        for kind, curves in (("score", intervals.score_curves),
+                             ("llr", intervals.llr_curves)):
+            _write_csv(out_dir / f"{kind}_curves.csv", man, header,
+                       intervals.curves_to_rows(curves(fam, grid), y))
     except (ValueError, RuntimeError) as err:
         _fail_numeric(err, out_dir)
     click.echo(f"wrote curve data for n={n}, y={y} to {out_dir}")
@@ -161,9 +154,8 @@ def binom_ci(n, y, z, side, out_dir):
     except (ValueError, RuntimeError) as err:
         _fail_numeric(err, out_dir)
     payload = _interval_payload(res)
-    payload["manifest"] = man
-    _write_json(out_dir / "interval.json", payload)
-    click.echo(json.dumps(_interval_payload(res)))
+    _write_json(out_dir / "interval.json", {**payload, "manifest": man})
+    click.echo(json.dumps(payload))
 
 
 @main.command("info-report")
@@ -231,12 +223,10 @@ def zeta_lab(data_family, n, reps, seed, out_dir):
     comparisons = {k: v for k, v in result.archives.items() if k != "mean"}
     comparisons["mean"] = result.archives["mean"]
     curves = location.zeta_curves(result.archives["mean"], comparisons)
-    rows = []
-    for curve in curves:
-        for q, rz, cz in zip(curve.reference_quantile_probs,
-                             curve.reference_zeta, curve.comparison_zeta):
-            rows.append((curve.estimator_label, float(q), float(rz),
-                         float(cz)))
+    rows = [(curve.estimator_label, float(q), float(rz), float(cz))
+            for curve in curves
+            for q, rz, cz in zip(curve.reference_quantile_probs,
+                                 curve.reference_zeta, curve.comparison_zeta)]
     _write_csv(out_dir / "zeta_curves.csv", man,
                ["curve_label", "prob", "ref_zeta", "comp_zeta"], rows)
     click.echo(f"wrote efficiency.csv and zeta_curves.csv to {out_dir}")
@@ -272,15 +262,10 @@ def or_interval(n1, n2, x1, x2, z, c, nuisance_value, open_interval, out_dir):
                                                oddsratio.z_confidence(z))
     except (ValueError, RuntimeError) as err:
         _fail_numeric(err, out_dir)
-    payload = {
-        "manifest": man,
-        "z_interval_log_or": _interval_payload(zres),
-        "fisher_exact_odds_ratio": _interval_payload(fres),
-    }
-    _write_json(out_dir / "interval.json", payload)
-    click.echo(json.dumps({"z_interval_log_or": _interval_payload(zres),
-                           "fisher_exact_odds_ratio":
-                           _interval_payload(fres)}))
+    payload = {"z_interval_log_or": _interval_payload(zres),
+               "fisher_exact_odds_ratio": _interval_payload(fres)}
+    _write_json(out_dir / "interval.json", {"manifest": man, **payload})
+    click.echo(json.dumps(payload))
 
 
 @main.command("or-coverage")
@@ -406,16 +391,15 @@ def verify(n):
 
     def two_binomial_cross():
         worst = 0.0
-        for p1 in (0.1, 0.3, 0.5, 0.7, 0.9):
-            for p2 in (0.1, 0.3, 0.5, 0.7, 0.9):
-                point = np.array(families.two_binomial_params(p1, p2, 20, 30))
+        for p1, p2 in itertools.product(grid, grid):
+            point = np.array(families.two_binomial_params(p1, p2, 20, 30))
 
-                def cross(Y):
-                    S = families.score_rows(tb, Y, point)
-                    return S[:, 0] * S[:, 1]
+            def cross(Y):
+                S = families.score_rows(tb, Y, point)
+                return S[:, 0] * S[:, 1]
 
-                worst = max(worst, abs(float(
-                    engine.expect_rows(tb, point, cross)[0])))
+            worst = max(worst, abs(float(
+                engine.expect_rows(tb, point, cross)[0])))
         return worst
 
     check("two-binomial score orthogonality grid", two_binomial_cross,
@@ -423,11 +407,11 @@ def verify(n):
 
     def round_trip():
         worst = 0.0
-        for p1 in (0.05, 0.3, 0.5, 0.7, 0.95):
-            for p2 in (0.05, 0.3, 0.5, 0.7, 0.95):
-                th, tn = families.two_binomial_params(p1, p2, 20, 30)
-                q1, q2 = families.two_binomial_probs(th, tn, 20, 30)
-                worst = max(worst, abs(q1 - p1), abs(q2 - p2))
+        ends = (0.05, 0.3, 0.5, 0.7, 0.95)
+        for p1, p2 in itertools.product(ends, ends):
+            th, tn = families.two_binomial_params(p1, p2, 20, 30)
+            q1, q2 = families.two_binomial_probs(th, tn, 20, 30)
+            worst = max(worst, abs(q1 - p1), abs(q2 - p2))
         return worst
 
     check("two-binomial reparameterization round trip", round_trip,

@@ -411,9 +411,9 @@ def corr_sq_with_se(a, b, blocks: int):
     """
     r = float(np.corrcoef(a, b)[0, 1])
     m = len(a) // blocks
-    rb = np.array([
-        np.corrcoef(a[i * m:(i + 1) * m], b[i * m:(i + 1) * m])[0, 1]
-        for i in range(blocks)])
+    x, y = (v[:blocks * m].reshape(blocks, m) for v in (a, b))
+    x, y = x - x.mean(1, keepdims=True), y - y.mean(1, keepdims=True)
+    rb = (x * y).sum(1) / np.sqrt((x * x).sum(1) * (y * y).sum(1))
     se_r = float(rb.std(ddof=1) / math.sqrt(blocks))
     return r * r, 2.0 * abs(r) * se_r
 

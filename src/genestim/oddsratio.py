@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import (BISECT_ITERS, _bisect, _logit, _p1_range,
-                       invert_p1_batch, sbar_profiled_batch,
+from ._kernels import (BISECT_ITERS, _bisect, _invert_tails, _logit,
+                       _p1_range, invert_p1_batch, sbar_profiled_batch,
                        zinterval_p1_batch)
 from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
                        two_binomial_probs)
@@ -24,6 +24,7 @@ from .intervals import IntervalResult
 
 Z_95 = 1.959964  # two-sided nominal 0.95
 TAIL_BLOCK = 1 << 16  # (row, outcome) elements per block of score_tails
+LOG_PSI_BOUND = 50.0  # exact odds-ratio endpoints lie in [e^-50, e^50]
 
 # (odds ratio, p1, p2) parameter cells of the standard coverage study
 COVERAGE_CELLS = (
@@ -197,10 +198,8 @@ def sbar_zero_theta(data: TwoBinomialData,
 
 
 def _cond_log_coef(n1: int, n2: int, t) -> np.ndarray:
-    """log C(n1, x) + log C(n2, t - x) for x = 0..n1, -inf off support.
-
-    One row per entry of t: shape t.shape + (n1 + 1,).
-    """
+    """log C(n1, x) + log C(n2, t - x) for x = 0..n1, -inf off support;
+    one row per entry of t: shape t.shape + (n1 + 1,)."""
     xs = np.arange(n1 + 1)
     x2 = np.asarray(t)[..., None] - xs
     return np.where((x2 >= 0) & (x2 <= n2),
@@ -209,13 +208,8 @@ def _cond_log_coef(n1: int, n2: int, t) -> np.ndarray:
 
 
 def logsumexp(a):
-    """log sum exp(a) over the last axis, shifted by the row maximum.
-
-    A row that is all -inf gives -inf, with no warning.  ``_cond_law``
-    looks it up by this module-level name, which
-    ``perfbench/trace_runner.py`` wraps to count conditional-law
-    evaluations.
-    """
+    """log sum exp(a) over the last axis, shifted by the row maximum; a
+    row that is all -inf gives -inf, with no warning."""
     a = np.asarray(a, dtype=float)
     top = a.max(axis=-1)
     top = np.where(np.isfinite(top), top, 0.0)
@@ -223,23 +217,19 @@ def logsumexp(a):
         return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
 
 
-def _cond_law(logc: np.ndarray, log_psi) -> np.ndarray:
-    """Tilt each row of log coefficients by psi**x and normalise it."""
-    logw = logc + np.arange(logc.shape[-1]) * np.asarray(log_psi)[..., None]
-    return np.exp(logw - logsumexp(logw)[..., None])
-
-
 def fisher_exact_intervals(x1, x2, n1: int, n2: int,
                            confidence: float = 0.95):
     """Conditional exact odds-ratio intervals of many outcomes at once.
 
     Conditional on t = x1 + x2, x1 follows the noncentral hypergeometric
-    law with parameter psi (Cornfield 1956).  Each endpoint inverts a
-    one-sided exact test at (1 - confidence)/2; all endpoints of all
-    outcomes are bisected together in log psi over [-50, 50].
-    Returns (lower, upper) arrays in psi: lower is 0 where x1 is the
-    smallest value its conditional support allows, upper is inf where
-    x1 is the largest, so t = 0 or n1 + n2 gives (0, inf).
+    law with parameter psi (Cornfield 1956).  The lower endpoint solves
+    Pr_psi(X >= x1) = alpha, the upper one Pr_psi(X <= x1) = alpha, with
+    alpha = (1 - confidence)/2: all of them in one ``_invert_tails`` call
+    in log psi, started from Woolf's log OR and se (0.5 added to each cell)
+    and inside |log psi| <= LOG_PSI_BOUND.  Returns (lower, upper) arrays in
+    psi: lower is 0 where x1 is the smallest value its conditional
+    support allows, upper is inf where x1 is the largest, so t = 0 or
+    n1 + n2 gives (0, inf).
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0,1)")
@@ -248,22 +238,21 @@ def fisher_exact_intervals(x1, x2, n1: int, n2: int,
     if np.any((x1 < 0) | (x1 > n1) | (x2 < 0) | (x2 > n2)):
         raise ValueError("counts out of range")
     t = x1 + x2
-    logc = _cond_log_coef(n1, n2, t)
-    xs = np.arange(n1 + 1)
-    # row 0: Pr(X >= x1) increases with psi, lower endpoint where it is
-    # alpha; row 1: Pr(X <= x1) decreases with psi, upper endpoint likewise
-    tail = np.stack([xs >= x1[..., None], xs <= x1[..., None]])
-
-    def right(lam):
-        p = np.where(tail, _cond_law(logc, lam), 0.0).sum(axis=-1)
-        return np.stack([p[0] < alpha, p[1] > alpha])
-
-    a, b = _bisect(right, np.full((2,) + t.shape, -50.0),
-                   np.full((2,) + t.shape, 50.0), BISECT_ITERS)
-    lam = 0.5 * (a + b)
-    lower = np.where(x1 == np.maximum(0, t - n2), 0.0, np.exp(lam[0]))
-    upper = np.where(x1 == np.minimum(n1, t), np.inf, np.exp(lam[1]))
-    return lower, upper
+    # side 0 (lower): x1 above its conditional minimum; 1: below its maximum
+    ends = np.stack([x1 > np.maximum(0, t - n2), x1 < np.minimum(n1, t)])
+    a, b = (np.broadcast_to(v, ends.shape)[ends] for v in (x1, x2))
+    ge = np.nonzero(ends)[0] == 0
+    ts, which = np.unique(a + b, return_inverse=True)
+    woolf = np.log((a + 0.5) * (n2 - b + 0.5) / ((n1 - a + 0.5) * (b + 0.5)))
+    se = np.sqrt(1.0 / (a + 0.5) + 1.0 / (n1 - a + 0.5) + 1.0 / (b + 0.5)
+                 + 1.0 / (n2 - b + 0.5))
+    psi = np.stack([np.zeros(t.shape), np.full(t.shape, np.inf)])
+    psi[ends] = np.exp(_invert_tails(
+        _cond_log_coef(n1, n2, ts), which, a + ~ge, ge, math.log(alpha),
+        woolf, se, LOG_PSI_BOUND,
+        lambda i: f"Fisher {'lower' if ge[i] else 'upper'} endpoint at "
+                  f"n1={n1}, n2={n2}, (x1, x2) = ({a[i]}, {b[i]})"))
+    return psi[0], psi[1]
 
 
 def fisher_exact_interval(data: TwoBinomialData,
@@ -325,6 +314,10 @@ def _log_masses(n1, n2, p1, p2):
             + log_binom_pmf(x2, n2, np.asarray(p2)[..., None]))
 
 
+# one cell's log masses, shared by every rule and method of coverage_table
+_cell_log_masses = lru_cache(maxsize=1)(_log_masses)
+
+
 def _mass_sum(logm, which):
     """Correctly rounded sum of exp(logm[which])."""
     return math.fsum(np.exp(logm[which]))
@@ -341,7 +334,7 @@ def coverage_z(n1: int, n2: int, or_true: float, p1: float, p2: float,
     else:
         covered = (lower < theta) & (theta < upper)
         covered &= ~degenerate
-    return _mass_sum(_log_masses(n1, n2, p1, p2), covered)
+    return _mass_sum(_cell_log_masses(n1, n2, p1, p2), covered)
 
 
 @lru_cache(maxsize=16)
@@ -356,7 +349,7 @@ def coverage_fisher(n1: int, n2: int, or_true: float, p1: float, p2: float,
     """Exact coverage of the conditional exact interval (closed)."""
     lo, hi = _fisher_intervals_all(n1, n2, confidence)
     covered = (lo <= or_true) & (or_true <= hi)
-    return _mass_sum(_log_masses(n1, n2, p1, p2), covered)
+    return _mass_sum(_cell_log_masses(n1, n2, p1, p2), covered)
 
 
 def coverage_table(n1: int, n2: int, cells, c_list=(0.0, 0.5, 1.0),

@@ -174,6 +174,27 @@ class TestEfficiencyMC:
         assert eff == pytest.approx(1.0, abs=1e-9)
 
 
+def _corr_sq_with_se_loop(a, b, blocks):
+    """Oracle: one np.corrcoef per block, as corr_sq_with_se once did."""
+    r = float(np.corrcoef(a, b)[0, 1])
+    m = len(a) // blocks
+    rb = np.array([
+        np.corrcoef(a[i * m:(i + 1) * m], b[i * m:(i + 1) * m])[0, 1]
+        for i in range(blocks)])
+    return r * r, 2.0 * abs(r) * float(rb.std(ddof=1) / math.sqrt(blocks))
+
+
+@pytest.mark.parametrize("n,blocks", [(100_000, 100), (3001, 7), (2003, 10)])
+def test_batched_block_correlations_match_the_per_block_loop(n, blocks):
+    rng = np.random.default_rng(n)
+    a = rng.standard_t(3, n)
+    b = a + rng.normal(0.0, 2.0, n)
+    eff, se = E.corr_sq_with_se(a, b, blocks)
+    want_eff, want_se = _corr_sq_with_se_loop(a, b, blocks)
+    assert eff == want_eff
+    assert se == pytest.approx(want_se, rel=1e-12, abs=0.0)
+
+
 class TestRegistry:
     def test_duplicate_label_rejected(self):
         reg = E.EstimatorRegistry()

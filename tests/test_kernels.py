@@ -6,10 +6,12 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genestim import _kernels as K
+from genestim import families as F
 from genestim.oddsratio import TwoBinomialData, plus_c_nuisance
 
 N1, N2 = 20, 30
@@ -305,6 +307,47 @@ def test_row_median_is_np_median_bit_for_bit():
             got = K.row_median(x)
         np.testing.assert_array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _binomial_rows(n):
+    return F.log_choose(n, np.arange(n + 1))[None, :]
+
+
+def test_tail_roots_have_the_binomial_closed_forms():
+    # Pr_p(X >= n) = p^n and Pr_p(X < 1) = (1 - p)^n: each root has a
+    # closed form in p, from starts on both sides and far off
+    n, alpha = 7, 0.01
+    ge = np.array([True, False] * 3)
+    lam = K._invert_tails(_binomial_rows(n), np.zeros(6, int),
+                          np.where(ge, n, 1), ge, math.log(alpha),
+                          [-30.0, 30.0, 0.0, 0.0, 29.0, -29.0], 0.0, 30.0,
+                          str)
+    p = 1.0 / (1.0 + np.exp(-lam))
+    np.testing.assert_allclose(
+        p, np.where(ge, alpha ** (1 / n), 1 - alpha ** (1 / n)),
+        rtol=1e-14, atol=0.0)
+
+
+def test_tail_roots_do_not_depend_on_blocks(monkeypatch):
+    rng = _rng()
+    coef = np.vstack([_binomial_rows(40), _binomial_rows(40)[:, ::-1]])
+    which = rng.integers(0, 2, 300)
+    cut = rng.integers(1, 40, 300)
+    ge = rng.random(300) < 0.5
+    start = rng.normal(0.0, 3.0, 300)
+    args = (coef, which, cut, ge, math.log(0.05), start, 1.0, 50.0, str)
+    whole = K._invert_tails(*args)
+    monkeypatch.setattr(K, "TAIL_BLOCK", 41 * 7)  # seven rows per block
+    # round-off only: the row sums need not add in the same order
+    np.testing.assert_allclose(K._invert_tails(*args), whole, rtol=1e-13)
+
+
+def test_a_tail_root_outside_the_bracket_raises():
+    # Pr_p(X >= 1) = 1 - (1 - p)^3 = 0.5 at logit p = -1.33, below -1
+    with pytest.raises(RuntimeError, match="row 0: no tail root in "
+                                           r"\[-1, 1\]"):
+        K._invert_tails(_binomial_rows(3), [0], [1], [True],
+                        math.log(0.5), [0.0], 0.0, 1.0, lambda i: f"row {i}")
 
 
 def test_every_exported_kernel_has_a_trace_row_count():

@@ -33,6 +33,36 @@ def _cond_tails(n1, n2, t, x1, log_psi):
             math.fsum(v for x, v in zip(xs, w) if x >= x1) / total)
 
 
+def _cond_law(logc, log_psi):
+    """Tilt each row of log coefficients by psi**x and normalise it."""
+    logw = logc + np.arange(logc.shape[-1]) * np.asarray(log_psi)[..., None]
+    return np.exp(logw - O.logsumexp(logw)[..., None])
+
+
+def _bisected_fisher_intervals(x1, x2, n1, n2, confidence, chunk=2048):
+    """Oracle: the 80-step bisection in log psi over [-50, 50] that the
+    Newton tail inverter replaced, ``chunk`` outcomes at a time."""
+    alpha = 0.5 * (1.0 - confidence)
+    lam = np.empty((2, len(x1)))
+    for s in range(0, len(x1), chunk):
+        a1, t = x1[s:s + chunk], x1[s:s + chunk] + x2[s:s + chunk]
+        logc = O._cond_log_coef(n1, n2, t)
+        xs = np.arange(n1 + 1)
+        # row 0: Pr(X >= x1) increases with psi, lower endpoint where it
+        # is alpha; row 1: Pr(X <= x1) decreases, upper endpoint likewise
+        tail = np.stack([xs >= a1[:, None], xs <= a1[:, None]])
+        lo, hi = np.full((2, len(t)), -50.0), np.full((2, len(t)), 50.0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            p = np.where(tail, _cond_law(logc, mid), 0.0).sum(axis=-1)
+            right = np.stack([p[0] < alpha, p[1] > alpha])
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        lam[:, s:s + chunk] = 0.5 * (lo + hi)
+    t = x1 + x2
+    return (np.where(x1 == np.maximum(0, t - n2), 0.0, np.exp(lam[0])),
+            np.where(x1 == np.minimum(n1, t), np.inf, np.exp(lam[1])))
+
+
 class TestDataAndRules:
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -219,6 +249,44 @@ class TestFisherExactInterval:
         assert np.array_equal(lower == 0.0, x1 == np.maximum(0, t - n2))
         assert np.array_equal(upper == np.inf, x1 == np.minimum(n1, t))
 
+    @pytest.mark.parametrize("n1,n2", [(20, 30), (50, 50), (100, 100)])
+    def test_newton_matches_the_bisection_it_replaced(self, n1, n2):
+        x1, x2 = O.two_binomial_outcomes(n1, n2).T
+        lower, upper = O.fisher_exact_intervals(x1, x2, n1, n2, 0.95)
+        want_lo, want_hi = _bisected_fisher_intervals(x1, x2, n1, n2, 0.95)
+        np.testing.assert_array_equal(lower == 0.0, want_lo == 0.0)
+        np.testing.assert_array_equal(upper == np.inf, want_hi == np.inf)
+        lo, hi = lower > 0.0, np.isfinite(upper)
+        worst = max(np.max(np.abs(np.log(lower[lo] / want_lo[lo]))),
+                    np.max(np.abs(np.log(upper[hi] / want_hi[hi]))))
+        assert worst <= 1e-11, worst
+
+    def test_endpoints_are_where_scipys_conditional_tails_hit_alpha(self):
+        from scipy.stats import nchypergeom_fisher
+        n1 = n2 = 100
+        rng = np.random.default_rng(16)
+        x1, x2 = rng.integers(1, n1, 12), rng.integers(1, n2, 12)
+        lower, upper = O.fisher_exact_intervals(x1, x2, n1, n2, 0.95)
+        for a, b, lo, hi in zip(x1, x2, lower, upper):
+            law = dict(M=n1 + n2, n=n1, N=a + b)
+            assert nchypergeom_fisher.sf(a - 1, odds=lo, **law) == \
+                pytest.approx(0.025, rel=1e-9)
+            assert nchypergeom_fisher.cdf(a, odds=hi, **law) == \
+                pytest.approx(0.025, rel=1e-9)
+
+    def test_an_endpoint_beyond_the_log_psi_bracket_raises(self):
+        # at t = 1, Pr(X <= 0) = n2 / (n2 + n1 psi) = alpha puts the upper
+        # endpoint at log psi = log(n2 (1 - alpha) / (n1 alpha))
+        confidence = 1.0 - 2.0 ** -52
+        alpha = 0.5 * (1.0 - confidence)
+        _, upper = O.fisher_exact_intervals(0, 1, 1, 10 ** 5, confidence)
+        assert math.log(upper) == pytest.approx(  # 48.2: inside
+            math.log(1e5 * (1.0 - alpha) / alpha), abs=1e-8)
+        with pytest.raises(RuntimeError, match=(  # 50.6: outside
+                r"Fisher upper endpoint at n1=1, n2=1000000, "
+                r"\(x1, x2\) = \(0, 1\): no tail root in \[-50, 50\]")):
+            O.fisher_exact_intervals(0, 1, 1, 10 ** 6, confidence)
+
     def test_batch_rejects_counts_out_of_range(self):
         with pytest.raises(ValueError):
             O.fisher_exact_intervals([3, 7], [2, 2], 6, 9)
@@ -260,6 +328,20 @@ class TestExactCoverage:
         got = O.coverage_fisher(N1, N2, 1.0, 0.5, 0.5, 0.95)
         assert got == pytest.approx(0.9753816989626016, abs=1e-12)
         assert got >= 0.95
+
+    def test_coverage_table_computes_each_cells_masses_once(self):
+        O._cell_log_masses.cache_clear()
+        rows = O.coverage_table(N1, N2, O.COVERAGE_CELLS[:3])
+        info = O._cell_log_masses.cache_info()
+        assert (info.misses, info.hits) == (3, 3 * (len(rows) // 3 - 1))
+        for r in rows[:8]:  # each from freshly computed masses
+            O._cell_log_masses.cache_clear()
+            want = (O.coverage_z(N1, N2, r.or_true, r.p1, r.p2, r.c,
+                                 r.equal_sign)
+                    if r.method == "z-standard" else
+                    O.coverage_fisher(N1, N2, r.or_true, r.p1, r.p2,
+                                      O.z_confidence(O.Z_95)))
+            assert r.coverage == want
 
     def test_coverage_table_shape(self):
         rows = O.coverage_table(6, 8, ((1.0, 0.5, 0.5),),
