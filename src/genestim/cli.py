@@ -13,6 +13,7 @@ if __name__ == "__main__":
     from ._entry import pin_blas
     pin_blas()  # before NumPy loads; see _entry
 
+import argparse
 import contextlib
 import itertools
 import json
@@ -20,7 +21,6 @@ import math
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__
@@ -87,7 +87,7 @@ def _fail_numeric(err: Exception, out_dir: Path):
     payload = {"error": type(err).__name__, "message": str(err)}
     with contextlib.suppress(OSError):
         _write_json(out_dir / "error.json", payload)
-    click.echo(json.dumps(payload), err=True)
+    print(json.dumps(payload), file=sys.stderr)
     sys.exit(EXIT_NUMERIC)
 
 
@@ -106,69 +106,85 @@ def _interval_payload(res: intervals.IntervalResult) -> dict:
     }
 
 
-@click.group()
-def main():
-    """Generalized-estimation toolkit experiments."""
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
-@main.command("binom-curves")
-@click.option("--n", type=int, required=True)
-@click.option("--y", type=int, required=True)
-@click.option("--grid-points", type=int, default=512, show_default=True)
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
+SIZE = _at_least(1)
+COMMANDS = {}  # command name -> (function, its options)
+
+
+def command(name: str, *options):
+    """Register a command; each option is ``(flags, add_argument kwargs)``."""
+    def register(fn):
+        COMMANDS[name] = fn, options
+        return fn
+    return register
+
+
+def opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+OUT_DIR = opt("--out-dir", type=Path, default=Path("."))
+
+
+@command("binom-curves",
+         opt("--n", type=SIZE, required=True),
+         opt("--y", type=int, required=True),
+         opt("--grid-points", type=_at_least(2), default=512), OUT_DIR)
 def binom_curves(n, y, grid_points, out_dir):
     """Per-outcome standardized-score and LLR curve data."""
     if not 0 <= y <= n:
-        raise click.BadParameter("y must lie in 0..n")
+        raise argparse.ArgumentError(None, "y must lie in 0..n")
     man = _manifest("binom-curves",
                     {"n": n, "y": y, "grid_points": grid_points}, out_dir)
-    try:
-        fam = families.bernoulli_sum(n)
-        grid = np.linspace(1e-4, 1 - 1e-4, grid_points)
-        header = ["y", "p", "value", "realized", "slope_sign"]
-        for kind, curves in (("score", intervals.score_curves),
-                             ("llr", intervals.llr_curves)):
-            _write_csv(out_dir / f"{kind}_curves.csv", man, header,
-                       intervals.curves_to_rows(curves(fam, grid), y))
-    except (ValueError, RuntimeError) as err:
-        _fail_numeric(err, out_dir)
-    click.echo(f"wrote curve data for n={n}, y={y} to {out_dir}")
+    fam = families.bernoulli_sum(n)
+    grid = np.linspace(1e-4, 1 - 1e-4, grid_points)
+    header = ["y", "p", "value", "realized", "slope_sign"]
+    for kind, curves in (("score", intervals.score_curves),
+                         ("llr", intervals.llr_curves)):
+        _write_csv(out_dir / f"{kind}_curves.csv", man, header,
+                   intervals.curves_to_rows(curves(fam, grid), y))
+    print(f"wrote curve data for n={n}, y={y} to {out_dir}")
 
 
-@main.command("binom-ci")
-@click.option("--n", type=int, required=True)
-@click.option("--y", type=int, required=True)
-@click.option("--z", type=float, default=2.0, show_default=True)
-@click.option("--side", type=click.Choice(["two-sided", "lower-only",
-                                           "upper-only"]),
-              default="two-sided", show_default=True)
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
+@command("binom-ci",
+         opt("--n", type=SIZE, required=True),
+         opt("--y", type=int, required=True),
+         opt("--z", type=float, default=2.0),
+         opt("--side", choices=["two-sided", "lower-only", "upper-only"],
+             default="two-sided"), OUT_DIR)
 def binom_ci(n, y, z, side, out_dir):
     """z-standard-deviation interval for the binomial proportion."""
     if not 0 <= y <= n:
-        raise click.BadParameter("y must lie in 0..n")
+        raise argparse.ArgumentError(None, "y must lie in 0..n")
     man = _manifest("binom-ci", {"n": n, "y": y, "z": z, "side": side},
                     out_dir)
-    try:
-        res = intervals.ci_z(families.bernoulli_sum(n), y, z, side)
-    except (ValueError, RuntimeError) as err:
-        _fail_numeric(err, out_dir)
+    res = intervals.ci_z(families.bernoulli_sum(n), y, z, side)
     payload = _interval_payload(res)
     _write_json(out_dir / "interval.json", {**payload, "manifest": man})
-    click.echo(json.dumps(payload))
+    print(json.dumps(payload))
 
 
-@main.command("info-report")
-@click.option("--n", type=int, default=20, show_default=True)
-@click.option("--p", type=float, multiple=True,
-              default=(0.1, 0.3, 0.5, 0.7, 0.9), show_default=True)
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
+@command("info-report",
+         opt("--n", type=SIZE, default=20),
+         opt("--p", type=float, action="append",
+             help="repeatable (default: 0.1 0.3 0.5 0.7 0.9)"), OUT_DIR)
 def info_report(n, p, out_dir):
     """Information/efficiency table for the binomial estimator suite.
 
     A row that fails numerically is left out with a ``[skip]`` line; the
     command fails only when every row does.
     """
+    p = p or (0.1, 0.3, 0.5, 0.7, 0.9)
     man = _manifest("info-report", {"n": n, "p": list(p)}, out_dir)
     engine = families.ExpectationEngine(mode="exact")
     suite = estimation.bernoulli_suite(n, engine)
@@ -180,8 +196,8 @@ def info_report(n, p, out_dir):
                 rep = estimation.information(engine, fam, est, [point])
             except (ValueError, RuntimeError) as err:
                 last_err = err
-                click.echo(f"[skip] {est.label} at p={point} "
-                           f"({type(err).__name__}: {err})")
+                print(f"[skip] {est.label} at p={point} "
+                      f"({type(err).__name__}: {err})")
                 continue
             rows.append((est.label, point, rep.lambda_scalar,
                          float(rep.fisher_bound[0, 0]),
@@ -191,29 +207,24 @@ def info_report(n, p, out_dir):
     _write_csv(out_dir / "info_report.csv", man,
                ["estimator", "p", "lambda", "fisher_bound", "efficiency",
                 "R"], rows)
-    click.echo(f"wrote info_report.csv ({len(rows)} rows)")
+    print(f"wrote info_report.csv ({len(rows)} rows)")
 
 
-@main.command("zeta-lab")
-@click.option("--family", "data_family",
-              type=click.Choice(["normal", "t3"]), default="normal",
-              show_default=True)
-@click.option("--n", type=int, default=10, show_default=True)
-@click.option("--reps", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
+@command("zeta-lab",
+         opt("--family", dest="data_family", choices=["normal", "t3"],
+             default="normal"),
+         opt("--n", type=SIZE, default=10),
+         opt("--reps", type=int, default=100_000),
+         opt("--seed", type=int, default=0), OUT_DIR)
 def zeta_lab(data_family, n, reps, seed, out_dir):
     """Location-estimator comparison: efficiencies and tail-depth curves."""
     overlays = (7, 9) if data_family == "normal" else (15, 17)
     rescale = () if data_family == "normal" else (1.50 ** -0.5, 1.78 ** -0.5)
-    try:
-        config = location.McRunConfig(data_family=data_family, n=n, reps=reps,
-                                      seed=seed, n_overlays=overlays,
-                                      rescale=rescale)
-        man = _manifest("zeta-lab", config.to_dict(), out_dir)
-        result = location.run_comparison(config)
-    except (ValueError, RuntimeError) as err:
-        _fail_numeric(err, out_dir)
+    config = location.McRunConfig(data_family=data_family, n=n, reps=reps,
+                                  seed=seed, n_overlays=overlays,
+                                  rescale=rescale)
+    man = _manifest("zeta-lab", config.to_dict(), out_dir)
+    result = location.run_comparison(config)
     eff_rows = [
         (label, data_family, eff, se, result.var_ratio.get(label, 1.0))
         for label, (eff, se) in result.efficiency.items()]
@@ -229,88 +240,72 @@ def zeta_lab(data_family, n, reps, seed, out_dir):
                                  curve.reference_zeta, curve.comparison_zeta)]
     _write_csv(out_dir / "zeta_curves.csv", man,
                ["curve_label", "prob", "ref_zeta", "comp_zeta"], rows)
-    click.echo(f"wrote efficiency.csv and zeta_curves.csv to {out_dir}")
+    print(f"wrote efficiency.csv and zeta_curves.csv to {out_dir}")
 
 
-@main.command("or-interval")
-@click.option("--n1", type=int, required=True)
-@click.option("--n2", type=int, required=True)
-@click.option("--x1", type=int, required=True)
-@click.option("--x2", type=int, required=True)
-@click.option("--z", type=float, default=oddsratio.Z_95, show_default=True)
-@click.option("--c", type=float, default=0.0, show_default=True)
-@click.option("--nuisance-value", type=float, default=None,
-              help="fixed nuisance value instead of the (plus-c) profile")
-@click.option("--open-interval", is_flag=True,
-              help="use the strict (without '=') convention")
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
+@command("or-interval",
+         opt("--n1", type=SIZE, required=True),
+         opt("--n2", type=SIZE, required=True),
+         opt("--x1", type=int, required=True),
+         opt("--x2", type=int, required=True),
+         opt("--z", type=float, default=oddsratio.Z_95),
+         opt("--c", type=float, default=0.0),
+         opt("--nuisance-value", type=float,
+             help="fixed nuisance value instead of the (plus-c) profile"),
+         opt("--open-interval", action="store_true",
+             help="use the strict (without '=') convention"), OUT_DIR)
 def or_interval(n1, n2, x1, x2, z, c, nuisance_value, open_interval, out_dir):
     """z-standard and exact intervals for the log odds ratio."""
     man = _manifest("or-interval",
                     {"n1": n1, "n2": n2, "x1": x1, "x2": x2, "z": z, "c": c,
                      "nuisance_value": nuisance_value,
                      "open_interval": open_interval}, out_dir)
-    try:
-        data = oddsratio.TwoBinomialData(x1, x2, n1, n2)
-        if nuisance_value is not None:
-            rule = oddsratio.NuisanceRule("fixed-value", value=nuisance_value)
-        else:
-            rule = oddsratio.NuisanceRule("plus-c", c=c)
-        zres = oddsratio.z_interval(data, z, rule,
-                                    equal_sign=not open_interval)
-        fres = oddsratio.fisher_exact_interval(data,
-                                               oddsratio.z_confidence(z))
-    except (ValueError, RuntimeError) as err:
-        _fail_numeric(err, out_dir)
+    data = oddsratio.TwoBinomialData(x1, x2, n1, n2)
+    if nuisance_value is not None:
+        rule = oddsratio.NuisanceRule("fixed-value", value=nuisance_value)
+    else:
+        rule = oddsratio.NuisanceRule("plus-c", c=c)
+    zres = oddsratio.z_interval(data, z, rule, equal_sign=not open_interval)
+    fres = oddsratio.fisher_exact_interval(data, oddsratio.z_confidence(z))
     payload = {"z_interval_log_or": _interval_payload(zres),
                "fisher_exact_odds_ratio": _interval_payload(fres)}
     _write_json(out_dir / "interval.json", {"manifest": man, **payload})
-    click.echo(json.dumps(payload))
+    print(json.dumps(payload))
 
 
-@main.command("or-coverage")
-@click.option("--n1", type=int, default=20, show_default=True)
-@click.option("--n2", type=int, default=30, show_default=True)
-@click.option("--z", type=float, default=oddsratio.Z_95, show_default=True)
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
+@command("or-coverage",
+         opt("--n1", type=SIZE, default=20),
+         opt("--n2", type=SIZE, default=30),
+         opt("--z", type=float, default=oddsratio.Z_95), OUT_DIR)
 def or_coverage(n1, n2, z, out_dir):
     """Exact coverage table over the standard parameter cells."""
     man = _manifest("or-coverage", {"n1": n1, "n2": n2, "z": z}, out_dir)
-    try:
-        cells = oddsratio.coverage_table(n1, n2, oddsratio.COVERAGE_CELLS,
-                                         z=z)
-    except (ValueError, RuntimeError) as err:
-        _fail_numeric(err, out_dir)
+    cells = oddsratio.coverage_table(n1, n2, oddsratio.COVERAGE_CELLS, z=z)
     rows = [(c.or_true, c.p1, c.p2, c.c, int(c.equal_sign), c.method,
              c.coverage) for c in cells]
     _write_csv(out_dir / "coverage.csv", man,
                ["or", "p1", "p2", "c", "equal_sign", "method", "coverage"],
                rows)
-    click.echo(f"wrote coverage.csv ({len(rows)} rows)")
+    print(f"wrote coverage.csv ({len(rows)} rows)")
 
 
-@main.command("or-endpoint-tails")
-@click.option("--n1", type=int, default=20, show_default=True)
-@click.option("--n2", type=int, default=30, show_default=True)
-@click.option("--level", type=float, default=0.95, show_default=True)
-@click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."))
+@command("or-endpoint-tails",
+         opt("--n1", type=SIZE, default=20),
+         opt("--n2", type=SIZE, default=30),
+         opt("--level", type=float, default=0.95), OUT_DIR)
 def or_endpoint_tails(n1, n2, level, out_dir):
     """Score-test tails at the exact-interval endpoints, all interior cells."""
     man = _manifest("or-endpoint-tails",
                     {"n1": n1, "n2": n2, "level": level}, out_dir)
-    try:
-        rows = oddsratio.fisher_endpoint_tails(n1, n2, level)
-    except (ValueError, RuntimeError) as err:
-        _fail_numeric(err, out_dir)
+    rows = oddsratio.fisher_endpoint_tails(n1, n2, level)
     _write_csv(out_dir / "endpoint_tails.csv", man,
                ["x1", "x2", "left_tail", "right_tail"], rows)
     n_over = sum(1 for r in rows if max(r[2], r[3]) > 0.025)
-    click.echo(f"wrote endpoint_tails.csv ({len(rows)} cells, "
-               f"{n_over} with a tail above 0.025)")
+    print(f"wrote endpoint_tails.csv ({len(rows)} cells, "
+          f"{n_over} with a tail above 0.025)")
 
 
-@main.command("verify")
-@click.option("--n", type=int, default=20, show_default=True)
+@command("verify", opt("--n", type=SIZE, default=20))
 def verify(n):
     """Run the module-level invariant suites; nonzero exit on failure."""
     engine = families.ExpectationEngine(mode="exact")
@@ -329,7 +324,7 @@ def verify(n):
             ok, text = bool(passed(value)), detail(value) if detail else ""
         checks.append(ok)
         mark = "PASS" if ok else "FAIL"
-        click.echo(f"[{mark}] {name}" + (f" ({text})" if text else ""))
+        print(f"[{mark}] {name}" + (f" ({text})" if text else ""))
 
     def score_moment(p, H):
         return float(engine.expect_rows(fam, [p], H)[0])
@@ -418,9 +413,38 @@ def verify(n):
           lambda w: w < 1e-10, lambda w: f"max |error| = {w:.2e}")
 
     if not all(checks):
-        sys.exit(1)
-    click.echo("all checks passed")
+        return 1
+    print("all checks passed")
 
+
+def main(args=None, prog_name: str = "genestim"):
+    """Parse ``args`` (default ``sys.argv[1:]``), run the command and exit
+    with its status: 1 for a failed check, 2 for a usage error and 3 for a
+    numeric failure."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name, description="Generalized-estimation toolkit "
+        "experiments.")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                required=True)
+    for name, (fn, options) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=fn.__doc__.splitlines()[0],
+                             description=fn.__doc__, allow_abbrev=False)
+        for flags, kwargs in options:
+            cmd.add_argument(*flags, **kwargs)
+        cmd.set_defaults(run=fn)
+    opts = vars(parser.parse_args(args))
+    name, run = opts.pop("command"), opts.pop("run")
+    try:
+        status = run(**opts)
+    except argparse.ArgumentError as err:  # arguments that do not fit
+        sub.choices[name].error(str(err))
+    except (ValueError, RuntimeError) as err:  # verify catches its own
+        _fail_numeric(err, opts["out_dir"])
+    sys.exit(status)
+
+
+# perfbench/trace_runner.py enters through cli.main.main(args=, prog_name=)
+main.main = main
 
 if __name__ == "__main__":
     main()

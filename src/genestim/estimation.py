@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +42,7 @@ class EstimatorError(RuntimeError):
     """Degenerate variance or other estimator-contract failure."""
 
 
-@dataclass(frozen=True)
-class PreEstimator:
+class PreEstimator(NamedTuple):
     """Candidate estimating function, not yet mean-zero / orthogonal.
 
     Give ``rows``, or a per-outcome ``f`` whose values are stacked.
@@ -55,8 +53,7 @@ class PreEstimator:
     rows: Optional[Callable] = None  # (Y, point) -> (N, k)
 
 
-@dataclass(frozen=True)
-class GeneralizedEstimator:
+class GeneralizedEstimator(NamedTuple):
     """Mean-zero (and nuisance-orthogonal) estimating function.
 
     Give ``rows``, or a per-outcome ``g`` whose values are stacked.
@@ -84,8 +81,7 @@ def estimator_rows(g, Y, point) -> np.ndarray:
     return stack_rows(lambda y: one(y, point), Y)
 
 
-@dataclass(frozen=True)
-class InformationReport:
+class InformationReport(NamedTuple):
     """Information, bound, efficiency and score correlation at one point."""
 
     Lambda: np.ndarray
@@ -358,8 +354,7 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
     return engine.expect_rows(family, point, H).reshape(k, k)
 
 
-@dataclass
-class ScalingRow:
+class ScalingRow(NamedTuple):
     n: int
     Lambda: np.ndarray
     ratio: Optional[float]  # Lambda(n) / (n * Lambda(1)), trace-based
@@ -418,13 +413,13 @@ def corr_sq_with_se(a, b, blocks: int):
     return r * r, 2.0 * abs(r) * se_r
 
 
-@dataclass
 class EstimatorRegistry:
     """Write-once store of labelled estimators, with the family they are
     defined on when there is one."""
 
-    _entries: dict = field(default_factory=dict)
-    family: Optional[ModelFamily] = None
+    def __init__(self, family: Optional[ModelFamily] = None):
+        self._entries = {}
+        self.family = family
 
     def register(self, est: GeneralizedEstimator):
         if est.label in self._entries:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,15 +36,18 @@ class EngineError(RuntimeError):
     """Expectation engine misuse (e.g. Monte Carlo without a sampler)."""
 
 
-@dataclass(frozen=True)
-class SupportDescriptor:
-    """Sample-space description: explicit outcome list or a sampler."""
-
+class _Support(NamedTuple):
     kind: str  # "finite-discrete" | "continuous"
     outcomes: Optional[np.ndarray] = None  # (N,) or (N, d) for finite supports
     sampler: Optional[Callable] = None  # (rng, point, size) -> array
 
-    def __post_init__(self):
+
+class SupportDescriptor(_Support):
+    """Sample-space description: explicit outcome list or a sampler."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("finite-discrete", "continuous"):
             raise ValueError(f"unknown support kind {self.kind!r}")
         if self.kind == "finite-discrete":
@@ -58,16 +60,10 @@ class SupportDescriptor:
             srt = flat[np.lexsort(flat.T[::-1])]
             if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
                 raise ValueError("duplicate outcomes in finite support")
+        return self
 
 
-@dataclass(frozen=True)
-class ModelFamily:
-    """A parameterized family of distributions on a common support.
-
-    The model is its two row callables over an outcome array Y, (N,) or
-    (N, d); a single outcome is the one-row case (:func:`one_row`).
-    """
-
+class _Family(NamedTuple):
     label: str
     support: SupportDescriptor
     dim_interest: int
@@ -75,7 +71,20 @@ class ModelFamily:
     in_domain: Callable[[np.ndarray], bool]
     log_density_rows: Callable  # (Y, point) -> (N,)
     score_rows: Callable  # (Y, point) -> (N, k + k')
-    meta: dict = field(default_factory=dict)
+    meta: Optional[dict] = None  # a fresh {} when not given
+
+
+class ModelFamily(_Family):
+    """A parameterized family of distributions on a common support.
+
+    The model is its two row callables over an outcome array Y, (N,) or
+    (N, d); a single outcome is the one-row case (:func:`one_row`).
+    """
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.meta is not None else self._replace(meta={})
 
     @property
     def dim(self) -> int:
@@ -91,17 +100,21 @@ class ModelFamily:
         return point
 
 
-@dataclass(frozen=True)
-class ExpectationEngine:
-    """Evaluates expectations exactly (finite support) or by Monte Carlo."""
-
+class _Engine(NamedTuple):
     mode: str = "exact"  # "exact" | "mc"
     replications: int = 10_000
     seed: int = 0
 
-    def __post_init__(self):
+
+class ExpectationEngine(_Engine):
+    """Evaluates expectations exactly (finite support) or by Monte Carlo."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("exact", "mc"):
             raise ValueError(f"unknown engine mode {self.mode!r}")
+        return self
 
     def expect(self, family: ModelFamily, point, h):
         value, _ = self.expect_se(family, point, h)
@@ -176,8 +189,7 @@ def score_rows(family: ModelFamily, Y, point) -> np.ndarray:
     return family.score_rows(Y, family.check_point(point))
 
 
-@dataclass(frozen=True)
-class FisherInfo:
+class FisherInfo(NamedTuple):
     """Score covariance blocks partitioned by interest/nuisance."""
 
     I: np.ndarray  # noqa: E741 - matches the standard symbol

@@ -8,8 +8,7 @@ distributions, and exact tail-based (Clopper-Pearson 1934) endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,26 +19,27 @@ DEFAULT_GRID = np.linspace(1e-4, 1.0 - 1e-4, 512)
 LOGIT_BOUND = 700.0  # exact endpoints lie in [expit(-700), expit(700)]
 
 
-@dataclass(frozen=True)
-class CurveGrid:
-    """Per-outcome curves of a statistic over a parameter grid."""
-
+class _Curves(NamedTuple):
     parameter_grid: np.ndarray  # strictly increasing, interior
     values: np.ndarray  # (outcomes, grid)
     realized_row: Optional[int] = None
     kind: str = "score"
 
-    def __post_init__(self):
+
+class CurveGrid(_Curves):
+    """Per-outcome curves of a statistic over a parameter grid."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if np.any(np.diff(self.parameter_grid) <= 0):
             raise ValueError("parameter grid must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("curve values must be finite")
+        return self
 
 
-@dataclass(frozen=True)
-class IntervalResult:
-    """Confidence set endpoints with open/closed and boundary markers."""
-
+class _Interval(NamedTuple):
     lower: float
     upper: float
     closed_lower: bool = True
@@ -49,9 +49,16 @@ class IntervalResult:
     boundary_note: Optional[str] = None
     empty: bool = False
 
-    def __post_init__(self):
+
+class IntervalResult(_Interval):
+    """Confidence set endpoints with open/closed and boundary markers."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.empty and self.lower > self.upper:
             raise ValueError("interval endpoints out of order")
+        return self
 
     def contains(self, value: float) -> bool:
         if self.empty:

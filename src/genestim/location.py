@@ -9,8 +9,7 @@ built from the signed log2 tail-area score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,8 +24,7 @@ class McRunError(RuntimeError):
     """Replication failure rate above the abort threshold."""
 
 
-@dataclass(frozen=True)
-class McRunConfig:
+class _McRun(NamedTuple):
     data_family: str = "normal"  # "normal" | "t3"
     n: int = 10
     reps: int = 100_000
@@ -36,9 +34,16 @@ class McRunConfig:
     n_overlays: tuple = ()  # extra sample sizes for mean overlays
     blocks: int = 100
 
-    def __post_init__(self):
+
+class McRunConfig(_McRun):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.data_family not in ("normal", "t3"):
             raise ValueError(f"unknown data family {self.data_family!r}")
+        if self.n < 1:
+            raise ValueError(f"sample size must be at least 1, got {self.n}")
         if self.reps < 1000:
             raise ValueError("need at least 1000 replications for "
                              "stable efficiency estimates")
@@ -47,6 +52,7 @@ class McRunConfig:
         unknown = set(self.estimators) - set(DEFAULT_ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
+        return self
 
     def to_dict(self):
         return {
@@ -58,21 +64,19 @@ class McRunConfig:
         }
 
 
-@dataclass
-class ZetaCurve:
+class ZetaCurve(NamedTuple):
     estimator_label: str
     reference_quantile_probs: np.ndarray
     reference_zeta: np.ndarray
     comparison_zeta: np.ndarray
 
 
-@dataclass
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     config: McRunConfig
-    archives: dict = field(default_factory=dict)  # label -> (reps,) values
-    efficiency: dict = field(default_factory=dict)  # label -> (eff, se)
-    var_ratio: dict = field(default_factory=dict)  # label -> Var(mean)/Var(g)
-    failures: int = 0
+    archives: dict  # label -> (reps,) values
+    efficiency: dict  # label -> (eff, se)
+    var_ratio: dict  # label -> Var(mean)/Var(g)
+    failures: int
 
 
 def zeta(tail_area_low: float, tail_area_high: float) -> float:
@@ -175,16 +179,15 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     if failures > 0.001 * config.reps:
         raise McRunError(f"{failures} t3-MLE failures out of {config.reps}")
 
-    result = ComparisonResult(config=config, archives=archives,
-                              failures=failures)
-    for label in config.estimators:
-        result.efficiency[label] = corr_sq_with_se(
-            score_vals, archives[label], config.blocks)
+    efficiency = {label: corr_sq_with_se(score_vals, archives[label],
+                                         config.blocks)
+                  for label in config.estimators}
+    var_ratio = {}
     if "mean" in archives:
         vm = archives["mean"].var(ddof=1)
-        for label in config.estimators:
-            result.var_ratio[label] = float(vm / archives[label].var(ddof=1))
-    return result
+        var_ratio = {label: float(vm / archives[label].var(ddof=1))
+                     for label in config.estimators}
+    return ComparisonResult(config, archives, efficiency, var_ratio, failures)
 
 
 def empirical_tails(archive, points):

@@ -10,8 +10,8 @@ probability sums are exact enumerations over the (n1+1) x (n2+1) grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,22 +41,26 @@ class InfeasibleNuisance(ValueError):
     """Nuisance value outside (0, n1+n2): no (p1, p2) exists."""
 
 
-@dataclass(frozen=True)
-class TwoBinomialData:
+class _Counts(NamedTuple):
     x1: int
     x2: int
     n1: int
     n2: int
 
-    def __post_init__(self):
+
+class TwoBinomialData(_Counts):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n1 <= 0 or self.n2 <= 0:
             raise ValueError("sample sizes must be positive")
         if not (0 <= self.x1 <= self.n1 and 0 <= self.x2 <= self.n2):
             raise ValueError("counts out of range")
+        return self
 
 
-@dataclass(frozen=True)
-class NuisanceRule:
+class NuisanceRule(NamedTuple):
     """How the nuisance value is chosen when evaluating the score."""
 
     kind: str = "profiled"  # "profiled" | "plus-c" | "fixed-value"
@@ -282,8 +286,7 @@ def fisher_exact_interval(data: TwoBinomialData,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverageCell:
+class CoverageCell(NamedTuple):
     or_true: float
     p1: float
     p2: float

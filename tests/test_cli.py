@@ -1,23 +1,53 @@
 """Command-line front end: artifacts, manifests, determinism, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import genestim
 from genestim import cli
 from genestim.cli import main
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # standard output only
+    exception: Optional[BaseException]  # None on exit status 0
+
+
+class Runner:
+    """Runs a command line in process, as a shell would see it."""
+
+    def invoke(self, entry, args):
+        """``entry(args)`` with stdout captured: its exit status, output
+        and the exception that ended it (a nonzero SystemExit included)."""
+        out = io.StringIO()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out):
+            try:
+                entry(args)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else (
+                    0 if exc.code is None else 1)
+                exception = exc if code else None
+            except Exception as exc:  # a traceback in a real run
+                code, exception = 1, exc
+        return Result(code, out.getvalue(), exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def _manifest_line(path):
@@ -85,6 +115,41 @@ def test_cli_main_runs_blas_on_one_thread(tmp_path, launch):
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "1"
     assert (tmp_path / "interval.json").exists()
+
+
+def test_import_loads_no_click_or_dataclasses():
+    # argparse and NamedTuple records: importing the CLI costs NumPy and the
+    # standard library, and still loads every library module up front
+    env = _subprocess_env()
+    library = [f"genestim.{name}" for name in ("families", "estimation",
+                                               "intervals", "location",
+                                               "oddsratio")]
+    names = ["click", "dataclasses"] + library
+    code = ("import sys, genestim.cli; "
+            f"print([m for m in {names!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == str(library)
+
+
+def _trace_runner():
+    path = (Path(__file__).resolve().parents[1] / "perfbench"
+            / "trace_runner.py")
+    spec = importlib.util.spec_from_file_location("trace_runner", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_runner_passes_on_the_exit_status(tmp_path, capsys):
+    # the tracer enters the CLI through cli.main.main(args=, prog_name=)
+    run_cli = _trace_runner()._run_cli
+    assert run_cli(["binom-ci", "--n", "20", "--y", "6",
+                    "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "interval.json").exists()
+    assert run_cli(["binom-ci", "--n", "0", "--y", "0",
+                    "--out-dir", str(tmp_path)]) == 2
+    assert "usage: genestim binom-ci" in capsys.readouterr().err
 
 
 def test_console_script_is_the_pinning_entry():
@@ -199,6 +264,35 @@ class TestBinomCurves:
         res = runner.invoke(main, ["binom-curves", "--n", "10", "--y", "11",
                                    "--out-dir", str(tmp_path)])
         assert res.exit_code != 0
+
+
+# command lines whose sizes are out of range, and the option to blame
+BAD_SIZES = {
+    "info-report n=0": (["info-report", "--n", "0"], "--n"),
+    "verify n=0": (["verify", "--n", "0"], "--n"),
+    "zeta-lab n=0": (["zeta-lab", "--n", "0"], "--n"),
+    "binom-curves grid=1": (["binom-curves", "--n", "5", "--y", "1",
+                             "--grid-points", "1"], "--grid-points"),
+    "binom-curves grid=0": (["binom-curves", "--n", "5", "--y", "1",
+                             "--grid-points", "0"], "--grid-points"),
+    "or-coverage n1=0": (["or-coverage", "--n1", "0"], "--n1"),
+    "binom-ci n=-3": (["binom-ci", "--n", "-3", "--y", "0"], "--n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIZES))
+def test_out_of_range_size_is_a_usage_error(runner, tmp_path, capsys, case):
+    args, option = BAD_SIZES[case]
+    out_dir = tmp_path / "out"
+    if args[0] != "verify":
+        args = args + ["--out-dir", str(out_dir)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: genestim {args[0]}")
+    assert f"error: argument {option}: must be at least" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()  # rejected before anything is written
 
 
 class TestBinomCi:

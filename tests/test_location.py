@@ -66,6 +66,8 @@ class TestConfig:
             L.McRunConfig(reps=10)
         with pytest.raises(ValueError):
             L.McRunConfig(rescale=(0.0,))
+        with pytest.raises(ValueError, match="sample size"):
+            L.McRunConfig(n=0)
 
     def test_to_dict_round_trips_the_fields(self):
         cfg = L.McRunConfig(data_family="t3", n=7, reps=2000, seed=3,
