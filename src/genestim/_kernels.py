@@ -1,11 +1,12 @@
 """The hot numerical kernels, batched in NumPy.
 
-Profile-root inversion of the two-binomial nuisance equation, the
-standardized log-odds-ratio score, its z-interval in p1, the t3 location
-MLE and exact one-sided tail inversion, each on whole arrays of rows at
-once, with one implementation.  Every two-binomial root is bracketed by
-``_p1_range``, the clipped feasible p1 range at a nuisance value, or by
-a fixed bracket, and halved by ``_bisect``.
+Inversion of the two-binomial nuisance equation, the standardized
+log-odds-ratio score, its z-interval in p1, the t3 location MLE and exact
+one-sided tail inversion, each on whole arrays of rows at once, with one
+implementation.  Every two-binomial root lies in ``_p1_range``, the
+clipped feasible p1 range at a nuisance value: p1 at (theta, nuisance)
+is a closed-form quadratic root, and the z-interval edges are halved by
+``_bisect``.
 """
 
 from __future__ import annotations
@@ -60,25 +61,28 @@ def _logit(p):
     return np.log(p / (1.0 - p))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def invert_p1_batch(theta, tnuis, n1, n2):
     """Solve n1*p1 + n2*expit(logit(p1) - theta) = tnuis for p1, elementwise.
 
-    ``theta`` and ``tnuis`` broadcast against each other.  The map is
-    strictly increasing in p1 on the feasible range (:func:`_p1_range`),
-    so plain bisection is reliable.  Entries with tnuis outside
-    (0, n1+n2) come back as NaN.
+    ``theta`` and ``tnuis`` broadcast.  Times (p1 + e^theta (1 - p1)) r it
+    is a p1^2 + b p1 + c = 0, the fitted 2 x 2 cell at given margins and
+    odds ratio (Breslow & Day 1980), where s = expit(theta), r = 1 - s,
+    a = n1 (r - s), b = (n1 + tnuis) s + (n2 - tnuis) r and c = -tnuis s.
+    Its root in (0, 1) is c/q if b >= 0, else q/a: q = -(b + sign(b) d)/2,
+    d^2 = ((n1 - tnuis) s - (n2 - tnuis) r)^2 + 4 n1 n2 r s (no cancellation),
+    clipped to :func:`_p1_range`; NaN where tnuis is outside (0, n1+n2).
     """
-    theta = np.asarray(theta, dtype=float)
-    tnuis = np.asarray(tnuis, dtype=float)
-    theta, tnuis = np.broadcast_arrays(theta, tnuis)
+    theta, tnuis = np.asarray(theta, float), np.asarray(tnuis, float)
     lo, hi, ok = _p1_range(tnuis, n1, n2)
-
-    def low(p1):
-        return n1 * p1 + n2 * _expit(_logit(p1) - theta) - tnuis < 0.0
-
-    a, b = _bisect(low, np.where(ok, lo, 0.25), np.where(ok, hi, 0.75),
-                   BISECT_ITERS)
-    return np.where(ok, 0.5 * (a + b), np.nan)
+    e = np.exp(-np.abs(theta))  # so s and r keep their relative precision
+    s = np.where(theta >= 0.0, 1.0, e) / (1.0 + e)
+    r = np.where(theta >= 0.0, e, 1.0) / (1.0 + e)
+    b = (n1 + tnuis) * s + (n2 - tnuis) * r
+    q = 0.5 * (np.abs(b) + np.sqrt(((n1 - tnuis) * s - (n2 - tnuis) * r) ** 2
+                                   + 4.0 * n1 * n2 * r * s))  # |q|
+    p1 = np.where(b >= 0.0, tnuis * s / q, q / (n1 * (r - s)))
+    return np.where(ok, np.clip(p1, lo, hi), np.nan)
 
 
 def sbar_profiled_batch(x1, x2, n1, n2, p1, p2):

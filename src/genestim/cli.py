@@ -256,6 +256,8 @@ def zeta_lab(data_family, n, reps, seed, out_dir):
              help="use the strict (without '=') convention"), OUT_DIR)
 def or_interval(n1, n2, x1, x2, z, c, nuisance_value, open_interval, out_dir):
     """z-standard and exact intervals for the log odds ratio."""
+    if not (0 <= x1 <= n1 and 0 <= x2 <= n2):
+        raise argparse.ArgumentError(None, "x1, x2 must lie in 0..n1, 0..n2")
     man = _manifest("or-interval",
                     {"n1": n1, "n2": n2, "x1": x1, "x2": x2, "z": z, "c": c,
                      "nuisance_value": nuisance_value,

@@ -36,6 +36,8 @@ DEGENERATE_RATIO = 1e-12
 # a difference step h keeps this many steps of room to the domain's edge
 STENCIL_ROOM = 5e3
 ROUTE_TOL = 1e-6  # route gap allowed, as a share of max(1, max |Lambda|)
+PSD_FLOOR = 1e-12  # smallest eigenvalue allowed, as a share of the largest
+MC_BATCHES = 50  # batches behind the se of a Monte Carlo efficiency
 
 
 class EstimatorError(RuntimeError):
@@ -107,15 +109,15 @@ class InformationReport(NamedTuple):
         }
 
 
-def inv_sqrt_psd(V: np.ndarray, floor_ratio: float = 1e-12) -> np.ndarray:
+def inv_sqrt_psd(V: np.ndarray) -> np.ndarray:
     """Inverse symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues below floor_ratio * max eigenvalue are an error, not
+    Eigenvalues below PSD_FLOOR * max eigenvalue are an error, not
     clamped: a near-singular variance invalidates everything downstream.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     w, U = np.linalg.eigh(0.5 * (V + V.T))
-    if w[-1] <= 0.0 or w[0] < floor_ratio * w[-1]:
+    if w[-1] <= 0.0 or w[0] < PSD_FLOOR * w[-1]:
         raise EstimatorError(
             f"variance matrix not positive definite (eigenvalues {w})")
     return U @ np.diag(w ** -0.5) @ U.T
@@ -378,13 +380,12 @@ def n_scaling_check(family_builder, g_builder, n_list, point,
     return rows
 
 
-def efficiency_mc(family: ModelFamily, g, point, reps: int,
-                  seed: int = 0, batches: int = 50):
+def efficiency_mc(family: ModelFamily, g, point, reps: int, seed: int = 0):
     """Monte Carlo squared correlation between g and the score (k = 1).
 
     Returns (eff, se): eff = corr(s, g)^2 over ``reps`` draws from the
     family at ``point``; the standard error comes from a delta-method
-    combination of batch-level correlation estimates.
+    combination of MC_BATCHES batch-level correlation estimates.
     """
     point = family.check_point(point)
     if family.support.sampler is None:
@@ -395,7 +396,7 @@ def efficiency_mc(family: ModelFamily, g, point, reps: int,
     gv = estimator_rows(g, draws, point)[:, 0]
     if gv.std() == 0.0:
         raise EstimatorError("degenerate sample variance of g")
-    return corr_sq_with_se(sv, gv, batches)
+    return corr_sq_with_se(sv, gv, MC_BATCHES)
 
 
 def corr_sq_with_se(a, b, blocks: int):

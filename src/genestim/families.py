@@ -462,7 +462,7 @@ def two_binomial_params(p1: float, p2: float, n1: int, n2: int):
 
 
 def two_binomial_probs(theta: float, tnuis: float, n1: int, n2: int):
-    """(theta, tnuis) -> (p1, p2), by monotone bisection in p1."""
+    """(theta, tnuis) -> (p1, p2), p1 from :func:`invert_p1_batch`."""
     p1 = float(invert_p1_batch(theta, tnuis, n1, n2))
     if math.isnan(p1):
         raise DomainError(

@@ -204,8 +204,7 @@ def zeta_of_archive(archive, points) -> np.ndarray:
     return np.array([zeta(a, b) for a, b in zip(lo, hi)])
 
 
-def zeta_curves(reference, comparisons: dict,
-                probs=None) -> list:
+def zeta_curves(reference, comparisons: dict) -> list:
     """Tail-depth curves of each archive against the reference archive.
 
     The reference's empirical quantiles at the 99 standard probabilities
@@ -213,8 +212,7 @@ def zeta_curves(reference, comparisons: dict,
     same points through its own empirical cdf (median mass counted in
     both tails).
     """
-    probs = ZETA_PROBS if probs is None else np.asarray(probs)
-    qs = np.quantile(np.asarray(reference, dtype=float), probs)
+    qs = np.quantile(np.asarray(reference, dtype=float), ZETA_PROBS)
     ref_zeta = zeta_of_archive(reference, qs)
     curves = []
     for label, arch in comparisons.items():
@@ -222,7 +220,7 @@ def zeta_curves(reference, comparisons: dict,
         keep = np.isfinite(comp) & np.isfinite(ref_zeta)
         curves.append(ZetaCurve(
             estimator_label=label,
-            reference_quantile_probs=probs[keep],
+            reference_quantile_probs=ZETA_PROBS[keep],
             reference_zeta=ref_zeta[keep],
             comparison_zeta=comp[keep]))
     return curves

@@ -89,6 +89,13 @@ def _plus_c(x1, x2, n1: int, n2: int, c: float):
     return n1 * (x1 + c) / (n1 + 2.0 * c) + n2 * (x2 + c) / (n2 + 2.0 * c)
 
 
+def _sbar_on_line(data: TwoBinomialData, tnuis: float, p1):
+    """sbar of ``data`` at p1 and p2 = (tnuis - n1 p1)/n2: at most one
+    zero, as its numerator strictly decreases in p1."""
+    return sbar_profiled_batch(data.x1, data.x2, data.n1, data.n2, p1,
+                               (tnuis - data.n1 * p1) / data.n2)
+
+
 def profiled_sbar(data: TwoBinomialData, theta: float,
                   rule: NuisanceRule = NuisanceRule()) -> float:
     """Standardized interest score at theta, nuisance fixed by the rule."""
@@ -96,9 +103,8 @@ def profiled_sbar(data: TwoBinomialData, theta: float,
     if not 0.0 < tnuis < data.n1 + data.n2:
         raise InfeasibleNuisance(
             f"nuisance value {tnuis} outside (0, {data.n1 + data.n2})")
-    p1, p2 = two_binomial_probs(theta, tnuis, data.n1, data.n2)
-    return float(sbar_profiled_batch(data.x1, data.x2, data.n1, data.n2,
-                                     p1, p2))
+    p1 = two_binomial_probs(theta, tnuis, data.n1, data.n2)[0]
+    return float(_sbar_on_line(data, tnuis, p1))
 
 
 def log_or(p1, p2):
@@ -132,7 +138,8 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
     the score itself (a dense sign scan is kept as a test oracle);
     endpoints map to theta through the log-odds-ratio.  A rule value at
     0 or n1+n2 (all-boundary data with c = 0) is degenerate: the closed
-    convention gives the whole line, the open one the empty set.
+    convention gives the whole line, the open one the empty set.  sbar of
+    one sign at both range ends means the score root is not bracketed.
     """
     if z <= 0.0:
         raise ValueError("z must be positive")
@@ -150,8 +157,8 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
     if not ok:
         raise InfeasibleNuisance(f"no feasible p1 range at nuisance {tnuis}")
     notes = []
-    if at_lo and at_hi and not np.isfinite(
-            sbar_zero_theta(data, rule, allow_nan=True)):
+    ends = np.array(_p1_range(tnuis, data.n1, data.n2)[:2])
+    if at_lo and at_hi and np.prod(_sbar_on_line(data, tnuis, ends)) > 0.0:
         notes.append("score root not bracketed: whole feasible range")
     if at_lo:
         notes.append("lower endpoint unbounded (boundary of feasible range)")
@@ -163,35 +170,23 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
 
 
 def sbar_zero_theta(data: TwoBinomialData,
-                    rule: NuisanceRule = NuisanceRule(),
-                    allow_nan: bool = False) -> float:
+                    rule: NuisanceRule = NuisanceRule()) -> float:
     """The theta where the profiled score crosses zero (point estimate)."""
     tnuis = rule.resolve(data)
     n1, n2 = data.n1, data.n2
     if rule.kind == "profiled":
         if data.x1 in (0, n1) or data.x2 in (0, n2):
-            if allow_nan:
-                return math.nan
             raise InfeasibleNuisance("boundary data: score root at infinity")
         return float(log_or(data.x1 / n1, data.x2 / n2))
     # generic rules: solve sbar = 0 by bisection in p1
     lo, hi, ok = _p1_range(tnuis, n1, n2)
     if not ok:
-        if allow_nan:
-            return math.nan
         raise InfeasibleNuisance(f"nuisance value {tnuis} infeasible")
-
-    def s_at(p1):
-        return sbar_profiled_batch(data.x1, data.x2, n1, n2, p1,
-                                   (tnuis - n1 * p1) / n2)
-
-    slo, shi = s_at(lo), s_at(hi)
+    slo, shi = _sbar_on_line(data, tnuis, lo), _sbar_on_line(data, tnuis, hi)
     if slo * shi > 0.0:
-        if allow_nan:
-            return math.nan
         raise InfeasibleNuisance("score root not bracketed")
-    a, b = _bisect(lambda p1: (s_at(p1) > 0.0) == (slo > 0.0), lo, hi,
-                   BISECT_ITERS)
+    a, b = _bisect(lambda p1: (_sbar_on_line(data, tnuis, p1) > 0.0)
+                   == (slo > 0.0), lo, hi, BISECT_ITERS)
     p1 = 0.5 * (a + b)
     return float(log_or(p1, (tnuis - n1 * p1) / n2))
 
@@ -389,8 +384,7 @@ def _profile(n1: int, n2: int, theta):
     nuisance t' = 1..n1+n2-1: two arrays of shape theta.shape + (n1+n2-1,).
     """
     tn = np.arange(1, n1 + n2)
-    p1 = invert_p1_batch(np.asarray(theta, dtype=float)[..., None],
-                         tn.astype(float), n1, n2)
+    p1 = invert_p1_batch(np.asarray(theta)[..., None], tn, n1, n2)
     return p1, (tn - n1 * p1) / n2
 
 

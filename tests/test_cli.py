@@ -266,23 +266,34 @@ class TestBinomCurves:
         assert res.exit_code != 0
 
 
-# command lines whose sizes are out of range, and the option to blame
+# command lines whose sizes or counts are out of range, and the message
 BAD_SIZES = {
-    "info-report n=0": (["info-report", "--n", "0"], "--n"),
-    "verify n=0": (["verify", "--n", "0"], "--n"),
-    "zeta-lab n=0": (["zeta-lab", "--n", "0"], "--n"),
+    "info-report n=0": (["info-report", "--n", "0"],
+                        "argument --n: must be at least"),
+    "verify n=0": (["verify", "--n", "0"], "argument --n: must be at least"),
+    "zeta-lab n=0": (["zeta-lab", "--n", "0"],
+                     "argument --n: must be at least"),
     "binom-curves grid=1": (["binom-curves", "--n", "5", "--y", "1",
-                             "--grid-points", "1"], "--grid-points"),
+                             "--grid-points", "1"],
+                            "argument --grid-points: must be at least"),
     "binom-curves grid=0": (["binom-curves", "--n", "5", "--y", "1",
-                             "--grid-points", "0"], "--grid-points"),
-    "or-coverage n1=0": (["or-coverage", "--n1", "0"], "--n1"),
-    "binom-ci n=-3": (["binom-ci", "--n", "-3", "--y", "0"], "--n"),
+                             "--grid-points", "0"],
+                            "argument --grid-points: must be at least"),
+    "or-coverage n1=0": (["or-coverage", "--n1", "0"],
+                         "argument --n1: must be at least"),
+    "binom-ci n=-3": (["binom-ci", "--n", "-3", "--y", "0"],
+                      "argument --n: must be at least"),
+    "binom-ci y=11": (["binom-ci", "--n", "10", "--y", "11"],
+                      "y must lie in 0..n"),
+    "or-interval x1=-1": (["or-interval", "--n1", "5", "--n2", "5",
+                           "--x1", "-1", "--x2", "0"],
+                          "x1, x2 must lie in 0..n1, 0..n2"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SIZES))
 def test_out_of_range_size_is_a_usage_error(runner, tmp_path, capsys, case):
-    args, option = BAD_SIZES[case]
+    args, message = BAD_SIZES[case]
     out_dir = tmp_path / "out"
     if args[0] != "verify":
         args = args + ["--out-dir", str(out_dir)]
@@ -290,7 +301,7 @@ def test_out_of_range_size_is_a_usage_error(runner, tmp_path, capsys, case):
     assert res.exit_code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: genestim {args[0]}")
-    assert f"error: argument {option}: must be at least" in err
+    assert f"error: {message}" in err
     assert "Traceback" not in err
     assert not out_dir.exists()  # rejected before anything is written
 
@@ -424,6 +435,25 @@ class TestOrEndpointTails:
         lines = (tmp_path / "endpoint_tails.csv").read_text().splitlines()
         assert len(lines) == 2 + 5 * 7
         assert "0 with a tail above 0.025" in res.output
+
+    def test_tails_match_the_benchmark_reference(self, runner, tmp_path):
+        # the benchmark's or-study job compares these tails with its
+        # recorded reference at REF_TOL = 1e-9 relative (perfbench/check.py)
+        job = "or-endpoint-tails --n1 10 --n2 15 --level 0.9"
+        path = Path(__file__).resolve().parents[1] / "perfbench"
+        ref = json.loads((path / "reference.json").read_text())[job]
+        res = runner.invoke(main, job.split() + ["--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        lines = (tmp_path / "endpoint_tails.csv").read_text().splitlines()
+        got = {}
+        for line in lines[2:]:
+            x1, x2, left, right = line.split(",")
+            got[f"{x1},{x2}.left"] = float(left)
+            got[f"{x1},{x2}.right"] = float(right)
+        assert set(got) == set(ref)
+        bad = {k: (got[k], want) for k, want in ref.items()
+               if abs(got[k] - want) > 1e-9 * max(1.0, abs(want))}
+        assert not bad
 
 
 class TestVerify:

@@ -323,7 +323,7 @@ class TestFisherInfo:
 
     def test_two_binomial_inverts_each_point_once(self, monkeypatch):
         # every score() starts with a domain check; the check must reuse the
-        # family's memoized inversion rather than redo the p1 bisection for
+        # family's memoized inversion rather than redo the p1 inversion for
         # each of the 21 * 31 outcomes
         calls = []
         inner = F.invert_p1_batch

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,89 @@ def test_invert_p1_solves_the_nuisance_equation():
 def test_invert_p1_degenerate_nuisance_is_nan():
     out = K.invert_p1_batch([0.0, 1.0], [0.0, N1 + N2], N1, N2)
     assert np.isnan(out).all()
+
+
+SHAPES = ((1, 1), (20, 30), (1000, 3), (3, 1000))
+THETAS = (-50.0, -30.0, -20.0, -5.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 5.0,
+          20.0, 30.0, 50.0)
+
+
+def _theta_tnuis_grid(n1, n2):
+    """Every theta against nuisance values at, within 1e-8 of and
+    between the ends of (0, n1 + n2)."""
+    n = n1 + n2
+    tnuis = (0.0, 1e-8, 3e-8, 1e-3, 0.5, n1, n2, 0.5 * n, n - 0.5,
+             n - 1e-3, n - 3e-8, n - 1e-8, n)
+    theta, tnuis = np.meshgrid(THETAS, tnuis)
+    return theta.ravel(), tnuis.ravel().astype(float)
+
+
+def _exact_p1(theta, tnuis, n1, n2):
+    """The root in (0, 1) of n1 p + n2 p / (p + e^theta (1 - p)) = tnuis,
+    the nuisance equation itself, bisected 120 times in 60-digit decimal
+    arithmetic from the float inputs taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        odds, t = Decimal(float(theta)).exp(), Decimal(float(tnuis))
+        a, b = Decimal(0), Decimal(1)
+        for _ in range(120):
+            m = (a + b) / 2
+            if n1 * m + n2 * m / (m + odds * (1 - m)) < t:
+                a = m
+            else:
+                b = m
+        return (a + b) / 2
+
+
+def _bisect_p1(theta, tnuis, n1, n2):
+    """The 80-step bisection in p1 that the closed form replaced."""
+    lo, hi, ok = K._p1_range(tnuis, n1, n2)
+    a, b = np.where(ok, lo, 0.25), np.where(ok, hi, 0.75)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        low = n1 * mid + n2 * K._expit(K._logit(mid) - theta) - tnuis < 0.0
+        a, b = np.where(low, mid, a), np.where(low, b, mid)
+    return np.where(ok, 0.5 * (a + b), np.nan)
+
+
+def _invert_p1_quietly(theta, tnuis, n1, n2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return K.invert_p1_batch(theta, tnuis, n1, n2)
+
+
+@pytest.mark.parametrize("n1, n2", SHAPES)
+def test_invert_p1_is_the_exact_root_or_a_range_end(n1, n2):
+    theta, tnuis = _theta_tnuis_grid(n1, n2)
+    got = _invert_p1_quietly(theta, tnuis, n1, n2)
+    lo, hi, ok = K._p1_range(tnuis, n1, n2)
+    assert np.array_equal(np.isnan(got), ~ok)
+    for i in np.flatnonzero(ok):
+        want = _exact_p1(theta[i], tnuis[i], n1, n2)
+        if want <= lo[i]:
+            assert got[i] == lo[i]
+        elif want >= hi[i]:
+            assert got[i] == hi[i]
+        else:
+            assert abs(Decimal(float(got[i])) - want) <= Decimal(1e-14) * want
+
+
+@pytest.mark.parametrize("n1, n2", SHAPES)
+def test_invert_p1_agrees_with_the_bisection_it_replaced(n1, n2):
+    theta, tnuis = _theta_tnuis_grid(n1, n2)
+    got = _invert_p1_quietly(theta, tnuis, n1, n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        old = _bisect_p1(theta, tnuis, n1, n2)
+    assert np.array_equal(np.isnan(got), np.isnan(old))
+    lo, hi, ok = K._p1_range(tnuis, n1, n2)
+    ends = ok & ((got == lo) | (got == hi))
+    # the bisection's last midpoint sits within an ulp or two of the end
+    assert np.all(np.abs(old - got)[ends] <= 2 * np.spacing(got[ends]))
+    # its own error: the absolute error of expit in the n2 p2 term, over
+    # a slope of at least n1
+    inner = ok & ~ends
+    np.testing.assert_allclose(old[inner], got[inner], rtol=2e-9,
+                               atol=2.3e-16 * (n1 + n2) / n1)
 
 
 def test_expit_matches_scipy_to_an_ulp_of_one():

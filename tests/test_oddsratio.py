@@ -192,7 +192,6 @@ class TestZInterval:
             "score root not bracketed: whole feasible range; "
             "lower endpoint unbounded (boundary of feasible range); "
             "upper endpoint unbounded (boundary of feasible range)")
-        assert math.isnan(O.sbar_zero_theta(d, rule, allow_nan=True))
         with pytest.raises(O.InfeasibleNuisance, match="not bracketed"):
             O.sbar_zero_theta(d, rule)
 
