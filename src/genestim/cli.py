@@ -117,7 +117,21 @@ def _at_least(low: int):
     return integer
 
 
+def _real(holds, wording: str):
+    """argparse type: a float for which ``holds`` is true."""
+    def real(text):
+        value = float(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {wording}, got {value}")
+        return value
+    return real
+
+
 SIZE = _at_least(1)
+POSITIVE = _real(lambda v: v > 0.0, "positive")
+NONNEGATIVE = _real(lambda v: v >= 0.0, "nonnegative")
+LEVEL = _real(lambda v: 0.0 < v < 1.0, "in (0, 1)")
 COMMANDS = {}  # command name -> (function, its options)
 
 
@@ -159,7 +173,7 @@ def binom_curves(n, y, grid_points, out_dir):
 @command("binom-ci",
          opt("--n", type=SIZE, required=True),
          opt("--y", type=int, required=True),
-         opt("--z", type=float, default=2.0),
+         opt("--z", type=NONNEGATIVE, default=2.0),
          opt("--side", choices=["two-sided", "lower-only", "upper-only"],
              default="two-sided"), OUT_DIR)
 def binom_ci(n, y, z, side, out_dir):
@@ -214,8 +228,8 @@ def info_report(n, p, out_dir):
          opt("--family", dest="data_family", choices=["normal", "t3"],
              default="normal"),
          opt("--n", type=SIZE, default=10),
-         opt("--reps", type=int, default=100_000),
-         opt("--seed", type=int, default=0), OUT_DIR)
+         opt("--reps", type=_at_least(location.MIN_REPS), default=100_000),
+         opt("--seed", type=_at_least(0), default=0), OUT_DIR)
 def zeta_lab(data_family, n, reps, seed, out_dir):
     """Location-estimator comparison: efficiencies and tail-depth curves."""
     overlays = (7, 9) if data_family == "normal" else (15, 17)
@@ -248,8 +262,8 @@ def zeta_lab(data_family, n, reps, seed, out_dir):
          opt("--n2", type=SIZE, required=True),
          opt("--x1", type=int, required=True),
          opt("--x2", type=int, required=True),
-         opt("--z", type=float, default=oddsratio.Z_95),
-         opt("--c", type=float, default=0.0),
+         opt("--z", type=POSITIVE, default=oddsratio.Z_95),
+         opt("--c", type=NONNEGATIVE, default=0.0),
          opt("--nuisance-value", type=float,
              help="fixed nuisance value instead of the (plus-c) profile"),
          opt("--open-interval", action="store_true",
@@ -278,7 +292,7 @@ def or_interval(n1, n2, x1, x2, z, c, nuisance_value, open_interval, out_dir):
 @command("or-coverage",
          opt("--n1", type=SIZE, default=20),
          opt("--n2", type=SIZE, default=30),
-         opt("--z", type=float, default=oddsratio.Z_95), OUT_DIR)
+         opt("--z", type=POSITIVE, default=oddsratio.Z_95), OUT_DIR)
 def or_coverage(n1, n2, z, out_dir):
     """Exact coverage table over the standard parameter cells."""
     man = _manifest("or-coverage", {"n1": n1, "n2": n2, "z": z}, out_dir)
@@ -294,7 +308,7 @@ def or_coverage(n1, n2, z, out_dir):
 @command("or-endpoint-tails",
          opt("--n1", type=SIZE, default=20),
          opt("--n2", type=SIZE, default=30),
-         opt("--level", type=float, default=0.95), OUT_DIR)
+         opt("--level", type=LEVEL, default=0.95), OUT_DIR)
 def or_endpoint_tails(n1, n2, level, out_dir):
     """Score-test tails at the exact-interval endpoints, all interior cells."""
     man = _manifest("or-endpoint-tails",
@@ -329,13 +343,13 @@ def verify(n):
         print(f"[{mark}] {name}" + (f" ({text})" if text else ""))
 
     def score_moment(p, H):
-        return float(engine.expect_rows(fam, [p], H)[0])
+        return float(engine.expect(fam, [p], H)[0])
 
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
 
     def mean_score():
         return max(abs(score_moment(
-            p, lambda Y: families.score_rows(fam, Y, [p]))) for p in grid)
+            p, lambda Y: families.score(fam, Y, [p]))) for p in grid)
 
     check("mean-zero score on p grid", mean_score, lambda w: w < 1e-10,
           lambda w: f"max |E s| = {w:.2e}")
@@ -344,11 +358,11 @@ def verify(n):
         worst = 0.0
         for p in grid:
             i_sq = score_moment(
-                p, lambda Y: families.score_rows(fam, Y, [p]) ** 2)
+                p, lambda Y: families.score(fam, Y, [p]) ** 2)
             h = families.FD_STEP * max(1.0, p)
             i_grad = -score_moment(
-                p, lambda Y: (families.score_rows(fam, Y, [p + h])
-                              - families.score_rows(fam, Y, [p - h]))
+                p, lambda Y: (families.score(fam, Y, [p + h])
+                              - families.score(fam, Y, [p - h]))
                 / (2 * h))
             worst = max(worst, abs(i_sq - i_grad) / i_sq)
         return worst
@@ -392,11 +406,11 @@ def verify(n):
             point = np.array(families.two_binomial_params(p1, p2, 20, 30))
 
             def cross(Y):
-                S = families.score_rows(tb, Y, point)
+                S = families.score(tb, Y, point)
                 return S[:, 0] * S[:, 1]
 
             worst = max(worst, abs(float(
-                engine.expect_rows(tb, point, cross)[0])))
+                engine.expect(tb, point, cross)[0])))
         return worst
 
     check("two-binomial score orthogonality grid", two_binomial_cross,

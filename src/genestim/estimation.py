@@ -1,17 +1,15 @@
 """Generalized estimators, standardization, information, and efficiency.
 
-The central objects are mean-zero estimating functions g(y, point) whose
+The central objects are mean-zero estimating functions g whose
 "information" is the squared mean slope of their standardized version.
 The information is computed both through the covariance identity
 E(s gbar^t) E(gbar s^t) and, as a cross-check, by direct finite
 differencing of the standardized estimator's mean slope; disagreement
 between the two routes flags a broken estimating-function contract.
 
-Every expectation here is one ``engine.expect_rows`` product over the
-estimator's rows on the whole outcome array.  Library estimators are
-defined by their rows only; an estimator given as a per-outcome function
-has its values stacked, and calling any estimator on one outcome
-evaluates its rows there.
+An estimator is its rows: ``rows(Y, point)`` gives g at every outcome of
+the array Y, one row each, and every expectation here is one
+``engine.expect`` product over those rows.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .families import (FD_STEP, ExpectationEngine, FisherInfo, ModelFamily,
-                       fisher_info, one_row, outer_rows, score_rows,
-                       stack_rows)
+                       fisher_info, outer_rows, score)
 
 # parameter points whose projection coefficients an orthogonalized
 # estimator keeps
@@ -45,42 +42,22 @@ class EstimatorError(RuntimeError):
 
 
 class PreEstimator(NamedTuple):
-    """Candidate estimating function, not yet mean-zero / orthogonal.
+    """Candidate estimating function, not yet mean-zero / orthogonal."""
 
-    Give ``rows``, or a per-outcome ``f`` whose values are stacked.
-    """
-
-    f: Optional[Callable] = None  # (y, point) -> (k,)
+    rows: Callable  # (Y, point) -> (N, k)
     label: str = "pre-estimator"
-    rows: Optional[Callable] = None  # (Y, point) -> (N, k)
 
 
 class GeneralizedEstimator(NamedTuple):
-    """Mean-zero (and nuisance-orthogonal) estimating function.
+    """Mean-zero (and nuisance-orthogonal) estimating function."""
 
-    Give ``rows``, or a per-outcome ``g`` whose values are stacked.
-    Calling the estimator on one outcome evaluates its rows there.
-    """
-
-    g: Optional[Callable] = None  # (y, point) -> (k,)
+    rows: Callable  # (Y, point) -> (N, k)
     label: str = "estimator"
-    rows: Optional[Callable] = None  # (Y, point) -> (N, k)
-
-    def __call__(self, y, point):
-        return one_row(functools.partial(estimator_rows, self), y, point)
 
 
 def estimator_rows(g, Y, point) -> np.ndarray:
-    """(N, k) values of an estimating function at every outcome of Y.
-
-    Uses the ``rows`` form of a :class:`GeneralizedEstimator` or
-    :class:`PreEstimator` when it has one, else stacks the per-outcome
-    ``g`` (or ``f`` for a pre-estimator).
-    """
-    if g.rows is not None:
-        return np.asarray(g.rows(Y, point), dtype=float).reshape(len(Y), -1)
-    one = g.f if isinstance(g, PreEstimator) else g.g
-    return stack_rows(lambda y: one(y, point), Y)
+    """(N, k) values of an estimating function at every outcome of Y."""
+    return np.asarray(g.rows(Y, point), dtype=float).reshape(len(Y), -1)
 
 
 class InformationReport(NamedTuple):
@@ -148,17 +125,17 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
             F = estimator_rows(f, Y, point)
             return np.hstack([F, outer_rows(F, F)])
 
-        first = engine.expect_rows(family, point, moments)
+        first = engine.expect(family, point, moments)
         mean, second = first[:k], first[k:].reshape(k, k)
         V = second - np.outer(mean, mean)
         proj = None
         if kp:
             def cross_and_gram(Y):
                 F = estimator_rows(f, Y, point) - mean
-                S = score_rows(family, Y, point)[:, k:]
+                S = score(family, Y, point)[:, k:]
                 return np.hstack([outer_rows(F, S), outer_rows(S, S)])
 
-            both = engine.expect_rows(family, point, cross_and_gram)
+            both = engine.expect(family, point, cross_and_gram)
             C = both[:k * kp].reshape(k, kp)
             G = both[k * kp:].reshape(kp, kp)
             if np.linalg.cond(G) > 1e12:  # inf when exactly singular
@@ -182,23 +159,15 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
             tuple(np.atleast_1d(np.asarray(point, dtype=float)).tolist()))
         out = estimator_rows(f, Y, point) - mean
         if proj is not None:
-            out = out - score_rows(family, Y, point)[:, k:] @ proj.T
+            out = out - score(family, Y, point)[:, k:] @ proj.T
         return out
 
     rows.cache_info = cached_coeffs.cache_info
-    return GeneralizedEstimator(label=f"{f.label}-orthogonalized", rows=rows)
+    return GeneralizedEstimator(rows, f"{f.label}-orthogonalized")
 
 
 def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
                          point, info: Optional[FisherInfo] = None):
-    """One-outcome view of :func:`orthogonalized_score_rows`: (s, I_perp)
-    with s mapping y -> (k,)."""
-    S, bound = orthogonalized_score_rows(engine, family, point, info)
-    return (lambda y: one_row(S, y)), bound
-
-
-def orthogonalized_score_rows(engine: ExpectationEngine, family: ModelFamily,
-                              point, info: Optional[FisherInfo] = None):
     """The interest score with its nuisance-span projection removed.
 
     Returns (S, I_perp) with S mapping the outcome array Y to (N, k) rows.
@@ -210,14 +179,14 @@ def orthogonalized_score_rows(engine: ExpectationEngine, family: ModelFamily,
     if info is None:
         info = fisher_info(engine, family, point)
     if family.dim_nuisance == 0:
-        return (lambda Y: score_rows(family, Y, point)), info.I_perp
+        return (lambda Y: score(family, Y, point)), info.I_perp
     if info.I_perp is None:
         raise EstimatorError(
             f"{family.label}: singular nuisance information at {point}")
     proj = np.linalg.solve(info.I_nuis, info.I_cross.T).T
 
     def S(Y):
-        full = score_rows(family, Y, point)
+        full = score(family, Y, point)
         return full[:, :k] - full[:, k:] @ proj.T
 
     return S, info.I_perp
@@ -230,15 +199,15 @@ def variance(engine, family, g, point) -> np.ndarray:
         return outer_rows(G, G)
 
     k = family.dim_interest
-    return engine.expect_rows(family, point, H).reshape(k, k)
+    return engine.expect(family, point, H).reshape(k, k)
 
 
 def standardize(engine: ExpectationEngine, family: ModelFamily,
                 g: GeneralizedEstimator, point) -> Callable:
-    """Return gbar(y) = V(g)^{-1/2} g(y, point) with V(gbar) = identity."""
+    """Return gbar's rows, Y -> g(Y, point) V(g)^{-1/2}, with V(gbar) = I."""
     point = family.check_point(point)
     W = inv_sqrt_psd(variance(engine, family, g, point))
-    return lambda y: W @ g(y, point)
+    return lambda Y: estimator_rows(g, Y, point) @ W.T
 
 
 def information(engine: ExpectationEngine, family: ModelFamily,
@@ -254,13 +223,10 @@ def information(engine: ExpectationEngine, family: ModelFamily,
     """
     point = family.check_point(point)
     k = family.dim_interest
-    S, bound = orthogonalized_score_rows(engine, family, point, info)
-    W = inv_sqrt_psd(variance(engine, family, g, point))
-
-    A = engine.expect_rows(
-        family, point,
-        lambda Y: outer_rows(S(Y), estimator_rows(g, Y, point) @ W.T)
-    ).reshape(k, k)
+    S, bound = orthogonalized_score(engine, family, point, info)
+    gbar = standardize(engine, family, g, point)
+    A = engine.expect(family, point,
+                      lambda Y: outer_rows(S(Y), gbar(Y))).reshape(k, k)
     Lam = A @ A.T
 
     route_gap = None
@@ -299,11 +265,6 @@ def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
     error, of order (h/d)^2 at distance d from the edge, stays small.
     """
     k = family.dim_interest
-
-    def gbar_at(q):
-        W = inv_sqrt_psd(variance(engine, family, g, q))
-        return lambda Y: estimator_rows(g, Y, q) @ W.T
-
     rows = []
     for j in axes:
         h = FD_STEP * max(1.0, abs(point[j]))
@@ -311,10 +272,11 @@ def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
                       for c in (STENCIL_ROOM, -STENCIL_ROOM)):
             h *= 0.5
         qp, qm = _shifted(point, j, h), _shifted(point, j, -h)
-        gp, gm = gbar_at(qp), gbar_at(qm)
+        gp = standardize(engine, family, g, qp)
+        gm = standardize(engine, family, g, qm)
         # divide by the step the rounded points actually take
         step = qp[j] - qm[j]
-        rows.append(engine.expect_rows(
+        rows.append(engine.expect(
             family, point, lambda Y: (gp(Y) - gm(Y)) / step))
     return np.array(rows).reshape(-1, k)
 
@@ -333,7 +295,7 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
     """Residual E(grad g^t) + E(s g^t); near-zero certifies the identity."""
     point = family.check_point(point)
     k = family.dim_interest
-    S, _ = orthogonalized_score_rows(engine, family, point)
+    S, _ = orthogonalized_score(engine, family, point)
 
     def grad_g(Y):
         """(N, k, k) rows: entry [i, j, b] is d g_b / d theta_j at Y[i]."""
@@ -353,7 +315,7 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
         return (grad_g(Y).reshape(len(Y), -1)
                 + outer_rows(S(Y), estimator_rows(g, Y, point)))
 
-    return engine.expect_rows(family, point, H).reshape(k, k)
+    return engine.expect(family, point, H).reshape(k, k)
 
 
 class ScalingRow(NamedTuple):
@@ -392,7 +354,7 @@ def efficiency_mc(family: ModelFamily, g, point, reps: int, seed: int = 0):
         raise EstimatorError(f"{family.label}: no sampler for MC efficiency")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = family.support.sampler(rng, point, reps)
-    sv = score_rows(family, draws, point)[:, 0]
+    sv = score(family, draws, point)[:, 0]
     gv = estimator_rows(g, draws, point)[:, 0]
     if gv.std() == 0.0:
         raise EstimatorError("degenerate sample variance of g")
@@ -456,7 +418,7 @@ def bernoulli_suite(n: int, engine: Optional[ExpectationEngine] = None
     fam = bernoulli_sum(n)
     reg = EstimatorRegistry(family=fam)
     reg.register(GeneralizedEstimator(
-        label="score", rows=functools.partial(score_rows, fam)))
+        label="score", rows=functools.partial(score, fam)))
     reg.register(GeneralizedEstimator(
         label="centered-proportion",
         rows=lambda Y, point: (Y / n - point[0])[:, None]))

@@ -1,15 +1,15 @@
 """Model families, expectation machinery, scores, and Fisher information.
 
 A :class:`ModelFamily` is a support descriptor plus two row callables
-over a whole outcome array: the log-density and the full score.  The
-value for one outcome is the one-row case (:func:`one_row`), so each
-family is defined once.  Parameter points are flat float arrays
-``(interest..., nuisance...)``.  Every finite family is an exponential
-family on its outcome grid, built by :func:`finite_exponential_family`
-from log h, T and the natural parameter.  The :class:`ExpectationEngine`
-evaluates expectations either by exact enumeration over a finite
-support or by seeded Monte Carlo; both are one weighted sum over the
-rows of an (N, m) outcome matrix.
+over a whole outcome array Y, (N,) or (N, d): the log-density and the
+full score, one row per outcome.  A single outcome is a one-row Y.
+Parameter points are flat float arrays ``(interest..., nuisance...)``.
+Every finite family is an exponential family on its outcome grid, built
+by :func:`finite_exponential_family` from log h, T and the natural
+parameter.  The :class:`ExpectationEngine` evaluates expectations of
+row maps H(Y) either by exact enumeration over a finite support or by
+seeded Monte Carlo; both are one weighted sum over the rows of an
+(N, m) outcome matrix.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class ModelFamily(_Family):
     """A parameterized family of distributions on a common support.
 
     The model is its two row callables over an outcome array Y, (N,) or
-    (N, d); a single outcome is the one-row case (:func:`one_row`).
+    (N, d).
     """
     __slots__ = ()
 
@@ -116,20 +116,11 @@ class ExpectationEngine(_Engine):
             raise ValueError(f"unknown engine mode {self.mode!r}")
         return self
 
-    def expect(self, family: ModelFamily, point, h):
-        value, _ = self.expect_se(family, point, h)
+    def expect(self, family: ModelFamily, point, H):
+        value, _ = self.expect_se(family, point, H)
         return value
 
-    def expect_se(self, family: ModelFamily, point, h):
-        """Return (E[h], se) for a per-outcome h; se is None in exact mode."""
-        return self.expect_rows_se(family, point,
-                                   lambda Y: stack_rows(h, Y))
-
-    def expect_rows(self, family: ModelFamily, point, H):
-        value, _ = self.expect_rows_se(family, point, H)
-        return value
-
-    def expect_rows_se(self, family: ModelFamily, point, H):
+    def expect_se(self, family: ModelFamily, point, H):
         """Return (E[H], se) for H mapping the outcome array to (N, ...) rows.
 
         Exact mode is pmf @ H(outcomes); Monte Carlo mode averages H over
@@ -162,30 +153,14 @@ def _as_rows(vals) -> np.ndarray:
     return vals[:, None] if vals.ndim == 1 else vals
 
 
-def stack_rows(h, Y) -> np.ndarray:
-    """Rows h(y) for each outcome y of Y, each made at least 1-D."""
-    return np.array([np.atleast_1d(np.asarray(h(y), dtype=float))
-                     for y in Y])
-
-
 def outer_rows(A, B) -> np.ndarray:
     """Row-wise flattened outer products: row i is outer(A[i], B[i]).ravel()."""
     return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
 
 
-def one_row(rows, y, *args):
-    """``rows(Y, *args)`` on the single outcome y: row 0 of its one-row
-    array, so a per-outcome value is the row value itself."""
-    return rows(np.asarray(y)[None], *args)[0]
-
-
-def score(family: ModelFamily, y, point) -> np.ndarray:
-    """Full score vector (interest then nuisance) of one outcome."""
-    return one_row(functools.partial(score_rows, family), y, point)
-
-
-def score_rows(family: ModelFamily, Y, point) -> np.ndarray:
-    """Full scores of every outcome of Y, as (N, k + k') rows."""
+def score(family: ModelFamily, Y, point) -> np.ndarray:
+    """Full scores (interest then nuisance) of every outcome of Y, as
+    (N, k + k') rows."""
     return family.score_rows(Y, family.check_point(point))
 
 
@@ -206,10 +181,10 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
     k, kp = family.dim_interest, family.dim_nuisance
 
     def outer(Y):
-        S = score_rows(family, Y, point)
+        S = score(family, Y, point)
         return outer_rows(S, S)
 
-    full = engine.expect_rows(family, point, outer).reshape(
+    full = engine.expect(family, point, outer).reshape(
         family.dim, family.dim)
     I = full[:k, :k]
     I_cross = full[:k, k:]

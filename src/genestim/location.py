@@ -9,7 +9,7 @@ built from the signed log2 tail-area score.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +17,9 @@ from ._kernels import row_median, t3_mle_batch
 from .estimation import corr_sq_with_se
 
 ZETA_PROBS = np.round(np.arange(0.005, 0.9951, 0.01), 3)  # .005..0.995 step .01
-DEFAULT_ESTIMATORS = ("mean", "median", "t3_mle")
+ESTIMATORS = ("mean", "median", "t3_mle")
+BLOCKS = 100  # seed blocks of a run, and batches behind each efficiency se
+MIN_REPS = 1000  # fewest replications for stable efficiency estimates
 
 
 class McRunError(RuntimeError):
@@ -29,10 +31,8 @@ class _McRun(NamedTuple):
     n: int = 10
     reps: int = 100_000
     seed: int = 0
-    estimators: tuple = DEFAULT_ESTIMATORS
     rescale: tuple = ()  # extra data-rescaling factors for mean overlays
     n_overlays: tuple = ()  # extra sample sizes for mean overlays
-    blocks: int = 100
 
 
 class McRunConfig(_McRun):
@@ -44,22 +44,19 @@ class McRunConfig(_McRun):
             raise ValueError(f"unknown data family {self.data_family!r}")
         if self.n < 1:
             raise ValueError(f"sample size must be at least 1, got {self.n}")
-        if self.reps < 1000:
-            raise ValueError("need at least 1000 replications for "
+        if self.reps < MIN_REPS:
+            raise ValueError(f"need at least {MIN_REPS} replications for "
                              "stable efficiency estimates")
         if any(r <= 0 for r in self.rescale):
             raise ValueError("rescale factors must be positive")
-        unknown = set(self.estimators) - set(DEFAULT_ESTIMATORS)
-        if unknown:
-            raise ValueError(f"unknown estimators {sorted(unknown)}")
         return self
 
     def to_dict(self):
         return {
             "data_family": self.data_family, "n": self.n, "reps": self.reps,
-            "seed": self.seed, "estimators": list(self.estimators),
+            "seed": self.seed, "estimators": list(ESTIMATORS),
             "rescale": list(self.rescale),
-            "n_overlays": list(self.n_overlays), "blocks": self.blocks,
+            "n_overlays": list(self.n_overlays), "blocks": BLOCKS,
             "zeta_probs": "0.005:0.995:0.01",
         }
 
@@ -125,8 +122,8 @@ def _draw(rng, family, m, n):
 def run_comparison(config: McRunConfig) -> ComparisonResult:
     """Replicate the estimator comparison at true location 0.
 
-    Replications run in pre-assigned seed blocks (order-independent), the
-    last block taking the remainder of ``reps``; each block draws its main
+    Replications run in BLOCKS pre-assigned seed blocks (order-independent),
+    the last block taking the remainder of ``reps``; each block draws its main
     sample and then the overlay samples in ``n_overlays`` order.  Every
     block writes its slice of preallocated ``reps``-long archives and
     scores, and one sort per block gives the row medians that serve as
@@ -138,11 +135,11 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     overlay archives (alternate sample sizes, rescaled data) are recorded
     for the tail-depth curves.
     """
-    seeds = np.random.SeedSequence(config.seed).spawn(config.blocks)
-    per = [config.reps // config.blocks] * config.blocks
+    seeds = np.random.SeedSequence(config.seed).spawn(BLOCKS)
+    per = [config.reps // BLOCKS] * BLOCKS
     per[-1] += config.reps - sum(per)
 
-    labels = (list(config.estimators)
+    labels = (list(ESTIMATORS)
               + [f"mean_n{n}" for n in config.n_overlays]
               + [f"mean_rescale_{fac:g}" for fac in config.rescale])
     archives = {label: np.empty(config.reps) for label in labels}
@@ -156,16 +153,12 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
         rng = np.random.default_rng(ss)
         x = _draw(rng, config.data_family, m, config.n)
         xbar = x.mean(axis=1)
-        if "mean" in archives:
-            archives["mean"][rows] = xbar
-        if "median" in archives or "t3_mle" in archives:
-            med = row_median(x)
-        if "median" in archives:
-            archives["median"][rows] = med
-        if "t3_mle" in archives:
-            roots, conv = t3_mle_batch(x)
-            failures += int(np.sum(~conv))
-            archives["t3_mle"][rows] = np.where(conv, roots, med)
+        archives["mean"][rows] = xbar
+        med = row_median(x)
+        archives["median"][rows] = med
+        roots, conv = t3_mle_batch(x)
+        failures += int(np.sum(~conv))
+        archives["t3_mle"][rows] = np.where(conv, roots, med)
         if config.data_family == "normal":
             score_vals[rows] = config.n * xbar
         else:
@@ -179,14 +172,11 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     if failures > 0.001 * config.reps:
         raise McRunError(f"{failures} t3-MLE failures out of {config.reps}")
 
-    efficiency = {label: corr_sq_with_se(score_vals, archives[label],
-                                         config.blocks)
-                  for label in config.estimators}
-    var_ratio = {}
-    if "mean" in archives:
-        vm = archives["mean"].var(ddof=1)
-        var_ratio = {label: float(vm / archives[label].var(ddof=1))
-                     for label in config.estimators}
+    efficiency = {label: corr_sq_with_se(score_vals, archives[label], BLOCKS)
+                  for label in ESTIMATORS}
+    vm = archives["mean"].var(ddof=1)
+    var_ratio = {label: float(vm / archives[label].var(ddof=1))
+                 for label in ESTIMATORS}
     return ComparisonResult(config, archives, efficiency, var_ratio, failures)
 
 

@@ -35,6 +35,7 @@ COVERAGE_CELLS = (
     (4.0, 0.039, 0.01), (4.0, 0.50, 0.20), (4.0, 0.80, 0.50),
     (4.0, 0.903, 0.70), (4.0, 0.973, 0.90),
 )
+COVERAGE_C = (0.0, 0.5, 1.0)  # plus-c nuisance rules of the coverage study
 
 
 class InfeasibleNuisance(ValueError):
@@ -350,14 +351,14 @@ def coverage_fisher(n1: int, n2: int, or_true: float, p1: float, p2: float,
     return _mass_sum(_cell_log_masses(n1, n2, p1, p2), covered)
 
 
-def coverage_table(n1: int, n2: int, cells, c_list=(0.0, 0.5, 1.0),
-                   equal_options=(True, False), z: float = Z_95) -> list:
-    """Exact coverage for each (or, p1, p2) cell over rules and methods."""
+def coverage_table(n1: int, n2: int, cells, z: float = Z_95) -> list:
+    """Exact coverage for each (or, p1, p2) cell: for each sign convention,
+    the z-standard interval at each COVERAGE_C and the exact interval."""
     conf = z_confidence(z)
     out = []
     for or_true, p1, p2 in cells:
-        for eq in equal_options:
-            for c in c_list:
+        for eq in (True, False):
+            for c in COVERAGE_C:
                 out.append(CoverageCell(
                     or_true, p1, p2, c, eq,
                     coverage_z(n1, n2, or_true, p1, p2, c, eq, z),

@@ -130,7 +130,7 @@ def test_criterion_03_information_scales_linearly_in_n():
     rows = E.n_scaling_check(
         F.bernoulli_sum,
         lambda n, fam: E.GeneralizedEstimator(
-            g=lambda y, point: F.score(fam, y, point), label="score"),
+            rows=lambda Y, point: F.score(fam, Y, point), label="score"),
         [1, 5, 20], [0.3])
     worst = max(abs(row.ratio - 1.0) for row in rows)
     _verdict(3, "linear information scaling in n", worst < 1e-10,
@@ -148,9 +148,10 @@ def test_criterion_04_orthogonalized_score_on_the_two_binomial_grid():
             s, bound = E.orthogonalized_score(ENGINE, fam, point, info)
             cross = float(np.asarray(ENGINE.expect(
                 fam, point,
-                lambda y: s(y)[0] * F.score(fam, y, point)[1])).ravel()[0])
+                lambda Y: s(Y)[:, 0] * F.score(fam, Y, point)[:, 1])
+            ).ravel()[0])
             lam = float(np.asarray(ENGINE.expect(
-                fam, point, lambda y: s(y)[0] ** 2)).ravel()[0])
+                fam, point, lambda Y: s(Y)[:, 0] ** 2)).ravel()[0])
             worst_cross = max(worst_cross, abs(cross))
             worst_gap = max(worst_gap, abs(lam - float(bound[0, 0])))
     pt = np.array(F.two_binomial_params(0.5, 0.5, 20, 30))
@@ -255,12 +256,13 @@ def test_criterion_10_parameterization_invariance():
     for p in grid:
         eta = math.log(p / (1.0 - p))
         sp = E.standardize(ENGINE, famp, E.GeneralizedEstimator(
-            g=lambda y, point: F.score(famp, y, point), label="score"), [p])
+            rows=lambda Y, point: F.score(famp, Y, point), label="score"),
+            [p])
         sl = E.standardize(ENGINE, faml, E.GeneralizedEstimator(
-            g=lambda y, point: F.score(faml, y, point), label="score"),
+            rows=lambda Y, point: F.score(faml, Y, point), label="score"),
             [eta])
-        for y in range(21):
-            worst = max(worst, abs(float(sp(y)[0]) - float(sl(y)[0])))
+        Y = np.arange(21)
+        worst = max(worst, float(np.max(np.abs(sp(Y)[:, 0] - sl(Y)[:, 0]))))
     _verdict(10, "parameterization invariance on the 21x64 matrix",
              worst < 1e-10, f"max |difference| = {worst:.2e}")
 
@@ -273,7 +275,7 @@ def test_criterion_11_score_equation_residuals():
             res = E.check_score_equation(ENGINE, fam, est, [p])
             worst = max(worst, float(np.max(np.abs(res))))
     biased = E.GeneralizedEstimator(
-        g=lambda y, point: np.array([(y + 2.0) / 24.0]),
+        rows=lambda Y, point: ((Y + 2.0) / 24.0)[:, None],
         label="biased-unorthogonalized")
     flagged = float(np.max(np.abs(
         E.check_score_equation(ENGINE, fam, biased, [0.5]))))

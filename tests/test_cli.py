@@ -152,6 +152,23 @@ def test_trace_runner_passes_on_the_exit_status(tmp_path, capsys):
     assert "usage: genestim binom-ci" in capsys.readouterr().err
 
 
+def test_tracer_spans_name_live_library_functions(tmp_path):
+    # the tracer wraps these names; a library path that stops calling them
+    # leaves their per-layer metrics at 0
+    path = (Path(__file__).resolve().parents[1] / "perfbench"
+            / "trace_runner.py")
+    spans_path = tmp_path / "spans.json"
+    out = subprocess.run(
+        [sys.executable, str(path), str(spans_path), "verify", "--n", "6"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    trace = json.loads(spans_path.read_text())
+    seen = {trace["names"][span[0]] for span in trace["spans"]}
+    assert {"families.expect", "families.score",
+            "estimation.orthogonalized_score"} <= seen
+    assert trace["counts"]["families.expect.outcomes"] > 0
+
+
 def test_console_script_is_the_pinning_entry():
     tomllib = pytest.importorskip("tomllib")
     root = os.path.dirname(os.path.dirname(
@@ -266,7 +283,7 @@ class TestBinomCurves:
         assert res.exit_code != 0
 
 
-# command lines whose sizes or counts are out of range, and the message
+# command lines with an option value out of range, and the message
 BAD_SIZES = {
     "info-report n=0": (["info-report", "--n", "0"],
                         "argument --n: must be at least"),
@@ -288,6 +305,24 @@ BAD_SIZES = {
     "or-interval x1=-1": (["or-interval", "--n1", "5", "--n2", "5",
                            "--x1", "-1", "--x2", "0"],
                           "x1, x2 must lie in 0..n1, 0..n2"),
+    "zeta-lab reps=10": (["zeta-lab", "--reps", "10"],
+                         "argument --reps: must be at least 1000"),
+    "zeta-lab seed=-1": (["zeta-lab", "--seed", "-1"],
+                         "argument --seed: must be at least 0"),
+    "binom-ci z=-1": (["binom-ci", "--n", "10", "--y", "3", "--z", "-1"],
+                      "argument --z: must be nonnegative"),
+    "or-interval z=-1": (["or-interval", "--n1", "5", "--n2", "5",
+                          "--x1", "1", "--x2", "2", "--z", "-1"],
+                         "argument --z: must be positive"),
+    "or-interval c=-1": (["or-interval", "--n1", "5", "--n2", "5",
+                          "--x1", "1", "--x2", "2", "--c", "-1"],
+                         "argument --c: must be nonnegative"),
+    "or-coverage z=0": (["or-coverage", "--z", "0"],
+                        "argument --z: must be positive"),
+    "or-coverage z=nan": (["or-coverage", "--z", "nan"],
+                          "argument --z: must be positive"),
+    "or-endpoint-tails level=1.5": (["or-endpoint-tails", "--level", "1.5"],
+                                    "argument --level: must be in (0, 1)"),
 }
 
 
@@ -383,13 +418,6 @@ class TestZetaLab:
         # overlays for alternate sample sizes ride along with the main three
         assert {"median", "t3_mle", "mean", "mean_n7",
                 "mean_n9"} <= curve_labels
-
-    def test_too_few_reps_exits_numeric(self, runner, tmp_path):
-        res = runner.invoke(main, ["zeta-lab", "--reps", "10",
-                                   "--out-dir", str(tmp_path)])
-        assert res.exit_code == 3
-        err = json.loads((tmp_path / "error.json").read_text())
-        assert err["error"] == "ValueError"
 
 
 class TestOrInterval:

@@ -1,7 +1,7 @@
 """Generalized estimators: standardization, information, orthogonality."""
 
+import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +14,17 @@ ENGINE = F.ExpectationEngine(mode="exact")
 
 
 def _score_estimator(fam):
-    return E.GeneralizedEstimator(
-        g=lambda y, point: F.score(fam, y, point), label="score")
+    return E.GeneralizedEstimator(functools.partial(F.score, fam), "score")
+
+
+def _value(g, y, point):
+    """g at the single outcome y, as the one row of its rows there."""
+    return E.estimator_rows(g, np.asarray(y)[None], point)[0]
+
+
+def _column(values):
+    """Per-outcome rows: one column of float values."""
+    return np.asarray(values, dtype=float)[:, None]
 
 
 class TestMatrixHelpers:
@@ -33,7 +42,7 @@ class TestStandardize:
     def test_standardized_estimator_has_unit_variance(self):
         fam = F.bernoulli_sum(20)
         gbar = E.standardize(ENGINE, fam, _score_estimator(fam), [0.3])
-        var = ENGINE.expect(fam, [0.3], lambda y: gbar(y) ** 2)
+        var = ENGINE.expect(fam, [0.3], lambda Y: gbar(Y) ** 2)
         assert var[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_standardization_is_parameterization_invariant(self):
@@ -43,8 +52,8 @@ class TestStandardize:
         eta = math.log(p / (1 - p))
         gp = E.standardize(ENGINE, famp, _score_estimator(famp), [p])
         gl = E.standardize(ENGINE, faml, _score_estimator(faml), [eta])
-        for y in range(21):
-            assert gl(y)[0] == pytest.approx(gp(y)[0], abs=1e-10)
+        Y = famp.support.outcomes
+        np.testing.assert_allclose(gl(Y), gp(Y), rtol=0.0, atol=1e-10)
 
 
 class TestInformation:
@@ -73,13 +82,13 @@ class TestInformation:
         fam = F.bernoulli_sum(20)
         # mean-zero at every p but wildly non-smooth in p: the covariance
         # route and the slope route cannot agree
-        def g(y, point):
+        def rows(Y, point):
             p = point[0]
-            centered = y - 20.0 * p
+            centered = Y - 20.0 * p
             wiggle = math.sin(3.0e6 * p) * (centered ** 2 - 20.0 * p * (1 - p))
-            return np.array([centered + wiggle])
+            return _column(centered + wiggle)
 
-        broken = E.GeneralizedEstimator(g=g, label="oscillating")
+        broken = E.GeneralizedEstimator(rows, "oscillating")
         rep = E.information(ENGINE, fam, broken, [0.37])
         assert rep.routes_agree is False
 
@@ -87,10 +96,9 @@ class TestInformation:
 class TestOrthogonalization:
     def test_orthogonalized_pre_estimator_satisfies_the_contract(self):
         fam = F.bernoulli_sum(20)
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y > 8)]),
-                             label="threshold")
+        pre = E.PreEstimator(lambda Y, point: _column(Y > 8), "threshold")
         g = E.orthogonalize(ENGINE, fam, pre)
-        mean = ENGINE.expect(fam, [0.45], lambda y: g(y, [0.45]))
+        mean = ENGINE.expect(fam, [0.45], lambda Y: g.rows(Y, [0.45]))
         assert abs(mean[0]) < 1e-12
         res = E.check_score_equation(ENGINE, fam, g, [0.45])
         assert abs(res[0, 0]) < 1e-8
@@ -98,8 +106,8 @@ class TestOrthogonalization:
     def test_two_binomial_projection_removes_nuisance_slope(self):
         fam = F.two_binomial(8, 6)
         point = np.array(F.two_binomial_params(0.4, 0.55, 8, 6))
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y[0])]),
-                             label="first-count")
+        pre = E.PreEstimator(lambda Y, point: _column(Y[:, 0]),
+                             "first-count")
         g = E.orthogonalize(ENGINE, fam, pre)
         nuis = E.nuisance_information(ENGINE, fam, g, point)
         assert abs(nuis[0, 0]) < 1e-6
@@ -116,19 +124,18 @@ class TestOrthogonalization:
                 Y, point[:1]),
             score_rows=lambda Y, point: np.column_stack(
                 [base.score_rows(Y, point[:1]), np.zeros(len(Y))]))
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y > 2)]),
-                             label="threshold")
+        pre = E.PreEstimator(lambda Y, point: _column(Y > 2), "threshold")
         g = E.orthogonalize(ENGINE, fam, pre)
         point = [0.4, 1.0]
         with pytest.warns(UserWarning, match="pseudo-inverse"):
-            mean = ENGINE.expect(fam, point, lambda y: g(y, point))
+            mean = ENGINE.expect(fam, point, lambda Y: g.rows(Y, point))
         assert abs(mean[0]) < 1e-12
 
     def test_orthogonalized_score_matches_schur_complement(self):
         fam = F.two_binomial(8, 6)
         point = np.array(F.two_binomial_params(0.3, 0.5, 8, 6))
         s, bound = E.orthogonalized_score(ENGINE, fam, point)
-        var = ENGINE.expect(fam, point, lambda y: s(y) ** 2)
+        var = ENGINE.expect(fam, point, lambda Y: s(Y) ** 2)
         assert var[0] == pytest.approx(float(bound[0, 0]), abs=1e-10)
 
 
@@ -142,8 +149,7 @@ class TestScoreEquation:
     def test_biased_estimator_is_flagged(self):
         fam = F.bernoulli_sum(20)
         biased = E.GeneralizedEstimator(
-            g=lambda y, point: np.array([(y + 2.0) / 24.0]),
-            label="biased")
+            lambda Y, point: _column((Y + 2.0) / 24.0), "biased")
         res = E.check_score_equation(ENGINE, fam, biased, [0.5])
         assert abs(res[0, 0]) > 1e-3
 
@@ -168,8 +174,7 @@ class TestEfficiencyMC:
     def test_continuous_family_efficiency(self):
         fam = F.normal_location(1)
         g = E.GeneralizedEstimator(
-            g=lambda y, point: np.array([float(y) - float(point[0])]),
-            label="identity")
+            lambda Y, point: _column(Y - point[0]), "identity")
         eff, se = E.efficiency_mc(fam, g, [0.0], reps=20_000, seed=3)
         assert eff == pytest.approx(1.0, abs=1e-9)
 
@@ -198,11 +203,16 @@ def test_batched_block_correlations_match_the_per_block_loop(n, blocks):
 class TestRegistry:
     def test_duplicate_label_rejected(self):
         reg = E.EstimatorRegistry()
-        est = E.GeneralizedEstimator(g=lambda y, p: np.array([0.0]),
-                                     label="dup")
+        est = E.GeneralizedEstimator(
+            lambda Y, p: np.zeros((len(Y), 1)), "dup")
         reg.register(est)
         with pytest.raises(KeyError):
             reg.register(est)
+
+    def test_an_estimator_needs_its_rows(self):
+        for kind in (E.GeneralizedEstimator, E.PreEstimator):
+            with pytest.raises(TypeError, match="rows"):
+                kind(label="no-rows")
 
     def test_suite_labels(self):
         labels = E.bernoulli_suite(6, ENGINE).labels()
@@ -217,7 +227,8 @@ class TestRegistry:
 def _variance_loop(fam, g, point):
     k = fam.dim_interest
     return _expect_loop(
-        fam, point, lambda y: np.outer(g(y, point), g(y, point)).ravel()
+        fam, point,
+        lambda y: np.outer(_value(g, y, point), _value(g, y, point)).ravel()
     ).reshape(k, k)
 
 
@@ -247,7 +258,7 @@ def _lambda_loop(fam, g, point):
     s = _orth_score_loop(fam, point)
     W = E.inv_sqrt_psd(_variance_loop(fam, g, point))
     A = _expect_loop(fam, point,
-                     lambda y: np.outer(s(y), W @ g(y, point)).ravel())
+                     lambda y: np.outer(s(y), W @ _value(g, y, point)).ravel())
     A = A.reshape(k, k)
     return A @ A.T, A
 
@@ -259,7 +270,7 @@ def _mean_slope_loop(fam, g, point):
 
     def gbar_at(q):
         W = E.inv_sqrt_psd(_variance_loop(fam, g, q))
-        return lambda y: W @ g(y, q)
+        return lambda y: W @ _value(g, y, q)
 
     qp, qm = point + h, point - h
     gp, gm = gbar_at(qp), gbar_at(qm)
@@ -272,15 +283,17 @@ def _score_equation_loop(fam, g, point):
     h = 1e-4 * max(1.0, abs(point[0]))
 
     def term(y):
-        vals = [g(y, point + np.array([c * h])) for c in (-2, -1, 1, 2)]
+        vals = [_value(g, y, point + np.array([c * h]))
+                for c in (-2, -1, 1, 2)]
         grad = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12 * h)
-        return (grad[None, :] + np.outer(s(y), g(y, point))).ravel()
+        return (grad[None, :] + np.outer(s(y), _value(g, y, point))).ravel()
 
     def scale(y):
-        vals = [np.abs(g(y, point + np.array([c * h])))
+        vals = [np.abs(_value(g, y, point + np.array([c * h])))
                 for c in (-2, -1, 1, 2)]
         grad = (vals[0] + 8.0 * vals[1] + 8.0 * vals[2] + vals[3]) / (12 * h)
-        return (grad[None, :] + np.abs(np.outer(s(y), g(y, point)))).ravel()
+        return (grad[None, :]
+                + np.abs(np.outer(s(y), _value(g, y, point)))).ravel()
 
     return (_expect_loop(fam, point, term).reshape(k, k),
             _expect_loop(fam, point, scale).reshape(k, k))
@@ -294,15 +307,26 @@ class TestRowFormsMatchTheLoop:
     def suite(self):
         return E.bernoulli_suite(self.N, ENGINE)
 
-    def test_suite_rows_equal_the_stacked_per_outcome_values(self, suite):
+    def test_suite_rows_match_the_per_outcome_formulas(self, suite):
         fam = F.bernoulli_sum(self.N)
         Y = fam.support.outcomes
+        n = self.N
         # p = (y - 0.5)/n puts outcome y exactly on the sign estimator's jump
-        jumps = [(y - 0.5) / self.N for y in range(1, self.N + 1)]
+        jumps = [(y - 0.5) / n for y in range(1, n + 1)]
         for p in (*self.POINTS, *jumps):
+            sign = [math.copysign(1.0, y - n * p - 0.5) for y in Y]
+            mean_sign = _expect_loop(fam, [p], lambda y: sign[y])[0]
+            want = {
+                "score": [oracle_score(fam, y, [p])[0] for y in Y],
+                "centered-proportion": [y / n - p for y in Y],
+                "centered-shrinkage": [(y - n * p) / (n + 4.0) for y in Y],
+                "sign-coarse-orthogonalized": [v - mean_sign for v in sign],
+            }
             for est in suite:
-                np.testing.assert_array_equal(
-                    est.rows(Y, [p]), [est(y, [p]) for y in Y],
+                got = est.rows(Y, [p])[:, 0]
+                np.testing.assert_allclose(
+                    got, want[est.label], rtol=1e-12,
+                    atol=1e-12 * np.max(np.abs(got)),
                     err_msg=f"{est.label} at p={p}")
 
     def test_variance_and_information_match_the_loop(self, suite):
@@ -336,12 +360,9 @@ class TestRowFormsMatchTheLoop:
     def test_two_binomial_orthogonalized_estimator_matches_the_loop(self):
         fam = F.two_binomial(8, 6)
         point = np.array(F.two_binomial_params(0.4, 0.55, 8, 6))
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y[0])]),
-                             label="first-count")
+        pre = E.PreEstimator(lambda Y, point: _column(Y[:, 0]),
+                             "first-count")
         g = E.orthogonalize(ENGINE, fam, pre)
-        Y = fam.support.outcomes
-        np.testing.assert_array_equal(g.rows(Y, point),
-                                      [g(y, point) for y in Y])
         np.testing.assert_allclose(E.variance(ENGINE, fam, g, point),
                                    _variance_loop(fam, g, point), rtol=1e-12)
         lam, _ = _lambda_loop(fam, g, point)
@@ -351,11 +372,10 @@ class TestRowFormsMatchTheLoop:
     def test_orthogonalize_cache_is_a_bounded_lru(self, monkeypatch):
         monkeypatch.setattr(E, "COEFFS_CACHE_SIZE", 8)
         fam = F.bernoulli_sum(4)
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y > 1)]),
-                             label="threshold")
+        pre = E.PreEstimator(lambda Y, point: _column(Y > 1), "threshold")
         g = E.orthogonalize(ENGINE, fam, pre)
         for i in range(1, 21):
-            g(2, [0.04 * i])
+            g.rows(np.array([2]), [0.04 * i])
         info = g.rows.cache_info()
         assert info.maxsize == 8 and info.currsize == 8
         assert info.misses == 20
@@ -367,8 +387,8 @@ class TestDegenerateEstimators:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.77])
     def test_constant_pre_estimator_is_rejected(self, p):
         fam = F.bernoulli_sum(20)
-        pre = E.PreEstimator(f=lambda y, point: np.array([-1.0]),
-                             label="constant")
+        pre = E.PreEstimator(lambda Y, point: -np.ones((len(Y), 1)),
+                             "constant")
         g = E.orthogonalize(ENGINE, fam, pre)
         with pytest.raises(E.EstimatorError, match="constant is degenerate"):
             E.information(ENGINE, fam, g, [p])
@@ -377,8 +397,8 @@ class TestDegenerateEstimators:
         # x1 + x2 is affine in the nuisance score (x1 + x2 - tnuis) / den
         fam = F.two_binomial(8, 6)
         point = np.array(F.two_binomial_params(0.4, 0.55, 8, 6))
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y[0] + y[1])]),
-                             label="total")
+        pre = E.PreEstimator(lambda Y, point: _column(Y[:, 0] + Y[:, 1]),
+                             "total")
         g = E.orthogonalize(ENGINE, fam, pre)
         with pytest.raises(E.EstimatorError, match="total is degenerate"):
             E.information(ENGINE, fam, g, point)
@@ -386,8 +406,7 @@ class TestDegenerateEstimators:
     def test_nearly_constant_pre_estimator_is_kept(self):
         # Pr(y = 20) = 0.01**20 is tiny but its variance is not round-off
         fam = F.bernoulli_sum(20)
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y >= 10)]),
-                             label="threshold")
+        pre = E.PreEstimator(lambda Y, point: _column(Y >= 10), "threshold")
         g = E.orthogonalize(ENGINE, fam, pre)
         assert E.variance(ENGINE, fam, g, [0.2])[0, 0] > 0.0
 
@@ -411,8 +430,8 @@ class TestDomainEdges:
     @pytest.mark.parametrize("tnuis", [1e-6, 14.0 - 1e-6])
     def test_nuisance_information_next_to_the_edges(self, tnuis):
         fam = F.two_binomial(8, 6)
-        pre = E.PreEstimator(f=lambda y, point: np.array([float(y[0])]),
-                             label="first-count")
+        pre = E.PreEstimator(lambda Y, point: _column(Y[:, 0]),
+                             "first-count")
         g = E.orthogonalize(ENGINE, fam, pre)
         point = [0.3, tnuis]
         nuis = E.nuisance_information(ENGINE, fam, g, point)

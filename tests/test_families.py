@@ -115,7 +115,7 @@ FINITE_CASES = [
 
 
 def _moments(family, point):
-    """(per-outcome h, row-form H) of the outcome, its score and the
+    """(per-outcome oracle h, row map H) of the outcome, its score and the
     score's outer product: every moment the engine's callers take."""
     def h(y):
         s = oracle_score(family, y, point)
@@ -123,7 +123,7 @@ def _moments(family, point):
                                np.outer(s, s).ravel()])
 
     def H(Y):
-        S = F.score_rows(family, Y, point)
+        S = F.score(family, Y, point)
         return np.hstack([np.ones((len(Y), 1)), Y.reshape(len(Y), -1), S,
                           F.outer_rows(S, S)])
 
@@ -133,17 +133,17 @@ def _moments(family, point):
 class TestExpectationEngine:
     def test_exact_moments_of_the_binomial(self):
         fam = F.bernoulli_sum(20)
-        assert ENGINE.expect(fam, [0.5], lambda y: float(y)) == \
+        assert ENGINE.expect(fam, [0.5], lambda Y: Y)[0] == \
             pytest.approx(10.0, abs=1e-12)
-        assert ENGINE.expect(fam, [0.5], lambda y: 1.0) == \
+        assert ENGINE.expect(fam, [0.5], np.ones_like)[0] == \
             pytest.approx(1.0, abs=1e-12)
-        assert ENGINE.expect(fam, [0.3], lambda y: (y - 6.0) ** 2) == \
+        assert ENGINE.expect(fam, [0.3], lambda Y: (Y - 6.0) ** 2)[0] == \
             pytest.approx(4.2, abs=1e-12)
 
     def test_mc_mode_tracks_exact_mode(self):
         fam = F.bernoulli_sum(20)
         mc = F.ExpectationEngine(mode="mc", replications=200_000, seed=7)
-        val, se = mc.expect_se(fam, [0.3], lambda y: float(y))
+        val, se = mc.expect_se(fam, [0.3], lambda Y: Y)
         se = float(np.asarray(se).ravel()[0])
         assert se < 0.01
         assert float(np.asarray(val).ravel()[0]) == pytest.approx(
@@ -152,7 +152,7 @@ class TestExpectationEngine:
     def test_exact_mode_requires_finite_support(self):
         fam = F.normal_location(5)
         with pytest.raises(F.EngineError):
-            ENGINE.expect(fam, [0.0], lambda y: y)
+            ENGINE.expect(fam, [0.0], lambda Y: Y)
 
     def test_mc_mode_requires_a_sampler(self):
         fam = F.bernoulli_sum(4)
@@ -163,7 +163,7 @@ class TestExpectationEngine:
             log_density_rows=fam.log_density_rows,
             score_rows=fam.score_rows)
         with pytest.raises(F.EngineError):
-            F.ExpectationEngine(mode="mc").expect(crippled, [0.5], lambda y: y)
+            F.ExpectationEngine(mode="mc").expect(crippled, [0.5], lambda Y: Y)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -171,24 +171,23 @@ class TestExpectationEngine:
 
     @pytest.mark.parametrize("family,point", FINITE_CASES,
                              ids=lambda c: getattr(c, "label", str(c)))
-    def test_expect_rows_matches_the_loop(self, family, point):
+    def test_expect_matches_the_loop(self, family, point):
         h, H = _moments(family, point)
-        assert_matches_loop(ENGINE.expect_rows(family, point, H),
-                            family, point, h)
-        assert_matches_loop(ENGINE.expect(family, point, h),
+        assert_matches_loop(ENGINE.expect(family, point, H),
                             family, point, h)
 
     @pytest.mark.parametrize("family,point", FINITE_CASES,
                              ids=lambda c: getattr(c, "label", str(c)))
-    def test_row_forms_equal_the_per_outcome_forms(self, family, point):
-        # one outcome is the one-row case of the rows: equal, not close
+    def test_a_row_does_not_depend_on_its_batch(self, family, point):
+        # each outcome alone, as a one-row array: equal, not close
         Y = family.support.outcomes
         np.testing.assert_array_equal(
             family.log_density_rows(Y, point),
-            [F.one_row(family.log_density_rows, y, point) for y in Y])
+            [family.log_density_rows(Y[i:i + 1], point)[0]
+             for i in range(len(Y))])
         np.testing.assert_array_equal(
-            F.score_rows(family, Y, point),
-            [F.score(family, y, point) for y in Y])
+            F.score(family, Y, point),
+            [F.score(family, Y[i:i + 1], point)[0] for i in range(len(Y))])
 
     @pytest.mark.parametrize("family,point", FINITE_CASES,
                              ids=lambda c: getattr(c, "label", str(c)))
@@ -198,27 +197,30 @@ class TestExpectationEngine:
         np.testing.assert_allclose(family.log_density_rows(Y, point), want,
                                    rtol=1e-12, atol=1e-12)
         want = np.array([oracle_score(family, y, point) for y in Y])
-        np.testing.assert_allclose(F.score_rows(family, Y, point), want,
+        np.testing.assert_allclose(F.score(family, Y, point), want,
                                    rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
 
-    def test_expect_rows_keeps_the_row_shape(self):
+    def test_expect_keeps_the_row_shape(self):
         fam = F.bernoulli_sum(6)
-        assert ENGINE.expect_rows(fam, [0.3], lambda Y: Y).shape == (1,)
-        out = ENGINE.expect_rows(
+        assert ENGINE.expect(fam, [0.3], lambda Y: Y).shape == (1,)
+        out = ENGINE.expect(
             fam, [0.3], lambda Y: np.ones((len(Y), 2, 3)))
         np.testing.assert_allclose(out, np.ones((2, 3)), atol=1e-14)
 
-    def test_mc_rows_average_the_same_draws_as_the_adapter(self):
+    def test_mc_averages_the_seeded_draws(self):
+        # the oracle scores one draw at a time, from the same seeded sampler
         fam = F.two_binomial(5, 7)
         point = np.array(F.two_binomial_params(0.3, 0.6, 5, 7))
         mc = F.ExpectationEngine(mode="mc", replications=2000, seed=11)
-        v_rows, se_rows = mc.expect_rows_se(
-            fam, point, lambda Y: F.score_rows(fam, Y, point))
-        v_one, se_one = mc.expect_se(
-            fam, point, lambda y: F.score(fam, y, point))
-        np.testing.assert_array_equal(v_rows, v_one)
-        np.testing.assert_array_equal(se_rows, se_one)
+        val, se = mc.expect_se(fam, point, lambda Y: F.score(fam, Y, point))
+        rng = np.random.default_rng(np.random.SeedSequence(11))
+        draws = fam.support.sampler(rng, point, 2000)
+        scores = np.array([oracle_score(fam, y, point) for y in draws])
+        np.testing.assert_allclose(val, scores.mean(axis=0), rtol=1e-12,
+                                   atol=1e-12 * np.abs(scores).mean())
+        np.testing.assert_allclose(
+            se, scores.std(axis=0, ddof=1) / math.sqrt(2000), rtol=1e-9)
 
 
 class TestSupportDescriptor:
@@ -264,20 +266,22 @@ class TestSupportDescriptor:
 class TestScores:
     def test_binomial_score_examples(self):
         fam = F.bernoulli_sum(20)
-        assert F.score(fam, 6, [0.3])[0] == pytest.approx(0.0, abs=1e-12)
-        assert F.score(fam, 6, [0.5])[0] == pytest.approx(-16.0, abs=1e-12)
+        s = F.score(fam, np.array([6]), [0.3])
+        assert s.shape == (1, 1) and s[0, 0] == pytest.approx(0.0, abs=1e-12)
+        s = F.score(fam, np.array([6]), [0.5])
+        assert s[0, 0] == pytest.approx(-16.0, abs=1e-12)
 
     @given(p=st.floats(0.05, 0.95))
     @settings(max_examples=25, deadline=None)
     def test_score_is_mean_zero(self, p):
         fam = F.bernoulli_sum(12)
-        val = ENGINE.expect(fam, [p], lambda y: F.score(fam, y, [p]))
+        val = ENGINE.expect(fam, [p], lambda Y: F.score(fam, Y, [p]))
         assert abs(val[0]) < 1e-10
 
     def test_out_of_domain_point_raises(self):
         fam = F.bernoulli_sum(10)
         with pytest.raises(F.DomainError):
-            F.score(fam, 3, [1.5])
+            F.score(fam, np.array([3]), [1.5])
         with pytest.raises(F.DomainError):
             fam.check_point([0.2, 0.3])
 
@@ -292,7 +296,8 @@ class TestScores:
                     fam.check_point(bad)
         # no rejection was cached in place of a valid point
         point = fam.check_point([0.0, 25.0])
-        assert F.score(fam, (10, 15), point) == pytest.approx([0.0, 0.0])
+        assert F.score(fam, np.array([[10, 15]]), point)[0] == pytest.approx(
+            [0.0, 0.0])
 
 
 class TestFisherInfo:
@@ -306,11 +311,11 @@ class TestFisherInfo:
         fam = F.bernoulli_sum(20)
         p, h = 0.3, 1e-5
         i_sq = float(ENGINE.expect(
-            fam, [p], lambda y: F.score(fam, y, [p]) ** 2)[0])
+            fam, [p], lambda Y: F.score(fam, Y, [p]) ** 2)[0])
         i_h = -float(ENGINE.expect(
             fam, [p],
-            lambda y: (F.score(fam, y, [p + h])
-                       - F.score(fam, y, [p - h])) / (2 * h))[0])
+            lambda Y: (F.score(fam, Y, [p + h])
+                       - F.score(fam, Y, [p - h])) / (2 * h))[0])
         assert i_h == pytest.approx(i_sq, rel=1e-6)
 
     def test_two_binomial_blocks(self):
@@ -373,7 +378,7 @@ class TestExponentialFamilyProperties:
         Y = fam.support.outcomes
         w = np.exp(fam.log_density_rows(Y, [p]))
         assert abs(w.sum() - 1.0) <= 1e-13
-        s = F.score_rows(fam, Y, [p])[:, 0]
+        s = F.score(fam, Y, [p])[:, 0]
         assert abs((w * s).sum()) <= 1e-10 * (w * np.abs(s)).sum()
         info = F.fisher_info(ENGINE, fam, [p])
         assert info.I[0, 0] == pytest.approx(n / (p * (1.0 - p)), rel=1e-12)
@@ -450,7 +455,8 @@ class TestTwoBinomialReparameterization:
 class TestLocationFamilies:
     def test_normal_location_score(self):
         fam = F.normal_location(10)
-        assert F.score(fam, 1.2, [1.0])[0] == pytest.approx(2.0, abs=1e-9)
+        s = F.score(fam, np.array([1.2]), [1.0])
+        assert s.shape == (1, 1) and s[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_t3_density_integrates_to_one(self):
         fam = F.t3_location(1)
@@ -460,5 +466,6 @@ class TestLocationFamilies:
 
     def test_cauchy_score_shape(self):
         fam = F.cauchy_location(3)
-        s = F.score(fam, [0.0, 1.0, -1.0], [0.0])
-        assert s.shape == (1,) and s[0] == pytest.approx(0.0, abs=1e-12)
+        s = F.score(fam, np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0]]), [0.0])
+        assert s.shape == (2, 1) and s[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert s[1, 0] == pytest.approx(1.0, abs=1e-12)

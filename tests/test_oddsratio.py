@@ -343,10 +343,12 @@ class TestExactCoverage:
             assert r.coverage == want
 
     def test_coverage_table_shape(self):
-        rows = O.coverage_table(6, 8, ((1.0, 0.5, 0.5),),
-                                c_list=(0.0,), equal_options=(True,))
-        methods = {r.method for r in rows}
-        assert methods == {"z-standard", "fisher-exact"}
+        rows = O.coverage_table(6, 8, ((1.0, 0.5, 0.5),))
+        # both sign conventions, each with every c and the exact method
+        want = [row for eq in (True, False)
+                for row in [(eq, c, "z-standard") for c in O.COVERAGE_C]
+                + [(eq, 0.0, "fisher-exact")]]
+        assert [(r.equal_sign, r.c, r.method) for r in rows] == want
         assert all(0.0 <= r.coverage <= 1.0 for r in rows)
 
 
