@@ -265,13 +265,17 @@ def zeta_lab(data_family, n, reps, seed, out_dir):
          opt("--z", type=POSITIVE, default=oddsratio.Z_95),
          opt("--c", type=NONNEGATIVE, default=0.0),
          opt("--nuisance-value", type=float,
-             help="fixed nuisance value instead of the (plus-c) profile"),
+             help="fixed nuisance value in [0, n1 + n2] instead of the "
+                  "(plus-c) profile"),
          opt("--open-interval", action="store_true",
              help="use the strict (without '=') convention"), OUT_DIR)
 def or_interval(n1, n2, x1, x2, z, c, nuisance_value, open_interval, out_dir):
     """z-standard and exact intervals for the log odds ratio."""
     if not (0 <= x1 <= n1 and 0 <= x2 <= n2):
         raise argparse.ArgumentError(None, "x1, x2 must lie in 0..n1, 0..n2")
+    if nuisance_value is not None and not 0.0 <= nuisance_value <= n1 + n2:
+        raise argparse.ArgumentError(
+            None, "--nuisance-value must lie in [0, n1 + n2]")
     man = _manifest("or-interval",
                     {"n1": n1, "n2": n2, "x1": x1, "x2": x2, "z": z, "c": c,
                      "nuisance_value": nuisance_value,

@@ -5,12 +5,18 @@ at a fixed nuisance value), the conditional exact odds-ratio interval,
 exact coverage enumeration, and score-test tail probabilities at the
 exact-interval endpoints.  Everything here is deterministic; all
 probability sums are exact enumerations over the (n1+1) x (n2+1) grid.
+
+Coverage builds no interval: an interval holds theta0 exactly when the
+test at theta0 accepts the data (Neyman's duality; Lehmann & Romano,
+Testing Statistical Hypotheses, 3.5), so the coverage of a cell is the
+mass of the outcomes whose score test, or conditional exact test, at the
+cell's odds ratio accepts.  The interval routes serve single outcomes and
+the tests, which compare the two.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +29,7 @@ from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
 from .intervals import IntervalResult
 
 Z_95 = 1.959964  # two-sided nominal 0.95
-TAIL_BLOCK = 1 << 16  # (row, outcome) elements per block of score_tails
+TAIL_BLOCK = 1 << 14  # (row, outcome) elements per block of score_tails
 LOG_PSI_BOUND = 50.0  # exact odds-ratio endpoints lie in [e^-50, e^50]
 
 # (odds ratio, p1, p2) parameter cells of the standard coverage study
@@ -139,12 +145,16 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
     the score itself (a dense sign scan is kept as a test oracle);
     endpoints map to theta through the log-odds-ratio.  A rule value at
     0 or n1+n2 (all-boundary data with c = 0) is degenerate: the closed
-    convention gives the whole line, the open one the empty set.  sbar of
-    one sign at both range ends means the score root is not bracketed.
+    convention gives the whole line, the open one the empty set; a value
+    outside [0, n1+n2] raises InfeasibleNuisance.  sbar of one sign at
+    both range ends means the score root is not bracketed.
     """
     if z <= 0.0:
         raise ValueError("z must be positive")
     tnuis = rule.resolve(data)
+    if not 0.0 <= tnuis <= data.n1 + data.n2:
+        raise InfeasibleNuisance(
+            f"nuisance value {tnuis} outside [0, {data.n1 + data.n2}]")
     if not 0.0 < tnuis < data.n1 + data.n2:
         if equal_sign:
             return IntervalResult(lower=-math.inf, upper=math.inf, z=z,
@@ -292,20 +302,6 @@ class CoverageCell(NamedTuple):
     method: str  # "z-standard" | "fisher-exact"
 
 
-@lru_cache(maxsize=16)
-def _z_intervals_all(n1: int, n2: int, c: float, z: float):
-    """theta intervals for every outcome at one (c, z); outcome-major.
-
-    Returns (lower, upper, degenerate) arrays; degenerate marks rule
-    values at 0 or n1+n2 (coverage depends on the equal-sign convention
-    there: whole line when closed, empty when open).
-    """
-    x1, x2 = two_binomial_outcomes(n1, n2).T
-    tn = _plus_c(x1, x2, n1, n2, c)
-    lower, upper = _theta_intervals(x1, x2, n1, n2, tn, z)[:2]
-    return lower, upper, (tn <= 0.0) | (tn >= n1 + n2)
-
-
 def _log_masses(n1, n2, p1, p2):
     """Log masses of every outcome, one row per entry of p1 and p2."""
     x1, x2 = two_binomial_outcomes(n1, n2).T
@@ -313,60 +309,87 @@ def _log_masses(n1, n2, p1, p2):
             + log_binom_pmf(x2, n2, np.asarray(p2)[..., None]))
 
 
-# one cell's log masses, shared by every rule and method of coverage_table
-_cell_log_masses = lru_cache(maxsize=1)(_log_masses)
-
-
 def _mass_sum(logm, which):
     """Correctly rounded sum of exp(logm[which])."""
     return math.fsum(np.exp(logm[which]))
 
 
+def _z_covered(n1: int, n2: int, theta: float, c: float, z: float):
+    """(closed, open) masks of the outcomes whose z-standard test at theta
+    accepts: sbar^2 <= z^2 and sbar^2 < z^2 at the outcome's plus-c rule
+    value, p1 inverted at theta.
+
+    These are the outcomes whose interval holds theta.  A rule value at
+    0 or n1+n2 is degenerate (the whole line when closed, empty when
+    open); one whose feasible p1 range is empty, though inside (0, n1+n2),
+    leaves the whole line under both conventions.
+    """
+    x1, x2 = two_binomial_outcomes(n1, n2).T
+    tn = _plus_c(x1, x2, n1, n2, c)
+    p1 = invert_p1_batch(theta, tn, n1, n2)
+    s2 = sbar_profiled_batch(x1, x2, n1, n2, p1, (tn - n1 * p1) / n2) ** 2
+    degenerate = (tn <= 0.0) | (tn >= n1 + n2)
+    whole = ~(degenerate | _p1_range(tn, n1, n2)[2])
+    return ((s2 <= z * z) | degenerate | whole,
+            (s2 < z * z) & ~degenerate | whole)
+
+
+def _fisher_covered(n1: int, n2: int, or_true: float, confidence: float):
+    """Mask of the outcomes whose conditional exact test at or_true
+    accepts: Pr(X >= x1 | t) >= alpha and Pr(X <= x1 | t) >= alpha under
+    the noncentral hypergeometric law, alpha = (1 - confidence)/2.
+
+    These are the outcomes whose exact interval holds or_true.  One law
+    per t = x1 + x2, with its tails from cumulative sums both ways.
+    """
+    logw = (_cond_log_coef(n1, n2, np.arange(n1 + n2 + 1))
+            + np.arange(n1 + 1) * math.log(or_true))
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    le = np.cumsum(w, axis=1)
+    tails = np.minimum(le, np.cumsum(w[:, ::-1], axis=1)[:, ::-1])
+    tails /= le[:, -1:]
+    x1, x2 = two_binomial_outcomes(n1, n2).T
+    return tails[x1 + x2, x1] >= 0.5 * (1.0 - confidence)
+
+
 def coverage_z(n1: int, n2: int, or_true: float, p1: float, p2: float,
                c: float, equal_sign: bool, z: float = Z_95) -> float:
-    """Exact coverage of the z-standard interval at one parameter cell."""
-    theta = math.log(or_true)
-    lower, upper, degenerate = _z_intervals_all(n1, n2, float(c), float(z))
-    if equal_sign:
-        covered = (lower <= theta) & (theta <= upper)
-        covered |= degenerate
-    else:
-        covered = (lower < theta) & (theta < upper)
-        covered &= ~degenerate
-    return _mass_sum(_cell_log_masses(n1, n2, p1, p2), covered)
-
-
-@lru_cache(maxsize=16)
-def _fisher_intervals_all(n1: int, n2: int, confidence: float):
-    """Exact odds-ratio (lower, upper) of every outcome; outcome-major."""
-    x1, x2 = two_binomial_outcomes(n1, n2).T
-    return fisher_exact_intervals(x1, x2, n1, n2, confidence)
+    """Exact coverage of the z-standard interval at one parameter cell:
+    the mass of the outcomes whose test at log(or_true) accepts."""
+    closed, open_ = _z_covered(n1, n2, math.log(or_true), c, z)
+    return _mass_sum(_log_masses(n1, n2, p1, p2),
+                     closed if equal_sign else open_)
 
 
 def coverage_fisher(n1: int, n2: int, or_true: float, p1: float, p2: float,
                     confidence: float = 0.95) -> float:
-    """Exact coverage of the conditional exact interval (closed)."""
-    lo, hi = _fisher_intervals_all(n1, n2, confidence)
-    covered = (lo <= or_true) & (or_true <= hi)
-    return _mass_sum(_cell_log_masses(n1, n2, p1, p2), covered)
+    """Exact coverage of the conditional exact interval (closed): the mass
+    of the outcomes whose conditional test at or_true accepts."""
+    return _mass_sum(_log_masses(n1, n2, p1, p2),
+                     _fisher_covered(n1, n2, or_true, confidence))
 
 
 def coverage_table(n1: int, n2: int, cells, z: float = Z_95) -> list:
     """Exact coverage for each (or, p1, p2) cell: for each sign convention,
-    the z-standard interval at each COVERAGE_C and the exact interval."""
+    the z-standard interval at each COVERAGE_C and the exact interval.
+
+    Each cell's masses, its test at each c and its exact test are
+    computed once and serve both conventions.
+    """
     conf = z_confidence(z)
     out = []
     for or_true, p1, p2 in cells:
+        logm = _log_masses(n1, n2, p1, p2)
+        z_sets = [_z_covered(n1, n2, math.log(or_true), c, z)
+                  for c in COVERAGE_C]
+        fisher = _mass_sum(logm, _fisher_covered(n1, n2, or_true, conf))
         for eq in (True, False):
-            for c in COVERAGE_C:
+            for c, (closed, open_) in zip(COVERAGE_C, z_sets):
                 out.append(CoverageCell(
                     or_true, p1, p2, c, eq,
-                    coverage_z(n1, n2, or_true, p1, p2, c, eq, z),
-                    "z-standard"))
-            out.append(CoverageCell(
-                or_true, p1, p2, 0.0, eq,
-                coverage_fisher(n1, n2, or_true, p1, p2, conf),
-                "fisher-exact"))
+                    _mass_sum(logm, closed if eq else open_), "z-standard"))
+            out.append(CoverageCell(or_true, p1, p2, 0.0, eq, fisher,
+                                    "fisher-exact"))
     return out
 
 

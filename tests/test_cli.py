@@ -305,6 +305,14 @@ BAD_SIZES = {
     "or-interval x1=-1": (["or-interval", "--n1", "5", "--n2", "5",
                            "--x1", "-1", "--x2", "0"],
                           "x1, x2 must lie in 0..n1, 0..n2"),
+    "or-interval nuisance=-3": (["or-interval", "--n1", "5", "--n2", "5",
+                                 "--x1", "1", "--x2", "2",
+                                 "--nuisance-value", "-3"],
+                                "--nuisance-value must lie in [0, n1 + n2]"),
+    "or-interval nuisance=nan": (["or-interval", "--n1", "5", "--n2", "5",
+                                  "--x1", "1", "--x2", "2",
+                                  "--nuisance-value", "nan"],
+                                 "--nuisance-value must lie in [0, n1 + n2]"),
     "zeta-lab reps=10": (["zeta-lab", "--reps", "10"],
                          "argument --reps: must be at least 1000"),
     "zeta-lab seed=-1": (["zeta-lab", "--seed", "-1"],

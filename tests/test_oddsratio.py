@@ -1,6 +1,7 @@
 """Two-binomial log-odds-ratio: intervals, coverage, endpoint tails."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,6 +200,21 @@ class TestZInterval:
         with pytest.raises(ValueError):
             O.z_interval(_data(5, 5), z=0.0)
 
+    @pytest.mark.parametrize("value", [-3.0, -1e-12, 50.000001, math.inf,
+                                       math.nan])
+    def test_nuisance_value_outside_the_range_raises(self, value):
+        rule = O.NuisanceRule("fixed-value", value=value)
+        for eq in (True, False):
+            with pytest.raises(O.InfeasibleNuisance, match="outside"):
+                O.z_interval(_data(1, 2), rule=rule, equal_sign=eq)
+
+    @pytest.mark.parametrize("value", [0.0, 50.0])
+    def test_nuisance_value_at_a_range_end_is_degenerate(self, value):
+        rule = O.NuisanceRule("fixed-value", value=value)
+        closed = O.z_interval(_data(1, 2), rule=rule)
+        assert closed.lower == -math.inf and closed.upper == math.inf
+        assert O.z_interval(_data(1, 2), rule=rule, equal_sign=False).empty
+
 
 class TestFisherExactInterval:
     @pytest.mark.parametrize("x1,x2", [(10, 15), (5, 25), (1, 1), (19, 29),
@@ -290,11 +306,112 @@ class TestFisherExactInterval:
         with pytest.raises(ValueError):
             O.fisher_exact_intervals([3, 7], [2, 2], 6, 9)
 
-    def test_grid_cache_is_bounded(self):
-        O._fisher_intervals_all.cache_clear()
-        for k in range(20):
-            O._fisher_intervals_all(2, 3, 0.5 + 0.02 * k)
-        assert O._fisher_intervals_all.cache_info().currsize <= 16
+
+# the covered sets of the test route against those of every outcome's
+# interval, over the frozen table's shapes and more
+ORACLE_SHAPES = ((20, 30), (10, 15), (8, 9), (5, 5), (60, 60))
+ORACLE_C = O.COVERAGE_C + (1e-12, 1e-9)
+ORACLE_Z = (1.644854, 1.959964, 2.575829)
+ORACLE_OR = (0.25, 2.0 / 3.0, 1.0, 1.5, 4.0, 10.0)
+
+
+def _z_interval_covered(n1, n2, or_true, c, z):
+    """Oracle: (closed, open) masks of the outcomes whose z-interval
+    holds log(or_true), one row per odds ratio; a degenerate rule value
+    covers under the closed convention only."""
+    x1, x2 = O.two_binomial_outcomes(n1, n2).T
+    tn = O._plus_c(x1, x2, n1, n2, c)
+    lower, upper = O._theta_intervals(x1, x2, n1, n2, tn, z)[:2]
+    degenerate = (tn <= 0.0) | (tn >= n1 + n2)
+    theta = np.log(or_true)[:, None]
+    return ((lower <= theta) & (theta <= upper) | degenerate,
+            (lower < theta) & (theta < upper) & ~degenerate)
+
+
+def _fisher_interval_covered(n1, n2, or_true, confidence):
+    """Oracle: mask of the outcomes whose exact interval holds or_true,
+    one row per odds ratio."""
+    x1, x2 = O.two_binomial_outcomes(n1, n2).T
+    lower, upper = O.fisher_exact_intervals(x1, x2, n1, n2, confidence)
+    psi = np.asarray(or_true)[:, None]
+    return (lower <= psi) & (psi <= upper)
+
+
+def _assert_z_sets_match(n1, n2, or_true, c, z):
+    closed, open_ = _z_interval_covered(n1, n2, np.array(or_true), c, z)
+    for k, psi in enumerate(or_true):
+        got = O._z_covered(n1, n2, math.log(psi), c, z)
+        where = f"(n1, n2)=({n1}, {n2}) or={psi} c={c} z={z}"
+        np.testing.assert_array_equal(got[0], closed[k], err_msg=where)
+        np.testing.assert_array_equal(got[1], open_[k], err_msg=where)
+
+
+def _assert_fisher_sets_match(n1, n2, or_true, confidence):
+    want = _fisher_interval_covered(n1, n2, np.array(or_true), confidence)
+    for k, psi in enumerate(or_true):
+        np.testing.assert_array_equal(
+            O._fisher_covered(n1, n2, psi, confidence), want[k],
+            err_msg=f"(n1, n2)=({n1}, {n2}) or={psi} level={confidence}")
+
+
+class TestCoverageByTheTest:
+    @pytest.mark.parametrize("n1,n2", ORACLE_SHAPES)
+    def test_z_test_covers_the_outcomes_whose_interval_holds_theta(
+            self, n1, n2):
+        for c in ORACLE_C:
+            for z in ORACLE_Z:
+                _assert_z_sets_match(n1, n2, ORACLE_OR, c, z)
+
+    @pytest.mark.parametrize("n1,n2", ORACLE_SHAPES + ((100, 100),))
+    def test_exact_test_covers_the_outcomes_whose_interval_holds_psi(
+            self, n1, n2):
+        for confidence in (0.90, 0.95, 0.99):
+            _assert_fisher_sets_match(n1, n2, ORACLE_OR, confidence)
+
+    def test_seeded_scan(self):
+        rng = np.random.default_rng(23)
+        for _ in range(120):
+            n1, n2 = (int(v) for v in rng.integers(1, 31, 2))
+            c = float(rng.choice([0.0, 0.5, 1.0, 1e-12, 1e-9,
+                                  rng.uniform(0.0, 2.0)]))
+            z = float(rng.uniform(0.5, 4.0))
+            or_true = np.exp(rng.normal(0.0, 1.5, 4)).tolist()
+            _assert_z_sets_match(n1, n2, or_true, c, z)
+            _assert_fisher_sets_match(n1, n2, or_true,
+                                      float(rng.uniform(0.5, 0.999)))
+
+    def test_empty_feasible_range_covers_under_both_conventions(self):
+        # c = 1e-9 moves (0, 0) to a rule value inside (0, 10) whose
+        # feasible p1 range is empty: the whole line, as the interval says
+        closed, open_ = O._z_covered(5, 5, 0.0, 1e-9, O.Z_95)
+        assert closed[0] and open_[0]
+        got = O.coverage_z(5, 5, 1.0, 0.01, 0.01, 1e-9, False)
+        assert got == pytest.approx(0.99998, abs=1e-5)
+
+    def test_coverage_table_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            O.coverage_table(100, 100, O.COVERAGE_CELLS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+    def test_coverage_keeps_nothing_between_calls(self):
+        # no cache on the coverage path: distinct (c, z, level) calls leave
+        # less behind than one float per outcome
+        n = 40
+        O.coverage_table(n, n, O.COVERAGE_CELLS[:1])  # warm tables
+        tracemalloc.start()
+        try:
+            for k in range(20):
+                O.coverage_z(n, n, 1.0, 0.5, 0.5, 0.1 * k, k % 2 == 0,
+                             1.0 + 0.05 * k)
+                O.coverage_fisher(n, n, 1.0, 0.5, 0.5, 0.5 + 0.02 * k)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * (n + 1) ** 2, retained
 
 
 class TestExactCoverage:
@@ -328,13 +445,18 @@ class TestExactCoverage:
         assert got == pytest.approx(0.9753816989626016, abs=1e-12)
         assert got >= 0.95
 
-    def test_coverage_table_computes_each_cells_masses_once(self):
-        O._cell_log_masses.cache_clear()
+    def test_coverage_table_computes_each_cells_masses_once(self,
+                                                           monkeypatch):
+        calls, log_masses = [], O._log_masses
+
+        def counted(*args):
+            calls.append(args)
+            return log_masses(*args)
+
+        monkeypatch.setattr(O, "_log_masses", counted)
         rows = O.coverage_table(N1, N2, O.COVERAGE_CELLS[:3])
-        info = O._cell_log_masses.cache_info()
-        assert (info.misses, info.hits) == (3, 3 * (len(rows) // 3 - 1))
-        for r in rows[:8]:  # each from freshly computed masses
-            O._cell_log_masses.cache_clear()
+        assert len(calls) == 3
+        for r in rows:  # each row as coverage_z or coverage_fisher gives it
             want = (O.coverage_z(N1, N2, r.or_true, r.p1, r.p2, r.c,
                                  r.equal_sign)
                     if r.method == "z-standard" else
@@ -430,6 +552,16 @@ class TestScoreTails:
         whole = O.fisher_endpoint_tails(6, 8)
         monkeypatch.setattr(O, "TAIL_BLOCK", 100)  # one row per block
         assert O.fisher_endpoint_tails(6, 8) == whole
+
+    def test_one_row_blocks_match_the_default_blocks(self, monkeypatch):
+        # (20, 30): 25 rows per default block, 120 rows in 5 blocks
+        rng = np.random.default_rng(7)
+        x1, x2 = rng.integers(1, 20, 120), rng.integers(1, 30, 120)
+        theta, ge = rng.normal(0.0, 1.0, 120), rng.random(120) < 0.5
+        default = O.score_tails(N1, N2, x1, x2, theta, ge)
+        monkeypatch.setattr(O, "TAIL_BLOCK", 1)
+        np.testing.assert_array_equal(
+            O.score_tails(N1, N2, x1, x2, theta, ge), default)
 
     def test_boundary_data_have_no_null(self):
         with pytest.raises(O.InfeasibleNuisance):
