@@ -5,8 +5,8 @@ log-odds-ratio score, its z-interval in p1, the t3 location MLE and exact
 one-sided tail inversion, each on whole arrays of rows at once, with one
 implementation.  Every two-binomial root lies in ``_p1_range``, the
 clipped feasible p1 range at a nuisance value: p1 at (theta, nuisance)
-is a closed-form quadratic root, and the z-interval edges are halved by
-``_bisect``.
+is a closed-form quadratic root.  Every other scalar root (the z-interval
+edges, the t3 MLE, the exact tail endpoints) comes from ``_newton``.
 """
 
 from __future__ import annotations
@@ -17,21 +17,67 @@ __all__ = ["invert_p1_batch", "sbar_profiled_batch", "zinterval_p1_batch",
            "t3_mle_batch"]
 
 P1_CLIP = 1e-9  # shrink of the feasible p1 range away from the singular ends
-BISECT_ITERS = 80  # bisection steps; 2^-80 of the unit interval << 1e-12
-EDGE_ITERS = 60  # bisection steps per z-interval edge
 TAIL_BLOCK = 1 << 17  # (row, support point) elements per block of tail roots
-TAIL_ITERS = 100  # cap on the safeguarded Newton steps of one tail root
+NEWTON_ITERS = 100  # cap on the safeguarded Newton steps of one root
+T3_FTOL = 1e-10  # a t3 MLE row is done where |psi| is below this
+TAIL_XTOL = 1e-7  # a tail root is done after a step this small
 
 
-def _bisect(to_a, a, b, iters):
-    """Halve the brackets (a, b) elementwise ``iters`` times: mid replaces
-    a where ``to_a(mid)`` holds, else b, so a may lie above b."""
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        left = to_a(mid)
-        a = np.where(left, mid, a)
-        b = np.where(left, b, mid)
-    return a, b
+@np.errstate(divide="ignore", invalid="ignore")
+def _newton(f_and_df, x, lo, hi, rising, ftol, xtol):
+    """Roots of f, one per row, by Newton steps from x kept in [lo, hi].
+
+    ``f_and_df(x, live)`` gives f and f' at x per row, read only on the
+    rows ``live`` selects: all (a slice) until one is done, then a mask.
+    f rises where ``rising`` holds, else falls, so the sign of f alone
+    makes x an end of the bracket.  A step x - f/f' is taken strictly
+    inside the bracket, one too small to move x moves it a float, any
+    other goes to the midpoint.  A row is done at |f| < ftol (before its
+    step), after a step within xtol (kept, in the bracket or not), or
+    when its bracket is two neighbouring floats both evaluated; an end
+    never evaluated is evaluated first, the root may lie beyond it.
+    Returns (roots, converged); a row not done in NEWTON_ITERS steps
+    keeps its last point.
+    """
+    x = np.array(x, dtype=float)
+    lo, hi = np.full(len(x), lo, dtype=float), np.full(len(x), hi, dtype=float)
+    live = np.ones(len(x), dtype=bool)
+    seen_lo = seen_hi = ~live  # f evaluated at that end of the bracket
+    part = slice(None)
+    # a row that is done keeps its x; its bracket goes stale, unread
+    for _ in range(NEWTON_ITERS):
+        f, df = f_and_df(x, part)
+        if ftol:
+            live = live & ~(np.abs(f) < ftol)
+            if not np.count_nonzero(live):
+                break
+        above = (f < 0.0) == rising  # the root lies above x
+        below = ~above
+        np.copyto(lo, x, where=above)
+        np.copyto(hi, x, where=below)
+        seen_lo, seen_hi = seen_lo | above, seen_hi | below
+        step = f / df
+        new = x - step
+        done = np.abs(step) <= xtol
+        bad = live & ~(done | (new > lo) & (new < hi))
+        if np.count_nonzero(bad):
+            # a step too small to move x moves it one float towards the
+            # root; any other step out of the bracket goes to its midpoint
+            mid = np.where(new == x, np.nextafter(x, np.where(above, hi, lo)),
+                           0.5 * (lo + hi))
+            np.copyto(new, mid, where=bad)
+            shut = bad & ((mid == lo) | (mid == hi))  # too narrow to halve
+            done = done | shut & seen_lo & seen_hi
+            np.copyto(new, lo, where=shut & ~seen_lo)
+            np.copyto(new, hi, where=shut & ~seen_hi)
+        np.copyto(x, new, where=live)
+        live = live & ~done
+        left = np.count_nonzero(live)
+        if not left:
+            break
+        if left < len(x):
+            part = live
+    return x, ~live
 
 
 def _p1_range(tnuis, n1, n2):
@@ -103,6 +149,23 @@ def sbar_profiled_batch(x1, x2, n1, n2, p1, p2):
     return pref * ((x1 / n1 - p1) / a1 - (x2 / n2 - p2) / a2)
 
 
+def _sbar_slope(p1, c1, c2, tnuis, n1, n2):
+    """sbar at p1 and p2 = (tnuis - n1 p1)/n2, c_i = x_i/n_i, rounded as
+    :func:`sbar_profiled_batch` rounds it, and its derivative in p1."""
+    p2 = (tnuis - n1 * p1) / n2
+    a1, a2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
+    e1, e2 = c1 - p1, c2 - p2
+    var = 1.0 / (n1 * a1) + 1.0 / (n2 * a2)
+    dif = e1 / a1 - e2 / a2
+    # derivatives in p1, with dp2/dp1 = -n1/n2
+    d_dif = (-(1.0 + e1 * (1.0 - 2.0 * p1) / a1) / a1
+             - n1 / n2 * (1.0 + e2 * (1.0 - 2.0 * p2) / a2) / a2)
+    d_var = (n1 / n2 * (1.0 - 2.0 * p2) / (n2 * a2 * a2)
+             - (1.0 - 2.0 * p1) / (n1 * a1 * a1))
+    pref = 1.0 / np.sqrt(var)
+    return pref * dif, pref * (d_dif - 0.5 * dif * d_var / var)
+
+
 def _pmul(a, b):
     """Row-wise product of polynomials with ascending coefficient rows."""
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
@@ -144,23 +207,15 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     Their real roots in the range, from batched companion matrices,
     serve only as breakpoints: signs, the anchor and the components are
     read off sbar itself at the breakpoints and their midpoints, and each
-    edge is bisected on sbar^2 - z^2, since the expanded polynomial loses
-    accuracy near the range ends.
+    edge is polished by ``_newton`` on sbar -/+ z between its last inside
+    and first outside point, since the expanded polynomial loses accuracy
+    near the range ends; of two floats that straddle an edge, the inside
+    one is kept.
     """
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    tnuis = np.atleast_1d(np.asarray(tnuis, dtype=float))
-    m = x1.shape[0]
+    x1, x2, tnuis = (np.atleast_1d(np.asarray(v, dtype=float))
+                     for v in (x1, x2, tnuis))
     lo, hi, ok = _p1_range(tnuis, n1, n2)
-    p1_lo = np.full(m, np.nan)
-    p1_hi = np.full(m, np.nan)
-    at_lo = np.zeros(m, dtype=bool)
-    at_hi = np.zeros(m, dtype=bool)
     x1, x2, t, lo, hi = (v[ok] for v in (x1, x2, tnuis, lo, hi))
-
-    def sbar(p1):
-        return sbar_profiled_batch(x1[:, None], x2[:, None], n1, n2, p1,
-                                   (t[:, None] - n1 * p1) / n2)
 
     # ascending coefficients in p1, one row per data row; p2 = u + v p1
     one = np.ones((len(t), 1))
@@ -183,49 +238,60 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     pts[:, 0::2] = ends
     pts[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
 
-    def within(sm):
-        return sm * sm - z * z <= 0.0
-
-    s = sbar(pts)
-    inside = within(s)
+    s = sbar_profiled_batch(x1[:, None], x2[:, None], n1, n2, pts,
+                            (t[:, None] - n1 * pts) / n2)
+    inside = s * s - z * z <= 0.0
 
     # the run of inside points jl..jr around the anchor j; when any point
     # is inside, so is the anchor
-    rows = np.arange(len(t))
     j = np.argmin(np.abs(s), axis=1)
     idx = np.arange(pts.shape[1])
     jl = np.where(~inside & (idx < j[:, None]), idx, -1).max(axis=1) + 1
     jr = np.where(~inside & (idx > j[:, None]), idx, len(idx)).min(axis=1) - 1
-
-    # both edges of every row at once: b starts inside the set, a outside
-    b = np.stack([pts[rows, jl], pts[rows, jr]], axis=1)
-    a = np.stack([pts[rows, np.maximum(jl - 1, 0)],
-                  pts[rows, np.minimum(jr + 1, len(idx) - 1)]], axis=1)
-    b, _ = _bisect(lambda p1: within(sbar(p1)), b, a, EDGE_ITERS)
-
     none = ~inside.any(axis=1)
-    lo_end = none | (jl == 0)
-    hi_end = none | (jr == len(idx) - 1)
-    p1_lo[ok] = np.where(lo_end, lo, b[:, 0])
-    p1_hi[ok] = np.where(hi_end, hi, b[:, 1])
-    at_lo[ok] = lo_end
-    at_hi[ok] = hi_end
-    return p1_lo, p1_hi, at_lo, at_hi, ok
+    at = np.stack([none | (jl == 0), none | (jr == len(idx) - 1)], axis=1)
+
+    # each inner edge is the root of sign * sbar - z between the last
+    # inside point b and the first outside one a, sign that of sbar at a
+    r, side = np.nonzero(~at)
+    jb = np.where(side == 0, jl[r], jr[r])
+    ja = jb + 2 * side - 1
+    b, a = pts[r, jb], pts[r, ja]
+    sign = np.copysign(1.0, s[r, ja])
+    ex1, ex2, et = x1[r] / n1, x2[r] / n2, t[r]
+
+    def gap(p1, live):
+        s, slope = _sbar_slope(p1, ex1, ex2, et, n1, n2)
+        return sign * s - z, sign * slope
+
+    # from the breakpoint end (even index), the nearer the root; every
+    # point stays in the sign-change bracket, converged or not
+    edge, _ = _newton(gap, np.where(ja % 2, b, a), np.minimum(a, b),
+                      np.maximum(a, b), a > b, 0.0, 0.0)
+    # a bracket shut on two neighbouring floats ends on either: keep the
+    # inside one
+    outside = gap(edge, slice(None))[0] > 0.0
+    edge = np.where(outside, np.nextafter(edge, b), edge)
+    edges = np.full((len(ok), 2), np.nan)
+    edges[ok] = np.stack([lo, hi], axis=1)
+    edges[np.flatnonzero(ok)[r], side] = edge
+    flags = np.zeros((len(ok), 2), dtype=bool)
+    flags[ok] = at
+    return (*edges.T, *flags.T, ok)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _invert_tails(coef, which, cut, ge, log_alpha, center, se, bound, name):
     """lam with log Pr_lam(tail) = log_alpha, one per row.
 
     Row i has Pr(X = k) proportional to exp(coef[which[i], k] + k lam),
-    k = 0..K-1, and tail X >= cut[i] where ge[i], else X < cut[i].  Newton
-    steps, by d/dlam log Pr(tail) = E[X | tail] - E[X], go from center[i]
-    -/+ z se[i] (- where ge[i]; z: Shore's 1982 normal alpha quantile) in
-    a bracket, first [-bound, bound], that shrinks to each point
-    evaluated; a step out of it goes to its midpoint.  Rows go TAIL_BLOCK
-    elements at a time, each done after a step within 1e-7 (its error is
-    of order the step squared) or a bracket too narrow to halve.  No root
-    in [-bound, bound] raises RuntimeError naming ``name(i)``.
+    k = 0..K-1, and tail X >= cut[i] where ge[i], else X < cut[i], so
+    log Pr(tail) rises in lam where ge[i] and falls elsewhere, with slope
+    E[X | tail] - E[X].  ``_newton`` starts from center[i] -/+ z se[i]
+    (- where ge[i]; z: Shore's 1982 normal alpha quantile) in the bracket
+    [-bound, bound].  Rows go TAIL_BLOCK elements at a time, each done
+    after a step within TAIL_XTOL (its error is of order the step
+    squared) or a bracket too narrow to halve.  No root in
+    [-bound, bound] raises RuntimeError naming ``name(i)``.
     """
     ks = np.arange(coef.shape[1], dtype=float)
     which, cut, ge = (np.atleast_1d(v) for v in (which, cut, ge))
@@ -234,38 +300,28 @@ def _invert_tails(coef, which, cut, ge, log_alpha, center, se, bound, name):
     out = np.clip(center - np.where(ge, z, -z) * se, -bound, bound)
     block = max(1, TAIL_BLOCK // len(ks))
     for first in range(0, len(out), block):
-        rows = np.arange(first, min(first + block, len(out)))
-        lc, up, lam = coef[which[rows]], ge[rows], out[rows]
+        rows = slice(first, first + block)
+        lc, up = coef[which[rows]], ge[rows]
         tail = (ks >= cut[rows, None]) == up[:, None]
-        lo, hi = np.full(len(rows), -bound), np.full(len(rows), bound)
-        for _ in range(TAIL_ITERS):
-            w = lam[:, None] * ks + lc
+
+        def law(lam, live):
+            w = lam[live, None] * ks + lc[live]
             w = np.exp(w - w.max(axis=1, keepdims=True))
             s, m = w.sum(axis=1), w @ ks
-            w *= tail
+            w *= tail[live]
             s_t, m_t = w.sum(axis=1), w @ ks
-            h = np.log(s_t / s) - log_alpha
-            step = h / (m / s - m_t / s_t)
-            rise = (h < 0.0) == up  # the root lies above lam
-            np.copyto(lo, lam, where=rise)
-            np.copyto(hi, lam, where=~rise)
-            lam = lam + step
-            done = np.abs(step) <= 1e-7
-            bad = ~(done | (lam > lo) & (lam < hi))
-            if np.count_nonzero(bad):
-                np.copyto(lam, 0.5 * (lo + hi), where=bad)
-                # done: a bracket too narrow to halve, unless shut on a bound
-                done |= (bad & ((lam == lo) | (lam == hi)) & (lo > -bound)
-                         & (hi < bound))
-            if np.count_nonzero(done):
-                out[rows[done]] = lam[done]
-                if done.all():
-                    break
-                rows, lc, up, tail, lam, lo, hi = (
-                    v[~done] for v in (rows, lc, up, tail, lam, lo, hi))
-        else:
-            raise RuntimeError(f"{name(rows[0])}: no tail root in "
-                               f"[{-bound:g}, {bound:g}]")
+            h, slope = np.log(s_t / s) - log_alpha, m_t / s_t - m / s
+            if isinstance(live, slice):
+                return h, slope
+            f, df = np.full((2, len(lam)), np.nan)
+            f[live], df[live] = h, slope
+            return f, df
+
+        out[rows], conv = _newton(law, out[rows], -bound, bound, up, 0.0,
+                                  TAIL_XTOL)
+        if not conv.all():
+            raise RuntimeError(f"{name(first + np.argmin(conv))}: no tail "
+                               f"root in [{-bound:g}, {bound:g}]")
     return out
 
 
@@ -287,35 +343,18 @@ def row_median(x):
 def t3_mle_batch(samples):
     """Location MLE of the unit-scale t3 family, one root per sample row.
 
-    Safeguarded Newton on psi(a) = sum 4(x-a)/(3+(x-a)^2) starting from
-    the row median, with a bracket kept on [min(x)-1, max(x)+1] where a
-    sign change is guaranteed.  Returns (roots, converged).
+    ``_newton`` on the falling psi(a) = sum 4(x-a)/(3+(x-a)^2), starting
+    from the row median, in the bracket [min(x)-1, max(x)+1] where a sign
+    change is guaranteed; a row is done where |psi| < T3_FTOL.  Returns
+    (roots, converged).
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    m = x.shape[0]
-    a = row_median(x)
-    lo = x.min(axis=1) - 1.0
-    hi = x.max(axis=1) + 1.0
-    active = np.ones(m, dtype=bool)
-    for _ in range(200):
+
+    def psi(a, live):
         d = x - a[:, None]
         den = 3.0 + d * d
-        psi = np.sum(4.0 * d / den, axis=1)
-        dpsi = np.sum(4.0 * (d * d - 3.0) / (den * den), axis=1)
-        conv = np.abs(psi) < 1e-10
-        active &= ~conv
-        if not np.any(active):
-            break
-        # shrink bracket: psi decreasing through the root
-        pos = psi > 0.0
-        lo = np.where(active & pos, a, lo)
-        hi = np.where(active & ~pos, a, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dpsi < 0.0, -psi / dpsi, np.nan)
-        cand = a + step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        a = np.where(active, cand, a)
-    d = x - a[:, None]
-    psi = np.sum(4.0 * d / (3.0 + d * d), axis=1)
-    return a, np.abs(psi) < 1e-8
+        return (np.sum(4.0 * d / den, axis=1),
+                np.sum(4.0 * (d * d - 3.0) / (den * den), axis=1))
+
+    return _newton(psi, row_median(x), x.min(axis=1) - 1.0,
+                   x.max(axis=1) + 1.0, False, T3_FTOL, 0.0)

@@ -404,7 +404,9 @@ def bernoulli_suite(n: int, engine: Optional[ExpectationEngine] = None
     """Standard estimator suite for the binomial-count family.
 
     score; the centered proportion y/n - p; the centered shrinkage
-    estimate (y+2)/(n+4); and a coarse sign statistic, orthogonalized.
+    estimate (y+2)/(n+4), as (y (1 - p) - (n - y) p)/(n + 4), which keeps
+    its precision next to p = 1 where y - n p cancels; and a coarse sign
+    statistic, orthogonalized.
     Each is defined by its rows only.  The sign statistic jumps at
     p = (y - 0.5)/n; the half-count offset keeps those jumps off verify's
     p grid (0.1, 0.3, ..., 0.9) only for even n.  For odd n a jump sits
@@ -424,7 +426,8 @@ def bernoulli_suite(n: int, engine: Optional[ExpectationEngine] = None
         rows=lambda Y, point: (Y / n - point[0])[:, None]))
     reg.register(GeneralizedEstimator(
         label="centered-shrinkage",
-        rows=lambda Y, point: ((Y - n * point[0]) / (n + 4.0))[:, None]))
+        rows=lambda Y, point: ((Y * (1.0 - point[0]) - (n - Y) * point[0])
+                               / (n + 4.0))[:, None]))
     sign_pre = PreEstimator(
         label="sign-coarse",
         rows=lambda Y, point: np.copysign(

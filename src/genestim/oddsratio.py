@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (BISECT_ITERS, _bisect, _invert_tails, _logit,
-                       _p1_range, invert_p1_batch, sbar_profiled_batch,
+from ._kernels import (_invert_tails, _logit, _newton, _p1_range,
+                       _sbar_slope, invert_p1_batch, sbar_profiled_batch,
                        zinterval_p1_batch)
 from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
                        two_binomial_probs)
@@ -98,7 +98,8 @@ def _plus_c(x1, x2, n1: int, n2: int, c: float):
 
 def _sbar_on_line(data: TwoBinomialData, tnuis: float, p1):
     """sbar of ``data`` at p1 and p2 = (tnuis - n1 p1)/n2: at most one
-    zero, as its numerator strictly decreases in p1."""
+    zero, as (x1/n1 - p1)/a1 - (x2/n2 - p2)/a2, a_i = p_i (1 - p_i),
+    strictly decreases in p1."""
     return sbar_profiled_batch(data.x1, data.x2, data.n1, data.n2, p1,
                                (tnuis - data.n1 * p1) / data.n2)
 
@@ -141,8 +142,8 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
 
     With the nuisance pinned by ``rule``, the inequality is solved in p1
     over the feasible range: the real roots of the cleared-denominator
-    degree-6 polynomial split the range, and each edge is bisected on
-    the score itself (a dense sign scan is kept as a test oracle);
+    degree-6 polynomial split the range, and each edge is a Newton root
+    of the score itself (a dense sign scan is kept as a test oracle);
     endpoints map to theta through the log-odds-ratio.  A rule value at
     0 or n1+n2 (all-boundary data with c = 0) is degenerate: the closed
     convention gives the whole line, the open one the empty set; a value
@@ -189,16 +190,17 @@ def sbar_zero_theta(data: TwoBinomialData,
         if data.x1 in (0, n1) or data.x2 in (0, n2):
             raise InfeasibleNuisance("boundary data: score root at infinity")
         return float(log_or(data.x1 / n1, data.x2 / n2))
-    # generic rules: solve sbar = 0 by bisection in p1
+    # generic rules: the root of sbar in p1, where it falls through zero
     lo, hi, ok = _p1_range(tnuis, n1, n2)
     if not ok:
         raise InfeasibleNuisance(f"nuisance value {tnuis} infeasible")
     slo, shi = _sbar_on_line(data, tnuis, lo), _sbar_on_line(data, tnuis, hi)
     if slo * shi > 0.0:
         raise InfeasibleNuisance("score root not bracketed")
-    a, b = _bisect(lambda p1: (_sbar_on_line(data, tnuis, p1) > 0.0)
-                   == (slo > 0.0), lo, hi, BISECT_ITERS)
-    p1 = 0.5 * (a + b)
+    (p1,), _ = _newton(
+        lambda p1, live: _sbar_slope(p1, data.x1 / n1, data.x2 / n2, tnuis,
+                                     n1, n2),
+        [0.5 * (lo + hi)], lo, hi, False, 0.0, 0.0)
     return float(log_or(p1, (tnuis - n1 * p1) / n2))
 
 

@@ -169,6 +169,18 @@ def test_tracer_spans_name_live_library_functions(tmp_path):
     assert trace["counts"]["families.expect.outcomes"] > 0
 
 
+def test_kernel_timer_runs_every_kernel():
+    # perfbench/kernel_iso.py calls the batched kernels directly, so a
+    # changed kernel signature shows here first
+    path = (Path(__file__).resolve().parents[1] / "perfbench"
+            / "kernel_iso.py")
+    out = subprocess.run([sys.executable, str(path)], env=_subprocess_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert set(json.loads(out.stdout)) == {"invert_p1", "sbar_profiled",
+                                           "zinterval_p1", "t3_mle"}
+
+
 def test_console_script_is_the_pinning_entry():
     tomllib = pytest.importorskip("tomllib")
     root = os.path.dirname(os.path.dirname(

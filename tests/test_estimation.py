@@ -427,6 +427,21 @@ class TestDomainEdges:
             seen.append(est.label)
         assert len(seen) == (4 if p < 0.5 else 3)
 
+    @pytest.mark.parametrize("n", [20, 50, 200, 997])
+    def test_both_routes_agree_a_billionth_below_one(self, n):
+        # y - n p cancels here, so centered-shrinkage rows are written as
+        # y (1 - p) - (n - y) p; sign-coarse is constant, hence degenerate
+        p = 1.0 - 1e-9
+        fam = F.bernoulli_sum(n)
+        seen = []
+        for est in E.bernoulli_suite(n, ENGINE):
+            if est.label == "sign-coarse-orthogonalized":
+                continue
+            rep = E.information(ENGINE, fam, est, [p])
+            assert rep.routes_agree, (est.label, rep.route_gap)
+            seen.append(est.label)
+        assert len(seen) == 3
+
     @pytest.mark.parametrize("tnuis", [1e-6, 14.0 - 1e-6])
     def test_nuisance_information_next_to_the_edges(self, tnuis):
         fam = F.two_binomial(8, 6)

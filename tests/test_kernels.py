@@ -358,6 +358,109 @@ def test_zinterval_interior_points_satisfy_the_inequality():
     assert np.all(s * s <= z * z + 1e-9)
 
 
+def _cubic(c, rising=True):
+    """f = +/-(x^3 - c) and its derivative, one row per entry of c."""
+    sign = 1.0 if rising else -1.0
+    return lambda x, live: (sign * (x ** 3 - c), sign * 3.0 * x * x)
+
+
+@pytest.mark.parametrize("rising", [True, False])
+def test_newton_finds_cubic_roots_from_either_side(rising):
+    c = np.array([0.5, 2.0, 7.0, 0.5, 2.0, 7.0])
+    start = np.array([0.0, 0.0, 0.0, 2.0, 2.0, 2.0])
+    root, conv = K._newton(_cubic(c, rising), start, 0.0, 2.0, rising,
+                           0.0, 0.0)
+    assert conv.all()
+    np.testing.assert_allclose(root, np.cbrt(c), rtol=2.3e-16, atol=0.0)
+
+
+def test_a_newton_step_out_of_the_bracket_takes_the_midpoint():
+    # from x = 4, arctan's Newton step lands at -8.49, left of -1
+    seen = []
+
+    def f_and_df(x, live):
+        seen.append(x[0])
+        return np.arctan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2)
+
+    root, conv = K._newton(f_and_df, [4.0], -1.0, 4.0, True, 0.0, 0.0)
+    assert seen[:2] == [4.0, 1.5]
+    assert conv[0] and abs(root[0] - 1.0) <= 2.3e-16
+
+
+def test_a_newton_row_alone_is_its_row_in_the_batch():
+    rng = _rng()
+    c = rng.uniform(0.01, 7.0, 40)
+    start = rng.uniform(0.0, 2.0, 40)
+    root, conv = K._newton(_cubic(c), start, 0.0, 2.0, True, 0.0, 0.0)
+    for i in range(len(c)):
+        alone = K._newton(_cubic(c[i:i + 1]), start[i:i + 1], 0.0, 2.0,
+                          True, 0.0, 0.0)
+        assert (alone[0][0], alone[1][0]) == (root[i], conv[i])
+    x = rng.standard_t(3, (40, 10))
+    root, conv = K.t3_mle_batch(x)
+    for i in range(len(x)):
+        assert K.t3_mle_batch(x[i:i + 1])[0][0] == root[i]
+    # and no rows take one call (a z-interval row may have no inner edge)
+    calls = []
+
+    def empty(x, live):
+        calls.append(len(x))
+        return x, x
+
+    root, conv = K._newton(empty, np.empty(0), 0.0, 2.0, True, 0.0, 0.0)
+    assert root.shape == conv.shape == (0,) and calls == [0]
+
+
+def test_a_root_outside_the_bracket_is_not_converged():
+    # x^3 = 7 and x^3 = 0.5 have roots in [0, 2], x^3 = 9 does not
+    c = np.array([7.0, 9.0, 0.5])
+    root, conv = K._newton(_cubic(c), [1.0, 1.0, 1.0], 0.0, 2.0, True,
+                           0.0, 0.0)
+    assert conv.tolist() == [True, False, True]
+    assert root[1] == 2.0
+    np.testing.assert_allclose(root[[0, 2]], np.cbrt(c[[0, 2]]),
+                               rtol=2.3e-16, atol=0.0)
+
+
+def _t3_mle_loop(samples):
+    """The bracketed Newton loop t3_mle_batch ran before ``_newton``."""
+    x = np.atleast_2d(np.asarray(samples, dtype=float))
+    a = K.row_median(x)
+    lo = x.min(axis=1) - 1.0
+    hi = x.max(axis=1) + 1.0
+    active = np.ones(x.shape[0], dtype=bool)
+    for _ in range(200):
+        d = x - a[:, None]
+        den = 3.0 + d * d
+        psi = np.sum(4.0 * d / den, axis=1)
+        dpsi = np.sum(4.0 * (d * d - 3.0) / (den * den), axis=1)
+        active &= ~(np.abs(psi) < 1e-10)
+        if not np.any(active):
+            break
+        pos = psi > 0.0
+        lo = np.where(active & pos, a, lo)
+        hi = np.where(active & ~pos, a, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dpsi < 0.0, -psi / dpsi, np.nan)
+        cand = a + step
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        a = np.where(active, np.where(bad, 0.5 * (lo + hi), cand), a)
+    d = x - a[:, None]
+    return a, np.abs(np.sum(4.0 * d / (3.0 + d * d), axis=1)) < 1e-8
+
+
+def test_t3_mle_is_the_loop_it_replaced_bit_for_bit():
+    # the zeta-lab blocks of seed 806029 for both data families
+    from genestim.location import BLOCKS, _draw
+    for family in ("t3", "normal"):
+        for ss in np.random.SeedSequence(806029).spawn(BLOCKS):
+            x = _draw(np.random.default_rng(ss), family, 1000, 10)
+            root, conv = K.t3_mle_batch(x)
+            want, want_conv = _t3_mle_loop(x)
+            np.testing.assert_array_equal(root, want)
+            np.testing.assert_array_equal(conv, want_conv)
+
+
 def test_t3_mle_is_a_score_root_and_downweights_outliers():
     x = np.array([[0.0, 0.0, 10.0]])
     root, conv = K.t3_mle_batch(x)

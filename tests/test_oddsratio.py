@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats.contingency import odds_ratio
 
+from genestim import _kernels as K
 from genestim import oddsratio as O
 
 N1, N2 = 20, 30
@@ -129,7 +130,7 @@ class TestProfiledScore:
         d = _data(12, 9)
         assert O.sbar_zero_theta(d) == pytest.approx(
             O.log_or(0.6, 0.3), abs=1e-12)
-        # a generic rule solves the same root by bisection
+        # a generic rule solves the same root by Newton steps in p1
         got = O.sbar_zero_theta(d, O.NuisanceRule("fixed-value", value=21.0))
         assert got == pytest.approx(O.log_or(0.6, 0.3), abs=1e-8)
         with pytest.raises(O.InfeasibleNuisance):
@@ -137,13 +138,49 @@ class TestProfiledScore:
 
     def test_bisected_point_estimate_is_the_closed_form(self):
         # plus-c at c = 0 pins the nuisance at x1 + x2 like the profile,
-        # but takes the bisection branch
+        # but takes the generic root-finding branch
         rule = O.NuisanceRule("plus-c", c=0.0)
         for x1 in range(1, N1):
             for x2 in range(1, N2):
                 got = O.sbar_zero_theta(_data(x1, x2), rule)
                 assert got == pytest.approx(O.log_or(x1 / N1, x2 / N2),
                                             abs=1e-12), (x1, x2)
+
+    @pytest.mark.parametrize("n1, n2, c, lo", [(N1, N2, 0.0, 1),
+                                               (60, 5, 0.5, 0)])
+    def test_point_estimate_agrees_with_the_bisection_it_replaced(
+            self, n1, n2, c, lo):
+        rule = O.NuisanceRule("plus-c", c=c)
+        got, rows = [], []
+        for x1 in range(lo, n1 + 1 - lo):
+            for x2 in range(lo, n2 + 1 - lo):
+                try:
+                    got.append(O.sbar_zero_theta(_data(x1, x2, n1, n2), rule))
+                except O.InfeasibleNuisance:
+                    continue
+                rows.append((x1, x2))
+        x1, x2 = np.array(rows, dtype=float).T
+        tnuis = O._plus_c(x1, x2, n1, n2, c)
+        np.testing.assert_allclose(
+            got, _bisected_point_estimates(x1, x2, n1, n2, tnuis),
+            rtol=0.0, atol=1e-12)
+
+
+def _bisected_point_estimates(x1, x2, n1, n2, tnuis):
+    """The 80-step bisection of sbar's sign in p1 that sbar_zero_theta
+    ran before it took Newton steps on sbar, on arrays."""
+    def sbar(p1):
+        return K.sbar_profiled_batch(x1, x2, n1, n2, p1,
+                                     (tnuis - n1 * p1) / n2)
+
+    lo, hi, _ = K._p1_range(tnuis, n1, n2)
+    up = sbar(lo) > 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        left = (sbar(mid) > 0.0) == up
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    p1 = 0.5 * (lo + hi)
+    return O.log_or(p1, (tnuis - n1 * p1) / n2)
 
 
 class TestZInterval:
