@@ -210,7 +210,7 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     edge is polished by ``_newton`` on sbar -/+ z between its last inside
     and first outside point, since the expanded polynomial loses accuracy
     near the range ends; of two floats that straddle an edge, the inside
-    one is kept.
+    one is kept.  An edge not converged raises RuntimeError naming its row.
     """
     x1, x2, tnuis = (np.atleast_1d(np.asarray(v, dtype=float))
                      for v in (x1, x2, tnuis))
@@ -264,10 +264,14 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
         s, slope = _sbar_slope(p1, ex1, ex2, et, n1, n2)
         return sign * s - z, sign * slope
 
-    # from the breakpoint end (even index), the nearer the root; every
-    # point stays in the sign-change bracket, converged or not
-    edge, _ = _newton(gap, np.where(ja % 2, b, a), np.minimum(a, b),
-                      np.maximum(a, b), a > b, 0.0, 0.0)
+    # from the breakpoint end (even index), the nearer the root
+    edge, conv = _newton(gap, np.where(ja % 2, b, a), np.minimum(a, b),
+                         np.maximum(a, b), a > b, 0.0, 0.0)
+    if not conv.all():
+        i = np.argmin(conv)
+        raise RuntimeError(
+            f"row {np.flatnonzero(ok)[r[i]]}: {('lower', 'upper')[side[i]]} "
+            "z-interval edge not converged")
     # a bracket shut on two neighbouring floats ends on either: keep the
     # inside one
     outside = gap(edge, slice(None))[0] > 0.0

@@ -245,11 +245,8 @@ def zeta_lab(data_family, n, reps, seed, out_dir):
     _write_csv(out_dir / "efficiency.csv", man,
                ["estimator", "data_family", "eff", "se", "var_ratio"],
                eff_rows)
-    comparisons = {k: v for k, v in result.archives.items() if k != "mean"}
-    comparisons["mean"] = result.archives["mean"]
-    curves = location.zeta_curves(result.archives["mean"], comparisons)
     rows = [(curve.estimator_label, float(q), float(rz), float(cz))
-            for curve in curves
+            for curve in result.curves
             for q, rz, cz in zip(curve.reference_quantile_probs,
                                  curve.reference_zeta, curve.comparison_zeta)]
     _write_csv(out_dir / "zeta_curves.csv", man,

@@ -407,13 +407,17 @@ def bernoulli_suite(n: int, engine: Optional[ExpectationEngine] = None
     estimate (y+2)/(n+4), as (y (1 - p) - (n - y) p)/(n + 4), which keeps
     its precision next to p = 1 where y - n p cancels; and a coarse sign
     statistic, orthogonalized.
-    Each is defined by its rows only.  The sign statistic jumps at
-    p = (y - 0.5)/n; the half-count offset keeps those jumps off verify's
-    p grid (0.1, 0.3, ..., 0.9) only for even n.  For odd n a jump sits
-    at p = 0.5, where verify's score-equation check fails: a known, still
-    open defect.  The registry's ``family`` is the ``bernoulli_sum(n)``
-    they are defined on; expectations taken on it share its per-point
-    statistics with the suite.
+    Each is defined by its rows only.  verify's score-equation check
+    (bound 1e-8) fails on two known, still open defects.  The sign
+    statistic jumps at p = (y - 0.5)/n; the half-count offset keeps those
+    jumps off verify's p grid (0.1, 0.3, ..., 0.9) only for even n: for
+    odd n a jump sits at p = 0.5, and for large n one comes within the
+    stencil's reach of a grid point.  And the score's own residual, the
+    five-point stencil's truncation error, grows like n: it exceeds the
+    bound from about n = 250 on (first at n = 237), for either parity.
+    The registry's ``family`` is the ``bernoulli_sum(n)`` they are
+    defined on; expectations taken on it share its per-point statistics
+    with the suite.
     """
     engine = engine or ExpectationEngine(mode="exact")
     from .families import bernoulli_sum

@@ -70,10 +70,11 @@ class ZetaCurve(NamedTuple):
 
 class ComparisonResult(NamedTuple):
     config: McRunConfig
-    archives: dict  # label -> (reps,) values
+    archives: dict  # estimator label -> (reps,) values
     efficiency: dict  # label -> (eff, se)
     var_ratio: dict  # label -> Var(mean)/Var(g)
     failures: int
+    curves: list  # ZetaCurve per comparison, the mean's last
 
 
 def zeta(tail_area_low: float, tail_area_high: float) -> float:
@@ -124,26 +125,31 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
 
     Replications run in BLOCKS pre-assigned seed blocks (order-independent),
     the last block taking the remainder of ``reps``; each block draws its main
-    sample and then the overlay samples in ``n_overlays`` order.  Every
-    block writes its slice of preallocated ``reps``-long archives and
-    scores, and one sort per block gives the row medians that serve as
-    the median archive and replace t3 MLE roots that do not converge
-    (``t3_mle_batch`` takes its own row medians as Newton starts).  The
-    efficiency of each estimator is the
+    sample and then the overlay samples in ``n_overlays`` order.  Only the
+    estimator archives are kept ``reps`` long, plus the score under t3 data
+    (under normal data it is n times the mean archive).  One sort per block
+    gives the row medians that serve as the median archive and replace t3
+    MLE roots that do not converge (``t3_mle_batch`` takes its own row
+    medians as Newton starts).  The efficiency of each estimator is the
     squared correlation with the generating family's score across
-    replications, variance ratios are relative to the sample mean, and
-    overlay archives (alternate sample sizes, rescaled data) are recorded
-    for the tail-depth curves.
+    replications, and variance ratios are relative to the sample mean.
+
+    The tail-depth curves compare each estimator and each overlay (means
+    at alternate sample sizes, means of rescaled data) with the mean at
+    the mean archive's quantiles, from inclusive tail counts there.  Each
+    block's generator is kept after its main draw, so once the quantiles
+    are known a second pass draws that block's overlays; overlay and
+    rescaled means are counted block by block and the counts added, so
+    none of them is ever held ``reps`` long.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(BLOCKS)
     per = [config.reps // BLOCKS] * BLOCKS
     per[-1] += config.reps - sum(per)
 
-    labels = (list(ESTIMATORS)
-              + [f"mean_n{n}" for n in config.n_overlays]
-              + [f"mean_rescale_{fac:g}" for fac in config.rescale])
-    archives = {label: np.empty(config.reps) for label in labels}
-    score_vals = np.empty(config.reps)
+    archives = {label: np.empty(config.reps) for label in ESTIMATORS}
+    t3_data = config.data_family == "t3"
+    score_vals = np.empty(config.reps) if t3_data else None
+    rngs = []
     failures = 0
 
     stop = 0
@@ -152,61 +158,80 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
         stop += m
         rng = np.random.default_rng(ss)
         x = _draw(rng, config.data_family, m, config.n)
-        xbar = x.mean(axis=1)
-        archives["mean"][rows] = xbar
+        rngs.append(rng)  # next in its stream: this block's overlays
+        archives["mean"][rows] = x.mean(axis=1)
         med = row_median(x)
         archives["median"][rows] = med
         roots, conv = t3_mle_batch(x)
         failures += int(np.sum(~conv))
         archives["t3_mle"][rows] = np.where(conv, roots, med)
-        if config.data_family == "normal":
-            score_vals[rows] = config.n * xbar
-        else:
+        if t3_data:
             score_vals[rows] = t3_score_sum(x)
-        for n_alt in config.n_overlays:
-            x_alt = _draw(rng, config.data_family, m, n_alt)
-            archives[f"mean_n{n_alt}"][rows] = x_alt.mean(axis=1)
-        for fac in config.rescale:
-            archives[f"mean_rescale_{fac:g}"][rows] = fac * xbar
 
     if failures > 0.001 * config.reps:
         raise McRunError(f"{failures} t3-MLE failures out of {config.reps}")
 
+    mean = archives["mean"]
+    if not t3_data:
+        score_vals = config.n * mean
     efficiency = {label: corr_sq_with_se(score_vals, archives[label], BLOCKS)
                   for label in ESTIMATORS}
-    vm = archives["mean"].var(ddof=1)
+    del score_vals
+    vm = mean.var(ddof=1)
     var_ratio = {label: float(vm / archives[label].var(ddof=1))
                  for label in ESTIMATORS}
-    return ComparisonResult(config, archives, efficiency, var_ratio, failures)
+
+    qs = np.quantile(mean, ZETA_PROBS)
+
+    def added(blocks):  # tail counts at qs, summed over blocks
+        lo_hi = np.zeros((2, len(qs)), dtype=np.int64)
+        for values in blocks:
+            lo_hi += tail_counts(values, qs)
+        return tuple(lo_hi)
+
+    counts = {label: tail_counts(archives[label], qs)
+              for label in ("median", "t3_mle")}
+    for n_alt in config.n_overlays:
+        counts[f"mean_n{n_alt}"] = added(
+            _draw(rng, config.data_family, m, n_alt).mean(axis=1)
+            for rng, m in zip(rngs, per))
+    mean_blocks = np.split(mean, np.cumsum(per)[:-1])
+    for fac in config.rescale:
+        counts[f"mean_rescale_{fac:g}"] = added(fac * b for b in mean_blocks)
+    counts["mean"] = tail_counts(mean, qs)
+    curves = zeta_curves(counts["mean"], counts, config.reps)
+    return ComparisonResult(config, archives, efficiency, var_ratio, failures,
+                            curves)
 
 
-def empirical_tails(archive, points):
-    """(Pr(X <= q), Pr(X >= q)) per point, inclusive on both sides."""
+def tail_counts(archive, points):
+    """(#{X <= q}, #{X >= q}) per point q: one sort and a searchsorted."""
     srt = np.sort(np.asarray(archive, dtype=float))
-    n = len(srt)
-    lo = np.searchsorted(srt, points, side="right") / n
-    hi = (n - np.searchsorted(srt, points, side="left")) / n
-    return lo, hi
+    return (np.searchsorted(srt, points, side="right"),
+            len(srt) - np.searchsorted(srt, points, side="left"))
+
+
+def zeta_of_counts(lo, hi, total) -> np.ndarray:
+    """zeta per point from inclusive tail counts out of ``total`` values."""
+    return np.array([zeta(a, b) for a, b in zip(lo / total, hi / total)])
 
 
 def zeta_of_archive(archive, points) -> np.ndarray:
-    lo, hi = empirical_tails(archive, points)
-    return np.array([zeta(a, b) for a, b in zip(lo, hi)])
+    return zeta_of_counts(*tail_counts(archive, points), len(archive))
 
 
-def zeta_curves(reference, comparisons: dict) -> list:
-    """Tail-depth curves of each archive against the reference archive.
+def zeta_curves(reference, comparisons: dict, total: int) -> list:
+    """Tail-depth curves from inclusive tail counts at reference points.
 
-    The reference's empirical quantiles at the 99 standard probabilities
-    anchor the abscissa; each comparison archive is read off at those
-    same points through its own empirical cdf (median mass counted in
-    both tails).
+    ``reference`` and each comparison are (lo, hi) counts out of ``total``
+    at the reference archive's empirical quantiles at the 99 standard
+    probabilities (median mass counted in both tails); a curve keeps the
+    probabilities where both zetas are finite.
     """
-    qs = np.quantile(np.asarray(reference, dtype=float), ZETA_PROBS)
-    ref_zeta = zeta_of_archive(reference, qs)
+    ref_zeta = zeta_of_counts(*reference, total)
     curves = []
-    for label, arch in comparisons.items():
-        comp = zeta_of_archive(arch, qs)
+    for label, (lo, hi) in comparisons.items():
+        comp = zeta_of_counts(lo, hi, total)
         keep = np.isfinite(comp) & np.isfinite(ref_zeta)
         curves.append(ZetaCurve(
             estimator_label=label,

@@ -29,7 +29,7 @@ from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
 from .intervals import IntervalResult
 
 Z_95 = 1.959964  # two-sided nominal 0.95
-TAIL_BLOCK = 1 << 14  # (row, outcome) elements per block of score_tails
+SCORE_TAIL_BLOCK = 1 << 14  # (row, outcome) elements per block of score_tails
 LOG_PSI_BOUND = 50.0  # exact odds-ratio endpoints lie in [e^-50, e^50]
 
 # (odds ratio, p1, p2) parameter cells of the standard coverage study
@@ -197,10 +197,13 @@ def sbar_zero_theta(data: TwoBinomialData,
     slo, shi = _sbar_on_line(data, tnuis, lo), _sbar_on_line(data, tnuis, hi)
     if slo * shi > 0.0:
         raise InfeasibleNuisance("score root not bracketed")
-    (p1,), _ = _newton(
+    (p1,), (conv,) = _newton(
         lambda p1, live: _sbar_slope(p1, data.x1 / n1, data.x2 / n2, tnuis,
                                      n1, n2),
         [0.5 * (lo + hi)], lo, hi, False, 0.0, 0.0)
+    if not conv:
+        raise RuntimeError(f"score root at (x1, x2) = ({data.x1}, {data.x2}),"
+                           f" n1={n1}, n2={n2}: not converged")
     return float(log_or(p1, (tnuis - n1 * p1) / n2))
 
 
@@ -441,7 +444,7 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     ge[r] holds the row sums the mass with statistic >= the observed one,
     else the mass <= it, in ``math.fsum``.  p1 is
     inverted once per (theta, t') pair; the (rows, outcomes) arrays are
-    built TAIL_BLOCK elements at a time.
+    built SCORE_TAIL_BLOCK elements at a time.
     """
     x1, x2, theta, ge = (np.ravel(a) for a in np.broadcast_arrays(
         x1, x2, theta, ge))
@@ -453,7 +456,7 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     rows = np.arange(len(t))
     obs_p1, obs_p2 = p1[rows, t - 1], p2[rows, t - 1]
     out = np.empty(len(t))
-    block = max(1, TAIL_BLOCK // ((n1 + 1) * (n2 + 1)))
+    block = max(1, SCORE_TAIL_BLOCK // ((n1 + 1) * (n2 + 1)))
     for start in range(0, len(t), block):
         r = slice(start, start + block)
         stats = _profiled_sbar_all_outcomes(n1, n2, p1[r], p2[r])

@@ -537,6 +537,22 @@ def test_a_tail_root_outside_the_bracket_raises():
                         math.log(0.5), [0.0], 0.0, 1.0, lambda i: f"row {i}")
 
 
+def _unconverged(newton):
+    """``_newton`` with every row reported not converged."""
+    def run(*args):
+        root, conv = newton(*args)
+        return root, np.zeros_like(conv)
+    return run
+
+
+def test_an_unconverged_z_edge_raises_naming_its_row(monkeypatch):
+    monkeypatch.setattr(K, "_newton", _unconverged(K._newton))
+    # row 0 has no feasible p1 and no edge: the error names data row 1
+    with pytest.raises(RuntimeError, match="row 1: lower z-interval edge "
+                                           "not converged"):
+        K.zinterval_p1_batch([0, 5], [0, 7], 20, 30, [0.0, 12.0], 1.96)
+
+
 def test_every_exported_kernel_has_a_trace_row_count():
     # the trace runner counts rows for each name in __all__ and fails on
     # a name it does not know

@@ -1,6 +1,7 @@
 """Location-estimator Monte Carlo lab and tail-depth curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,28 +111,56 @@ class TestRunComparison:
         assert res.var_ratio["median"] > 1.0
         assert res.var_ratio["t3_mle"] > 1.0
 
-    def test_overlay_archives_are_recorded(self):
-        res = L.run_comparison(
-            L.McRunConfig(data_family="normal", n=10, reps=2000, seed=5,
-                          n_overlays=(7,), rescale=(0.8,)))
-        assert "mean_n7" in res.archives
-        assert "mean_rescale_0.8" in res.archives
-        np.testing.assert_allclose(res.archives["mean_rescale_0.8"],
-                                   0.8 * res.archives["mean"], atol=1e-15)
+    def test_overlay_and_rescaled_curves_match_the_archive_oracle(self):
+        # overlay and rescaled means are counted at the reference
+        # quantiles block by block, never stored: their curves must equal
+        # those of the full archives the old loop kept
+        cfg = L.McRunConfig(data_family="normal", n=10, reps=2000, seed=5,
+                            n_overlays=(7,), rescale=(0.8,))
+        res = L.run_comparison(cfg)
+        assert list(res.archives) == list(L.ESTIMATORS)
+        archives = _chunked_comparison(cfg)[0]
+        want = {c.estimator_label: c for c in _oracle_curves(archives)}
+        got = {c.estimator_label: c for c in res.curves}
+        for label in ("mean_n7", "mean_rescale_0.8"):
+            _assert_same_curve(got[label], want[label])
+
+
+# zeta-lab's configurations at its default 100,000 replications; keeping
+# every overlay and rescaled archive peaked at 9.1 MB (t3) and 7.4 MB
+# (normal)
+@pytest.mark.parametrize("config, limit_mb", [
+    (L.McRunConfig(data_family="t3", n=10, reps=100_000, seed=0,
+                   n_overlays=(15, 17),
+                   rescale=(1.50 ** -0.5, 1.78 ** -0.5)), 7.0),
+    (L.McRunConfig(data_family="normal", n=10, reps=100_000, seed=0,
+                   n_overlays=(7, 9)), 6.0),
+], ids=["t3", "normal"])
+def test_run_comparison_peak_memory(config, limit_mb):
+    # a small run first, so lazy imports are not counted
+    L.run_comparison(config._replace(reps=L.MIN_REPS))
+    tracemalloc.start()
+    try:
+        res = L.run_comparison(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.curves) == 3 + len(config.n_overlays) + len(config.rescale)
+    assert peak <= limit_mb * 1e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestTailsAndCurves:
-    def test_empirical_tails_are_inclusive_counts(self):
-        arch = np.arange(1, 101, dtype=float)
-        lo, hi = L.empirical_tails(arch, [50.0, 0.5, 200.0])
-        np.testing.assert_allclose(lo, [0.50, 0.0, 1.0])
-        np.testing.assert_allclose(hi, [0.51, 1.0, 0.0])
+    def test_tail_counts_are_inclusive(self):
+        arch = np.arange(100, 0, -1, dtype=float)
+        lo, hi = L.tail_counts(arch, [50.0, 0.5, 200.0])
+        np.testing.assert_array_equal(lo, [50, 0, 100])
+        np.testing.assert_array_equal(hi, [51, 100, 0])
 
     def test_zeta_curve_of_an_archive_against_itself_is_the_identity(self):
         rng = np.random.default_rng(4)
         arch = rng.standard_normal(50_000)
-        curves = L.zeta_curves(arch, {"self": arch})
-        c = curves[0]
+        counts = L.tail_counts(arch, np.quantile(arch, L.ZETA_PROBS))
+        c = L.zeta_curves(counts, {"self": counts}, len(arch))[0]
         np.testing.assert_allclose(c.comparison_zeta, c.reference_zeta,
                                    atol=1e-9)
 
@@ -139,9 +168,21 @@ class TestTailsAndCurves:
         rng = np.random.default_rng(4)
         ref = rng.standard_normal(50_000)
         narrow = 0.5 * rng.standard_normal(50_000)
-        c = L.zeta_curves(ref, {"narrow": narrow})[0]
+        qs = np.quantile(ref, L.ZETA_PROBS)
+        c = L.zeta_curves(L.tail_counts(ref, qs),
+                          {"narrow": L.tail_counts(narrow, qs)}, 50_000)[0]
         right = c.reference_zeta > 1.0
         assert np.all(c.comparison_zeta[right] > c.reference_zeta[right])
+
+    def test_counts_added_over_blocks_are_the_archives_counts(self):
+        rng = np.random.default_rng(8)
+        arch = rng.standard_normal(3001)
+        arch[::7] = arch[3]  # ties at a probe point
+        qs = np.append(np.quantile(arch, L.ZETA_PROBS), arch[3])
+        blocks = [L.tail_counts(b, qs) for b in np.array_split(arch, 13)]
+        lo, hi = L.tail_counts(arch, qs)
+        np.testing.assert_array_equal(sum(b[0] for b in blocks), lo)
+        np.testing.assert_array_equal(sum(b[1] for b in blocks), hi)
 
     def test_probe_grid_covers_the_unit_interval(self):
         probs = L.ZETA_PROBS
@@ -151,7 +192,8 @@ class TestTailsAndCurves:
 
 def _chunked_comparison(config):
     """The block loop before preallocation: per-block chunk lists joined
-    by np.concatenate, and np.median called for every use of the median."""
+    by np.concatenate, np.median called for every use of the median, and
+    every overlay and rescaled archive kept."""
     seeds = np.random.SeedSequence(config.seed).spawn(L.BLOCKS)
     per = [config.reps // L.BLOCKS] * L.BLOCKS
     per[-1] += config.reps - sum(per)
@@ -193,6 +235,38 @@ def _chunked_comparison(config):
     return archives, efficiency, var_ratio
 
 
+def _archive_zeta(archive, points):
+    """zeta per point from the archive's empirical tail areas."""
+    srt = np.sort(np.asarray(archive, dtype=float))
+    n = len(srt)
+    lo = np.searchsorted(srt, points, side="right") / n
+    hi = (n - np.searchsorted(srt, points, side="left")) / n
+    return np.array([L.zeta(a, b) for a, b in zip(lo, hi)])
+
+
+def _oracle_curves(archives):
+    """zeta-lab's curves as built from full archives: every archive but
+    the mean, then the mean, each against the mean's quantiles."""
+    reference = archives["mean"]
+    comparisons = {k: v for k, v in archives.items() if k != "mean"}
+    comparisons["mean"] = reference
+    qs = np.quantile(reference, L.ZETA_PROBS)
+    ref_zeta = _archive_zeta(reference, qs)
+    curves = []
+    for label, arch in comparisons.items():
+        comp = _archive_zeta(arch, qs)
+        keep = np.isfinite(comp) & np.isfinite(ref_zeta)
+        curves.append(L.ZetaCurve(label, L.ZETA_PROBS[keep], ref_zeta[keep],
+                                  comp[keep]))
+    return curves
+
+
+def _assert_same_curve(got, want):
+    assert got.estimator_label == want.estimator_label
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
 # 2003 and 3001 replications leave a remainder for the last of the
 # BLOCKS seed blocks; 1000 splits evenly
 @pytest.mark.parametrize("config", [
@@ -205,9 +279,12 @@ def _chunked_comparison(config):
 def test_run_comparison_matches_the_chunked_loop_bit_for_bit(config):
     res = L.run_comparison(config)
     archives, efficiency, var_ratio = _chunked_comparison(config)
-    assert list(res.archives) == list(archives)
-    for label, want in archives.items():
-        np.testing.assert_array_equal(res.archives[label], want)
+    assert list(res.archives) == list(L.ESTIMATORS)
+    for label in L.ESTIMATORS:
+        np.testing.assert_array_equal(res.archives[label], archives[label])
     assert res.efficiency == efficiency
     assert res.var_ratio == var_ratio
-
+    want = _oracle_curves(archives)
+    assert len(res.curves) == len(want)
+    for got, oracle in zip(res.curves, want):
+        _assert_same_curve(got, oracle)

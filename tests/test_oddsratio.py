@@ -136,6 +136,19 @@ class TestProfiledScore:
         with pytest.raises(O.InfeasibleNuisance):
             O.sbar_zero_theta(_data(0, 9))
 
+    def test_an_unconverged_point_estimate_raises(self, monkeypatch):
+        newton = O._newton
+
+        def unconverged(*args):
+            root, conv = newton(*args)
+            return root, np.zeros_like(conv)
+
+        monkeypatch.setattr(O, "_newton", unconverged)
+        with pytest.raises(RuntimeError, match=r"\(x1, x2\) = \(12, 9\), "
+                                               "n1=20, n2=30: not converged"):
+            O.sbar_zero_theta(_data(12, 9),
+                              O.NuisanceRule("fixed-value", value=21.0))
+
     def test_bisected_point_estimate_is_the_closed_form(self):
         # plus-c at c = 0 pins the nuisance at x1 + x2 like the profile,
         # but takes the generic root-finding branch
@@ -587,7 +600,7 @@ class TestScoreTails:
 
     def test_blocks_do_not_change_the_tails(self, monkeypatch):
         whole = O.fisher_endpoint_tails(6, 8)
-        monkeypatch.setattr(O, "TAIL_BLOCK", 100)  # one row per block
+        monkeypatch.setattr(O, "SCORE_TAIL_BLOCK", 100)  # one row per block
         assert O.fisher_endpoint_tails(6, 8) == whole
 
     def test_one_row_blocks_match_the_default_blocks(self, monkeypatch):
@@ -596,7 +609,7 @@ class TestScoreTails:
         x1, x2 = rng.integers(1, 20, 120), rng.integers(1, 30, 120)
         theta, ge = rng.normal(0.0, 1.0, 120), rng.random(120) < 0.5
         default = O.score_tails(N1, N2, x1, x2, theta, ge)
-        monkeypatch.setattr(O, "TAIL_BLOCK", 1)
+        monkeypatch.setattr(O, "SCORE_TAIL_BLOCK", 1)
         np.testing.assert_array_equal(
             O.score_tails(N1, N2, x1, x2, theta, ge), default)
 
