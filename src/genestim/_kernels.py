@@ -196,9 +196,10 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     within the feasible p1 range, that holds the point where |sbar| is
     smallest.  Returns (p1_lo, p1_hi, at_lo, at_hi, ok) where the ``at_*`` flags
     mark components that run into the clipped range ends (half-infinite
-    in theta) and ``ok`` is False for degenerate rows (tnuis at 0 or
-    n1+n2: no feasible p1 at all).  When sbar^2 > z^2 everywhere the
-    whole feasible range comes back, flagged at both ends.
+    in theta) and ``ok`` is False for rows with no feasible p1: tnuis at
+    0 or n1+n2, or so near either that the clipped range is empty.  When
+    sbar^2 > z^2 everywhere the whole feasible range comes back, flagged
+    at both ends.
 
     With p2 = (tnuis - n1 p1)/n2 and a_i = p_i (1 - p_i), sbar^2 - z^2
     has the sign of the degree-6 polynomial

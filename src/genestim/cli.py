@@ -278,11 +278,9 @@ def or_interval(n1, n2, x1, x2, z, c, nuisance_value, open_interval, out_dir):
                      "nuisance_value": nuisance_value,
                      "open_interval": open_interval}, out_dir)
     data = oddsratio.TwoBinomialData(x1, x2, n1, n2)
-    if nuisance_value is not None:
-        rule = oddsratio.NuisanceRule("fixed-value", value=nuisance_value)
-    else:
-        rule = oddsratio.NuisanceRule("plus-c", c=c)
-    zres = oddsratio.z_interval(data, z, rule, equal_sign=not open_interval)
+    tnuis = (nuisance_value if nuisance_value is not None
+             else oddsratio.plus_c_nuisance(x1, x2, n1, n2, c))
+    zres = oddsratio.z_interval(data, z, tnuis, equal_sign=not open_interval)
     fres = oddsratio.fisher_exact_interval(data, oddsratio.z_confidence(z))
     payload = {"z_interval_log_or": _interval_payload(zres),
                "fisher_exact_odds_ratio": _interval_payload(fres)}

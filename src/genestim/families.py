@@ -37,8 +37,7 @@ class EngineError(RuntimeError):
 
 
 class _Support(NamedTuple):
-    kind: str  # "finite-discrete" | "continuous"
-    outcomes: Optional[np.ndarray] = None  # (N,) or (N, d) for finite supports
+    outcomes: Optional[np.ndarray] = None  # (N,) or (N, d); None: continuous
     sampler: Optional[Callable] = None  # (rng, point, size) -> array
 
 
@@ -48,11 +47,9 @@ class SupportDescriptor(_Support):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("finite-discrete", "continuous"):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == "finite-discrete":
-            if self.outcomes is None or len(self.outcomes) == 0:
-                raise ValueError("finite-discrete support needs outcomes")
+        if self.outcomes is not None:
+            if len(self.outcomes) == 0:
+                raise ValueError("finite support needs outcomes")
             # equal rows are neighbours once sorted; np.unique(axis=0)
             # would say the same but imports numpy.ma to do it
             arr = np.asarray(self.outcomes)
@@ -129,7 +126,7 @@ class ExpectationEngine(_Engine):
         """
         point = family.check_point(point)
         if self.mode == "exact":
-            if family.support.kind != "finite-discrete":
+            if family.support.outcomes is None:
                 raise EngineError("exact enumeration needs a finite support")
             Y = family.support.outcomes
             vals = _as_rows(H(Y))
@@ -307,8 +304,7 @@ def finite_exponential_family(label, outcomes, log_h, T, natural, k, kp,
     def draw(rng, point, size):
         return sampler(rng, at(point)[0], size)
 
-    support = SupportDescriptor("finite-discrete", outcomes=outcomes,
-                                sampler=draw)
+    support = SupportDescriptor(outcomes=outcomes, sampler=draw)
     return ModelFamily(
         label=label, support=support, dim_interest=k, dim_nuisance=kp,
         in_domain=accepts, log_density_rows=log_density_rows,
@@ -367,7 +363,7 @@ def normal_location(n: int) -> ModelFamily:
 
     return ModelFamily(
         label=f"normal-location(n={n})",
-        support=SupportDescriptor("continuous", sampler=sampler),
+        support=SupportDescriptor(sampler=sampler),
         dim_interest=1, dim_nuisance=0,
         in_domain=lambda point: np.isfinite(point[0]),
         log_density_rows=log_density_rows, score_rows=score_rows,
@@ -389,7 +385,7 @@ def _location_vector_family(label, n, log_phi, score_one, sampler_one):
 
     return ModelFamily(
         label=f"{label}(n={n})",
-        support=SupportDescriptor("continuous", sampler=sampler),
+        support=SupportDescriptor(sampler=sampler),
         dim_interest=1, dim_nuisance=0,
         in_domain=lambda point: np.isfinite(point[0]),
         log_density_rows=log_density_rows, score_rows=score_rows,

@@ -22,8 +22,6 @@ LOGIT_BOUND = 700.0  # exact endpoints lie in [expit(-700), expit(700)]
 class _Curves(NamedTuple):
     parameter_grid: np.ndarray  # strictly increasing, interior
     values: np.ndarray  # (outcomes, grid)
-    realized_row: Optional[int] = None
-    kind: str = "score"
 
 
 class CurveGrid(_Curves):
@@ -90,8 +88,7 @@ def score_curves(family: ModelFamily, grid=None) -> CurveGrid:
         raise ValueError("grid must stay strictly inside (0, 1)")
     ys = np.arange(n + 1)
     return CurveGrid(parameter_grid=grid,
-                     values=sbar_binom(n, ys[:, None], grid[None, :]),
-                     kind="score")
+                     values=sbar_binom(n, ys[:, None], grid[None, :]))
 
 
 def llr_curves(family: ModelFamily, grid=None) -> CurveGrid:
@@ -114,7 +111,7 @@ def llr_curves(family: ModelFamily, grid=None) -> CurveGrid:
     sup = np.where((ys == 0) | (ys == n), 0.0,
                    loglik(ys, np.clip(ys / n, 1e-300, 1.0 - 1e-16)))
     vals = 2.0 * (sup[:, None] - loglik(ys[:, None], grid[None, :]))
-    return CurveGrid(parameter_grid=grid, values=vals, kind="llr")
+    return CurveGrid(parameter_grid=grid, values=vals)
 
 
 def ci_z(family: ModelFamily, y: int, z: float,

@@ -24,8 +24,7 @@ import numpy as np
 from ._kernels import (_invert_tails, _logit, _newton, _p1_range,
                        _sbar_slope, invert_p1_batch, sbar_profiled_batch,
                        zinterval_p1_batch)
-from .families import (log_binom_pmf, log_choose, two_binomial_outcomes,
-                       two_binomial_probs)
+from .families import log_binom_pmf, log_choose, two_binomial_outcomes
 from .intervals import IntervalResult
 
 Z_95 = 1.959964  # two-sided nominal 0.95
@@ -41,7 +40,7 @@ COVERAGE_CELLS = (
     (4.0, 0.039, 0.01), (4.0, 0.50, 0.20), (4.0, 0.80, 0.50),
     (4.0, 0.903, 0.70), (4.0, 0.973, 0.90),
 )
-COVERAGE_C = (0.0, 0.5, 1.0)  # plus-c nuisance rules of the coverage study
+COVERAGE_C = (0.0, 0.5, 1.0)  # plus-c constants of the coverage study
 
 
 class InfeasibleNuisance(ValueError):
@@ -67,30 +66,9 @@ class TwoBinomialData(_Counts):
         return self
 
 
-class NuisanceRule(NamedTuple):
-    """How the nuisance value is chosen when evaluating the score."""
-
-    kind: str = "profiled"  # "profiled" | "plus-c" | "fixed-value"
-    c: float = 0.0
-    value: float = float("nan")
-
-    def resolve(self, data: TwoBinomialData) -> float:
-        if self.kind == "profiled":
-            return float(data.x1 + data.x2)
-        if self.kind == "plus-c":
-            return plus_c_nuisance(data, self.c)
-        if self.kind == "fixed-value":
-            return float(self.value)
-        raise ValueError(f"unknown nuisance rule {self.kind!r}")
-
-
-def plus_c_nuisance(data: TwoBinomialData, c: float) -> float:
-    """Shrinkage-adjusted nuisance estimate; c = 0 recovers x1 + x2."""
-    return _plus_c(data.x1, data.x2, data.n1, data.n2, c)
-
-
-def _plus_c(x1, x2, n1: int, n2: int, c: float):
-    """:func:`plus_c_nuisance` elementwise over counts x1, x2."""
+def plus_c_nuisance(x1, x2, n1: int, n2: int, c: float):
+    """Shrinkage-adjusted nuisance estimate, elementwise over counts x1,
+    x2; c = 0 recovers x1 + x2."""
     if c < 0.0:
         raise ValueError("adjustment constant must be nonnegative")
     return n1 * (x1 + c) / (n1 + 2.0 * c) + n2 * (x2 + c) / (n2 + 2.0 * c)
@@ -102,17 +80,6 @@ def _sbar_on_line(data: TwoBinomialData, tnuis: float, p1):
     strictly decreases in p1."""
     return sbar_profiled_batch(data.x1, data.x2, data.n1, data.n2, p1,
                                (tnuis - data.n1 * p1) / data.n2)
-
-
-def profiled_sbar(data: TwoBinomialData, theta: float,
-                  rule: NuisanceRule = NuisanceRule()) -> float:
-    """Standardized interest score at theta, nuisance fixed by the rule."""
-    tnuis = rule.resolve(data)
-    if not 0.0 < tnuis < data.n1 + data.n2:
-        raise InfeasibleNuisance(
-            f"nuisance value {tnuis} outside (0, {data.n1 + data.n2})")
-    p1 = two_binomial_probs(theta, tnuis, data.n1, data.n2)[0]
-    return float(_sbar_on_line(data, tnuis, p1))
 
 
 def log_or(p1, p2):
@@ -135,24 +102,26 @@ def _theta_intervals(x1, x2, n1: int, n2: int, tnuis, z: float):
     return lower, upper, at_lo, at_hi, ok
 
 
-def z_interval(data: TwoBinomialData, z: float = Z_95,
-               rule: NuisanceRule = NuisanceRule(),
+def z_interval(data: TwoBinomialData, z: float = Z_95, tnuis=None,
                equal_sign: bool = True) -> IntervalResult:
     """Invert sbar^2 <= z^2 into a log-odds-ratio interval.
 
-    With the nuisance pinned by ``rule``, the inequality is solved in p1
-    over the feasible range: the real roots of the cleared-denominator
-    degree-6 polynomial split the range, and each edge is a Newton root
-    of the score itself (a dense sign scan is kept as a test oracle);
-    endpoints map to theta through the log-odds-ratio.  A rule value at
-    0 or n1+n2 (all-boundary data with c = 0) is degenerate: the closed
-    convention gives the whole line, the open one the empty set; a value
-    outside [0, n1+n2] raises InfeasibleNuisance.  sbar of one sign at
-    both range ends means the score root is not bracketed.
+    With the nuisance pinned at ``tnuis`` (None: the profile x1 + x2),
+    the inequality is solved in p1 over the feasible range: the real
+    roots of the cleared-denominator degree-6 polynomial split the range,
+    and each edge is a Newton root of the score itself (a dense sign scan
+    is kept as a test oracle); endpoints map to theta through the
+    log-odds-ratio.  A nuisance value at 0 or n1+n2 (all-boundary data
+    with c = 0) is degenerate: the closed convention gives the whole line,
+    the open one the empty set; a value outside [0, n1+n2] raises
+    InfeasibleNuisance.  A value inside (0, n1+n2) but so near an end
+    that the clipped feasible p1 range is empty gives the whole line
+    under both conventions, as :func:`_z_covered` counts it.  sbar of one
+    sign at both range ends means the score root is not bracketed.
     """
     if z <= 0.0:
         raise ValueError("z must be positive")
-    tnuis = rule.resolve(data)
+    tnuis = float(data.x1 + data.x2 if tnuis is None else tnuis)
     if not 0.0 <= tnuis <= data.n1 + data.n2:
         raise InfeasibleNuisance(
             f"nuisance value {tnuis} outside [0, {data.n1 + data.n2}]")
@@ -166,9 +135,8 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
                               "empty under the open convention")
     (lower,), (upper,), (at_lo,), (at_hi,), (ok,) = _theta_intervals(
         [data.x1], [data.x2], data.n1, data.n2, [tnuis], z)
-    if not ok:
-        raise InfeasibleNuisance(f"no feasible p1 range at nuisance {tnuis}")
-    notes = []
+    notes = [] if ok else [
+        f"no feasible p1 range at nuisance {tnuis}: whole line"]
     ends = np.array(_p1_range(tnuis, data.n1, data.n2)[:2])
     if at_lo and at_hi and np.prod(_sbar_on_line(data, tnuis, ends)) > 0.0:
         notes.append("score root not bracketed: whole feasible range")
@@ -181,16 +149,16 @@ def z_interval(data: TwoBinomialData, z: float = Z_95,
                           z=z, boundary_note="; ".join(notes) or None)
 
 
-def sbar_zero_theta(data: TwoBinomialData,
-                    rule: NuisanceRule = NuisanceRule()) -> float:
-    """The theta where the profiled score crosses zero (point estimate)."""
-    tnuis = rule.resolve(data)
+def sbar_zero_theta(data: TwoBinomialData, tnuis=None) -> float:
+    """The theta where the score at nuisance ``tnuis`` crosses zero (point
+    estimate); None pins the profile x1 + x2, where it is the sample log
+    odds ratio."""
     n1, n2 = data.n1, data.n2
-    if rule.kind == "profiled":
+    if tnuis is None:
         if data.x1 in (0, n1) or data.x2 in (0, n2):
             raise InfeasibleNuisance("boundary data: score root at infinity")
         return float(log_or(data.x1 / n1, data.x2 / n2))
-    # generic rules: the root of sbar in p1, where it falls through zero
+    # the root of sbar in p1, where it falls through zero
     lo, hi, ok = _p1_range(tnuis, n1, n2)
     if not ok:
         raise InfeasibleNuisance(f"nuisance value {tnuis} infeasible")
@@ -321,16 +289,16 @@ def _mass_sum(logm, which):
 
 def _z_covered(n1: int, n2: int, theta: float, c: float, z: float):
     """(closed, open) masks of the outcomes whose z-standard test at theta
-    accepts: sbar^2 <= z^2 and sbar^2 < z^2 at the outcome's plus-c rule
-    value, p1 inverted at theta.
+    accepts: sbar^2 <= z^2 and sbar^2 < z^2 at the outcome's plus-c
+    nuisance value, p1 inverted at theta.
 
-    These are the outcomes whose interval holds theta.  A rule value at
+    These are the outcomes whose interval holds theta.  A nuisance value at
     0 or n1+n2 is degenerate (the whole line when closed, empty when
     open); one whose feasible p1 range is empty, though inside (0, n1+n2),
     leaves the whole line under both conventions.
     """
     x1, x2 = two_binomial_outcomes(n1, n2).T
-    tn = _plus_c(x1, x2, n1, n2, c)
+    tn = plus_c_nuisance(x1, x2, n1, n2, c)
     p1 = invert_p1_batch(theta, tn, n1, n2)
     s2 = sbar_profiled_batch(x1, x2, n1, n2, p1, (tn - n1 * p1) / n2) ** 2
     degenerate = (tn <= 0.0) | (tn >= n1 + n2)
@@ -467,15 +435,6 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
                         -np.inf)
         out[r] = [math.fsum(row) for row in np.exp(logm)]
     return out
-
-
-def score_tail_at(data: TwoBinomialData, theta: float, side: str) -> float:
-    """One row of :func:`score_tails`: side="ge" sums the mass with
-    statistic >= the observed one, side="le" the mass <= it."""
-    if side not in ("ge", "le"):
-        raise ValueError(f"unknown side {side!r}")
-    return float(score_tails(data.n1, data.n2, data.x1, data.x2, theta,
-                             side == "ge")[0])
 
 
 def fisher_endpoint_tails(n1: int, n2: int, z_level: float = 0.95) -> list:

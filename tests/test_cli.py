@@ -152,21 +152,28 @@ def test_trace_runner_passes_on_the_exit_status(tmp_path, capsys):
     assert "usage: genestim binom-ci" in capsys.readouterr().err
 
 
-def test_tracer_spans_name_live_library_functions(tmp_path):
+@pytest.mark.parametrize("args, spans, count", [
+    (["verify", "--n", "6"], {"families.expect", "families.score",
+                              "estimation.orthogonalized_score"},
+     "families.expect.outcomes"),
+    (["or-interval", "--n1", "20", "--n2", "30", "--x1", "12", "--x2", "9",
+      "--nuisance-value", "21"],
+     {"oddsratio.z_interval", "kernels.zinterval_p1"},
+     "kernels.zinterval_p1.rows")], ids=["verify", "or-interval"])
+def test_tracer_spans_name_live_library_functions(tmp_path, args, spans,
+                                                  count):
     # the tracer wraps these names; a library path that stops calling them
     # leaves their per-layer metrics at 0
     path = (Path(__file__).resolve().parents[1] / "perfbench"
             / "trace_runner.py")
     spans_path = tmp_path / "spans.json"
-    out = subprocess.run(
-        [sys.executable, str(path), str(spans_path), "verify", "--n", "6"],
+    out = subprocess.run(  # in tmp_path, where or-interval writes
+        [sys.executable, str(path), str(spans_path), *args], cwd=tmp_path,
         env=_subprocess_env(), capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     trace = json.loads(spans_path.read_text())
-    seen = {trace["names"][span[0]] for span in trace["spans"]}
-    assert {"families.expect", "families.score",
-            "estimation.orthogonalized_score"} <= seen
-    assert trace["counts"]["families.expect.outcomes"] > 0
+    assert spans <= {trace["names"][span[0]] for span in trace["spans"]}
+    assert trace["counts"][count] > 0
 
 
 def test_kernel_timer_runs_every_kernel():

@@ -157,8 +157,8 @@ class TestExpectationEngine:
     def test_mc_mode_requires_a_sampler(self):
         fam = F.bernoulli_sum(4)
         crippled = F.ModelFamily(
-            label="no-sampler", support=F.SupportDescriptor(
-                "finite-discrete", outcomes=np.arange(5)),
+            label="no-sampler",
+            support=F.SupportDescriptor(outcomes=np.arange(5)),
             dim_interest=1, dim_nuisance=0, in_domain=fam.in_domain,
             log_density_rows=fam.log_density_rows,
             score_rows=fam.score_rows)
@@ -226,22 +226,19 @@ class TestExpectationEngine:
 class TestSupportDescriptor:
     def test_duplicate_outcomes_rejected(self):
         with pytest.raises(ValueError):
-            F.SupportDescriptor("finite-discrete",
-                                outcomes=np.array([1, 2, 2]))
+            F.SupportDescriptor(outcomes=np.array([1, 2, 2]))
 
     def test_duplicate_rows_rejected_not_shared_values(self):
         # rows sharing a first or a second value are distinct outcomes
         grid = np.array([[0, 1], [1, 0], [1, 1], [0, 0], [2, 1]])
-        F.SupportDescriptor("finite-discrete", outcomes=grid)
-        F.SupportDescriptor("finite-discrete", outcomes=np.array([3, 1, 2]))
+        F.SupportDescriptor(outcomes=grid)
+        F.SupportDescriptor(outcomes=np.array([3, 1, 2]))
         for dup in ([[0, 1], [1, 0], [2, 2], [0, 1]],
                     [[5, 5], [5, 5]], [[0.5, 1.0], [1.0, 0.5], [0.5, 1.0]]):
             with pytest.raises(ValueError, match="duplicate"):
-                F.SupportDescriptor("finite-discrete",
-                                    outcomes=np.array(dup))
+                F.SupportDescriptor(outcomes=np.array(dup))
         with pytest.raises(ValueError, match="duplicate"):
-            F.SupportDescriptor("finite-discrete",
-                                outcomes=np.array([4, 0, 3, 0]))
+            F.SupportDescriptor(outcomes=np.array([4, 0, 3, 0]))
 
     def test_family_construction_leaves_numpy_ma_unloaded(self):
         # np.unique imports numpy.ma; a fresh interpreter, since this one
@@ -259,8 +256,8 @@ class TestSupportDescriptor:
         assert out.stdout.strip() == "False"
 
     def test_finite_support_needs_outcomes(self):
-        with pytest.raises(ValueError):
-            F.SupportDescriptor("finite-discrete")
+        with pytest.raises(ValueError, match="needs outcomes"):
+            F.SupportDescriptor(outcomes=np.array([]))
 
 
 class TestScores:

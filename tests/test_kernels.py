@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from genestim import _kernels as K
 from genestim import families as F
-from genestim.oddsratio import TwoBinomialData, plus_c_nuisance
+from genestim.oddsratio import plus_c_nuisance
 
 N1, N2 = 20, 30
 
@@ -265,8 +265,7 @@ def test_zinterval_matches_the_scan_over_whole_grids():
         g1, g2 = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1),
                              indexing="ij")
         x1, x2 = g1.ravel(), g2.ravel()
-        tnuis = [plus_c_nuisance(TwoBinomialData(a, b, n1, n2), c)
-                 for a, b in zip(x1.tolist(), x2.tolist())]
+        tnuis = plus_c_nuisance(x1, x2, n1, n2, c)
         _assert_same(_zinterval_quietly(x1, x2, n1, n2, tnuis, z),
                      _scan_zinterval(x1, x2, n1, n2, tnuis, z))
 

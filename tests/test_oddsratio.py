@@ -1,5 +1,6 @@
 """Two-binomial log-odds-ratio: intervals, coverage, endpoint tails."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,13 +10,23 @@ import pytest
 from scipy.stats.contingency import odds_ratio
 
 from genestim import _kernels as K
+from genestim import cli
 from genestim import oddsratio as O
+from genestim.families import two_binomial_probs
 
 N1, N2 = 20, 30
 
 
 def _data(x1, x2, n1=N1, n2=N2):
     return O.TwoBinomialData(x1, x2, n1, n2)
+
+
+def _profiled_score(d, theta):
+    """The library's standardized score of ``d`` at theta, the nuisance
+    pinned at the profile x1 + x2."""
+    t = float(d.x1 + d.x2)
+    p1 = two_binomial_probs(theta, t, d.n1, d.n2)[0]
+    return float(O._sbar_on_line(d, t, p1))
 
 
 def _log_comb(n, k):
@@ -73,38 +84,31 @@ class TestDataAndRules:
             O.TwoBinomialData(0, 0, 0, 5)
 
     def test_plus_c_nuisance_formula(self):
-        d = _data(3, 7)
-        assert O.plus_c_nuisance(d, 0.0) == 10.0
+        assert O.plus_c_nuisance(3, 7, N1, N2, 0.0) == 10.0
         c = 0.5
         expect = 20 * 3.5 / 21 + 30 * 7.5 / 31
-        assert O.plus_c_nuisance(d, c) == pytest.approx(expect, abs=1e-14)
+        assert O.plus_c_nuisance(3, 7, N1, N2, c) == pytest.approx(
+            expect, abs=1e-14)
         with pytest.raises(ValueError):
-            O.plus_c_nuisance(d, -1.0)
+            O.plus_c_nuisance(3, 7, N1, N2, -1.0)
 
     def test_plus_c_moves_boundary_data_off_the_boundary(self):
-        d = _data(0, 0)
-        assert O.NuisanceRule("profiled").resolve(d) == 0.0
-        assert 0.0 < O.NuisanceRule("plus-c", c=0.5).resolve(d) < N1 + N2
-
-    def test_fixed_value_rule(self):
-        d = _data(4, 9)
-        assert O.NuisanceRule("fixed-value", value=17.0).resolve(d) == 17.0
-        with pytest.raises(ValueError):
-            O.NuisanceRule("bayes").resolve(d)
+        assert O.plus_c_nuisance(0, 0, N1, N2, 0.0) == 0.0
+        assert 0.0 < O.plus_c_nuisance(0, 0, N1, N2, 0.5) < N1 + N2
 
 
 class TestProfiledScore:
     def test_zero_at_the_sample_log_odds_ratio(self):
         d = _data(10, 15)
-        assert O.profiled_sbar(d, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert _profiled_score(d, 0.0) == pytest.approx(0.0, abs=1e-12)
         d2 = _data(12, 9)
         theta_hat = O.log_or(12 / 20, 9 / 30)
-        assert O.profiled_sbar(d2, theta_hat) == pytest.approx(0.0, abs=1e-9)
+        assert _profiled_score(d2, theta_hat) == pytest.approx(0.0, abs=1e-9)
 
     def test_decreasing_in_theta(self):
         d = _data(12, 9)
         grid = np.linspace(-2.0, 2.0, 41)
-        vals = [O.profiled_sbar(d, t) for t in grid]
+        vals = [_profiled_score(d, t) for t in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_unit_variance_at_the_null(self):
@@ -120,18 +124,14 @@ class TestProfiledScore:
         var = float(np.sum(m * stats ** 2))
         assert var == pytest.approx(1.0, abs=0.06)
 
-    def test_degenerate_nuisance_raises(self):
-        with pytest.raises(O.InfeasibleNuisance):
-            O.profiled_sbar(_data(0, 0), 0.0)
-
     def test_point_estimate(self):
         assert O.sbar_zero_theta(_data(10, 15)) == pytest.approx(0.0,
                                                                  abs=1e-12)
         d = _data(12, 9)
         assert O.sbar_zero_theta(d) == pytest.approx(
             O.log_or(0.6, 0.3), abs=1e-12)
-        # a generic rule solves the same root by Newton steps in p1
-        got = O.sbar_zero_theta(d, O.NuisanceRule("fixed-value", value=21.0))
+        # a given nuisance value solves the same root by Newton steps in p1
+        got = O.sbar_zero_theta(d, 21.0)
         assert got == pytest.approx(O.log_or(0.6, 0.3), abs=1e-8)
         with pytest.raises(O.InfeasibleNuisance):
             O.sbar_zero_theta(_data(0, 9))
@@ -146,16 +146,14 @@ class TestProfiledScore:
         monkeypatch.setattr(O, "_newton", unconverged)
         with pytest.raises(RuntimeError, match=r"\(x1, x2\) = \(12, 9\), "
                                                "n1=20, n2=30: not converged"):
-            O.sbar_zero_theta(_data(12, 9),
-                              O.NuisanceRule("fixed-value", value=21.0))
+            O.sbar_zero_theta(_data(12, 9), 21.0)
 
     def test_bisected_point_estimate_is_the_closed_form(self):
-        # plus-c at c = 0 pins the nuisance at x1 + x2 like the profile,
-        # but takes the generic root-finding branch
-        rule = O.NuisanceRule("plus-c", c=0.0)
+        # a given nuisance value of x1 + x2 pins the profile, but takes
+        # the generic root-finding branch
         for x1 in range(1, N1):
             for x2 in range(1, N2):
-                got = O.sbar_zero_theta(_data(x1, x2), rule)
+                got = O.sbar_zero_theta(_data(x1, x2), float(x1 + x2))
                 assert got == pytest.approx(O.log_or(x1 / N1, x2 / N2),
                                             abs=1e-12), (x1, x2)
 
@@ -163,17 +161,18 @@ class TestProfiledScore:
                                                (60, 5, 0.5, 0)])
     def test_point_estimate_agrees_with_the_bisection_it_replaced(
             self, n1, n2, c, lo):
-        rule = O.NuisanceRule("plus-c", c=c)
         got, rows = [], []
         for x1 in range(lo, n1 + 1 - lo):
             for x2 in range(lo, n2 + 1 - lo):
+                tnuis = O.plus_c_nuisance(x1, x2, n1, n2, c)
                 try:
-                    got.append(O.sbar_zero_theta(_data(x1, x2, n1, n2), rule))
+                    got.append(O.sbar_zero_theta(_data(x1, x2, n1, n2),
+                                                 tnuis))
                 except O.InfeasibleNuisance:
                     continue
                 rows.append((x1, x2))
         x1, x2 = np.array(rows, dtype=float).T
-        tnuis = O._plus_c(x1, x2, n1, n2, c)
+        tnuis = O.plus_c_nuisance(x1, x2, n1, n2, c)
         np.testing.assert_allclose(
             got, _bisected_point_estimates(x1, x2, n1, n2, tnuis),
             rtol=0.0, atol=1e-12)
@@ -205,9 +204,9 @@ class TestZInterval:
     def test_endpoints_pinch_the_score_to_z(self):
         d = _data(12, 9)
         res = O.z_interval(d, z=O.Z_95)
-        assert abs(O.profiled_sbar(d, res.lower)) == pytest.approx(
+        assert abs(_profiled_score(d, res.lower)) == pytest.approx(
             O.Z_95, abs=1e-7)
-        assert abs(O.profiled_sbar(d, res.upper)) == pytest.approx(
+        assert abs(_profiled_score(d, res.upper)) == pytest.approx(
             O.Z_95, abs=1e-7)
         assert res.lower < O.sbar_zero_theta(d) < res.upper
 
@@ -236,15 +235,14 @@ class TestZInterval:
         # a nuisance value this close to n1 + n2 leaves sbar of one sign
         # over the whole feasible p1 range
         d = _data(x1, x2, n1, n2)
-        rule = O.NuisanceRule("fixed-value", value=value)
-        res = O.z_interval(d, z=1.959964, rule=rule)
+        res = O.z_interval(d, z=1.959964, tnuis=value)
         assert res.lower == -math.inf and res.upper == math.inf
         assert res.boundary_note == (
             "score root not bracketed: whole feasible range; "
             "lower endpoint unbounded (boundary of feasible range); "
             "upper endpoint unbounded (boundary of feasible range)")
         with pytest.raises(O.InfeasibleNuisance, match="not bracketed"):
-            O.sbar_zero_theta(d, rule)
+            O.sbar_zero_theta(d, value)
 
     def test_bad_z_rejected(self):
         with pytest.raises(ValueError):
@@ -253,17 +251,50 @@ class TestZInterval:
     @pytest.mark.parametrize("value", [-3.0, -1e-12, 50.000001, math.inf,
                                        math.nan])
     def test_nuisance_value_outside_the_range_raises(self, value):
-        rule = O.NuisanceRule("fixed-value", value=value)
         for eq in (True, False):
             with pytest.raises(O.InfeasibleNuisance, match="outside"):
-                O.z_interval(_data(1, 2), rule=rule, equal_sign=eq)
+                O.z_interval(_data(1, 2), tnuis=value, equal_sign=eq)
 
     @pytest.mark.parametrize("value", [0.0, 50.0])
     def test_nuisance_value_at_a_range_end_is_degenerate(self, value):
-        rule = O.NuisanceRule("fixed-value", value=value)
-        closed = O.z_interval(_data(1, 2), rule=rule)
+        closed = O.z_interval(_data(1, 2), tnuis=value)
         assert closed.lower == -math.inf and closed.upper == math.inf
-        assert O.z_interval(_data(1, 2), rule=rule, equal_sign=False).empty
+        assert O.z_interval(_data(1, 2), tnuis=value, equal_sign=False).empty
+
+    @pytest.mark.parametrize("option, value", [
+        *(("--nuisance-value", v) for v in (1e-12, 1e-9, 3e-8, 50 - 1e-12,
+                                            50 - 3e-8)),
+        ("--c", 1e-12)])
+    def test_empty_feasible_range_gives_the_whole_line(
+            self, monkeypatch, tmp_path, capsys, option, value):
+        # inside (0, n1 + n2), but too near an end for any p1 to survive
+        # the clip: the whole line under both conventions, as the batched
+        # interval and the coverage test have it
+        tnuis = (value if option == "--nuisance-value"
+                 else O.plus_c_nuisance(0, 0, N1, N2, value))
+        (lower,), (upper,), _, _, (ok,) = O._theta_intervals(
+            [0], [0], N1, N2, [tnuis], O.Z_95)
+        assert not ok
+        thetas = (-3.0, 0.0, 0.7)
+        monkeypatch.setattr(O, "plus_c_nuisance",
+                            lambda x1, *_: np.full(np.shape(x1), tnuis))
+        masks = [O._z_covered(N1, N2, t, 0.0, O.Z_95) for t in thetas]
+        monkeypatch.undo()
+        for k, eq in enumerate((True, False)):
+            res = O.z_interval(_data(0, 0), tnuis=tnuis, equal_sign=eq)
+            assert (res.lower, res.upper) == (lower, upper)
+            assert res.closed_lower is res.closed_upper is eq
+            assert res.boundary_note == (
+                f"no feasible p1 range at nuisance {tnuis}: whole line")
+            assert [res.contains(t) for t in thetas] == [
+                bool(m[k][0]) for m in masks]
+        with pytest.raises(SystemExit) as done:
+            cli.main(["or-interval", "--n1", str(N1), "--n2", str(N2),
+                      "--x1", "0", "--x2", "0", option, repr(value),
+                      "--out-dir", str(tmp_path)])
+        assert done.value.code is None
+        z_iv = json.loads(capsys.readouterr().out)["z_interval_log_or"]
+        assert (z_iv["lower"], z_iv["upper"]) == (None, None)
 
 
 class TestFisherExactInterval:
@@ -367,10 +398,10 @@ ORACLE_OR = (0.25, 2.0 / 3.0, 1.0, 1.5, 4.0, 10.0)
 
 def _z_interval_covered(n1, n2, or_true, c, z):
     """Oracle: (closed, open) masks of the outcomes whose z-interval
-    holds log(or_true), one row per odds ratio; a degenerate rule value
-    covers under the closed convention only."""
+    holds log(or_true), one row per odds ratio; a degenerate nuisance
+    value covers under the closed convention only."""
     x1, x2 = O.two_binomial_outcomes(n1, n2).T
-    tn = O._plus_c(x1, x2, n1, n2, c)
+    tn = O.plus_c_nuisance(x1, x2, n1, n2, c)
     lower, upper = O._theta_intervals(x1, x2, n1, n2, tn, z)[:2]
     degenerate = (tn <= 0.0) | (tn >= n1 + n2)
     theta = np.log(or_true)[:, None]
@@ -525,15 +556,19 @@ class TestExactCoverage:
 
 
 def _score_tail_loop(x1, x2, n1, n2, theta, side):
-    """Oracle: one score-test tail, an outcome at a time."""
+    """Oracle: one score-test tail, an outcome at a time, each statistic
+    from the score's formula in scalar arithmetic."""
     def stat(a, b):
         if a + b in (0, n1 + n2):
             return 0.0
-        return O.profiled_sbar(_data(a, b, n1, n2), theta)
+        q1, q2 = two_binomial_probs(theta, float(a + b), n1, n2)
+        v1, v2 = q1 * (1.0 - q1), q2 * (1.0 - q2)
+        return (((a / n1 - q1) / v1 - (b / n2 - q2) / v2)
+                / math.sqrt(1.0 / (n1 * v1) + 1.0 / (n2 * v2)))
 
     obs = stat(x1, x2)
     t = x1 + x2
-    p1, p2 = O.two_binomial_probs(theta, float(t), n1, n2)
+    p1, p2 = two_binomial_probs(theta, float(t), n1, n2)
     terms = []
     for a in range(n1 + 1):
         for b in range(n2 + 1):
@@ -571,18 +606,14 @@ class TestLogSumExp:
 
 class TestScoreTails:
     def test_sides_partition_up_to_the_observed_atom(self):
-        d = _data(8, 12)
-        theta = 0.3
-        ge = O.score_tail_at(d, theta, "ge")
-        le = O.score_tail_at(d, theta, "le")
+        ge, le = (O.score_tails(N1, N2, 8, 12, 0.3, side)[0]
+                  for side in (True, False))
         assert 1.0 <= ge + le <= 1.0 + 0.5  # both include the observed atom
-        with pytest.raises(ValueError):
-            O.score_tail_at(d, theta, "both")
 
     def test_ge_tail_shrinks_as_theta_moves_left_of_the_estimate(self):
         d = _data(12, 9)
         t_hat = O.sbar_zero_theta(d)
-        tails = [O.score_tail_at(d, t, "ge")
+        tails = [O.score_tails(N1, N2, d.x1, d.x2, t, True)[0]
                  for t in (t_hat, t_hat - 1.0, t_hat - 2.0)]
         assert tails[0] > tails[1] > tails[2]
 
@@ -615,7 +646,7 @@ class TestScoreTails:
 
     def test_boundary_data_have_no_null(self):
         with pytest.raises(O.InfeasibleNuisance):
-            O.score_tail_at(_data(0, 0), 0.3, "ge")
+            O.score_tails(N1, N2, 0, 0, 0.3, True)
 
     def test_endpoint_tails_are_below_the_nominal_half_level(self):
         rows = O.fisher_endpoint_tails(6, 8)
