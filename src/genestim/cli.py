@@ -207,7 +207,8 @@ def info_report(n, p, out_dir):
     for point in p:
         for est in suite:
             try:
-                rep = estimation.information(engine, fam, est, [point])
+                rep = estimation.information(engine, fam, est, [point],
+                                             direct_route=False)
             except (ValueError, RuntimeError) as err:
                 last_err = err
                 print(f"[skip] {est.label} at p={point} "
@@ -402,14 +403,9 @@ def verify(n):
     def two_binomial_cross():
         worst = 0.0
         for p1, p2 in itertools.product(grid, grid):
-            point = np.array(families.two_binomial_params(p1, p2, 20, 30))
-
-            def cross(Y):
-                S = families.score(tb, Y, point)
-                return S[:, 0] * S[:, 1]
-
+            point = families.two_binomial_params(p1, p2, 20, 30)
             worst = max(worst, abs(float(
-                engine.expect(tb, point, cross)[0])))
+                families.fisher_info(engine, tb, point).I_cross[0, 0])))
         return worst
 
     check("two-binomial score orthogonality grid", two_binomial_cross,

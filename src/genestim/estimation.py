@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -68,22 +67,8 @@ class InformationReport(NamedTuple):
     fisher_bound: np.ndarray
     efficiency: np.ndarray
     R: np.ndarray
-    point: np.ndarray
-    mode: str
     route_gap: Optional[float] = None  # |direct - covariance| when both ran
     routes_agree: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "Lambda": self.Lambda.ravel().tolist(),
-            "lambda_scalar": self.lambda_scalar,
-            "fisher_bound": self.fisher_bound.ravel().tolist(),
-            "efficiency": self.efficiency.ravel().tolist(),
-            "R": self.R.ravel().tolist(),
-            "point": self.point.tolist(),
-            "mode": self.mode,
-            "route_gap": self.route_gap,
-        }
 
 
 def inv_sqrt_psd(V: np.ndarray) -> np.ndarray:
@@ -105,10 +90,12 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
     """Project out the mean and the nuisance-score span, lazily per point.
 
     Returns g with rows g(Y, point) = f(Y, point) - E[f] - C G^{-1} s~(Y)
-    where C = E[(f - E f) s~^t] and G = E[s~ s~^t]; the projection term
-    is absent when the family has no nuisance parameters.  The
-    coefficients are kept per point in a bounded LRU, whose
-    ``cache_info()`` the returned estimator's ``rows`` exposes.
+    where C = E[f s~^t], which is the centred cross moment as E s~ = 0,
+    and G is the nuisance block of ``fisher_info``; a point where that
+    block is singular raises its DomainError.  The projection term is
+    absent when the family has no nuisance parameters.  The coefficients
+    are kept per point in a bounded LRU, whose ``cache_info()`` the
+    returned estimator's ``rows`` exposes.
 
     A point where the smallest eigenvalue of g's variance,
     E[f f^t] - E f E f^t - C G^{-1} C^t, falls below DEGENERATE_RATIO of
@@ -123,28 +110,19 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
 
         def moments(Y):
             F = estimator_rows(f, Y, point)
-            return np.hstack([F, outer_rows(F, F)])
+            if not kp:
+                return np.hstack([F, outer_rows(F, F)])
+            S = score(family, Y, point)[:, k:]
+            return np.hstack([F, outer_rows(F, F), outer_rows(F, S)])
 
         first = engine.expect(family, point, moments)
-        mean, second = first[:k], first[k:].reshape(k, k)
+        mean, second = first[:k], first[k:k + k * k].reshape(k, k)
         V = second - np.outer(mean, mean)
         proj = None
         if kp:
-            def cross_and_gram(Y):
-                F = estimator_rows(f, Y, point) - mean
-                S = score(family, Y, point)[:, k:]
-                return np.hstack([outer_rows(F, S), outer_rows(S, S)])
-
-            both = engine.expect(family, point, cross_and_gram)
-            C = both[:k * kp].reshape(k, kp)
-            G = both[k * kp:].reshape(kp, kp)
-            if np.linalg.cond(G) > 1e12:  # inf when exactly singular
-                warnings.warn(
-                    f"{family.label}: singular nuisance Gram matrix at "
-                    f"{key}; falling back to pseudo-inverse projection")
-                proj = C @ np.linalg.pinv(G)
-            else:
-                proj = np.linalg.solve(G, C.T).T
+            C = first[k + k * k:].reshape(k, kp)
+            G = fisher_info(engine, family, point).I_nuis
+            proj = np.linalg.solve(G, C.T).T
             V = V - proj @ C.T
         var = float(np.linalg.eigvalsh(0.5 * (V + V.T))[0])
         scale = float(np.trace(second))
@@ -172,7 +150,8 @@ def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
 
     Returns (S, I_perp) with S mapping the outcome array Y to (N, k) rows.
     For families without nuisance parameters S is the plain interest
-    score and I_perp = I.  A precomputed ``info`` at the point is reused.
+    score and I_perp = I.  A precomputed ``info`` at the point is reused;
+    where the nuisance block is singular ``fisher_info`` raises DomainError.
     """
     point = family.check_point(point)
     k = family.dim_interest
@@ -180,9 +159,6 @@ def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
         info = fisher_info(engine, family, point)
     if family.dim_nuisance == 0:
         return (lambda Y: score(family, Y, point)), info.I_perp
-    if info.I_perp is None:
-        raise EstimatorError(
-            f"{family.label}: singular nuisance information at {point}")
     proj = np.linalg.solve(info.I_nuis, info.I_cross.T).T
 
     def S(Y):
@@ -244,7 +220,6 @@ def information(engine: ExpectationEngine, family: ModelFamily,
     return InformationReport(
         Lambda=Lam, lambda_scalar=float(np.trace(Lam)),
         fisher_bound=bound, efficiency=eff, R=R,
-        point=point, mode=engine.mode,
         route_gap=route_gap, routes_agree=routes_agree)
 
 

@@ -167,13 +167,13 @@ class FisherInfo(NamedTuple):
     I: np.ndarray  # noqa: E741 - matches the standard symbol
     I_cross: np.ndarray
     I_nuis: np.ndarray
-    I_perp: Optional[np.ndarray]
-    nuis_singular: bool = False
+    I_perp: np.ndarray
 
 
 def fisher_info(engine: ExpectationEngine, family: ModelFamily,
                 point) -> FisherInfo:
-    """Blocks of E[score score^t], plus the Schur complement I_perp."""
+    """Blocks of E[score score^t], plus the Schur complement I_perp; a
+    singular nuisance block (not identified, no I_perp) raises DomainError."""
     point = family.check_point(point)
     k, kp = family.dim_interest, family.dim_nuisance
 
@@ -189,7 +189,9 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
     if kp == 0:
         return FisherInfo(I, I_cross, I_nuis, I.copy())
     if np.linalg.cond(I_nuis) > 1e12:  # inf when exactly singular
-        return FisherInfo(I, I_cross, I_nuis, None, nuis_singular=True)
+        raise DomainError(
+            f"{family.label}: singular nuisance information at "
+            f"{point.tolist()}; the nuisance is not identified there")
     return FisherInfo(I, I_cross, I_nuis,
                       I - I_cross @ np.linalg.solve(I_nuis, I_cross.T))
 

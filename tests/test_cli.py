@@ -415,6 +415,22 @@ class TestInfoReport:
         assert ("sign-coarse-orthogonalized", "0.5") in {
             (row[0], row[1]) for row in body}
 
+    def test_single_trial_at_the_sign_jump_is_reported(self, runner,
+                                                        tmp_path):
+        # at n = 1 the sign statistic jumps at p = 0.5, so only a finite
+        # difference of its standardization would be degenerate; the
+        # table reads the covariance route alone and writes all four rows
+        res = runner.invoke(main, ["info-report", "--n", "1", "--p", "0.5",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "[skip]" not in res.output
+        lines = (tmp_path / "info_report.csv").read_text().splitlines()
+        body = [ln.split(",") for ln in lines[2:]]
+        assert len(body) == 4
+        sign_row = next(r for r in body
+                        if r[0] == "sign-coarse-orthogonalized")
+        assert float(sign_row[4]) == pytest.approx(1.0, abs=1e-10)
+
     def test_every_row_failing_exits_numeric(self, runner, tmp_path):
         res = runner.invoke(main, ["info-report", "--n", "20", "--p", "1.5",
                                    "--out-dir", str(tmp_path)])

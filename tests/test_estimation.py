@@ -71,13 +71,6 @@ class TestInformation:
             assert rep.efficiency[0, 0] == pytest.approx(
                 float(rep.R[0, 0]) ** 2, abs=1e-12)
 
-    def test_information_report_serializes(self):
-        fam = F.bernoulli_sum(10)
-        rep = E.information(ENGINE, fam, _score_estimator(fam), [0.5])
-        d = rep.to_dict()
-        assert d["mode"] == "exact"
-        assert d["lambda_scalar"] == pytest.approx(rep.lambda_scalar)
-
     def test_route_disagreement_detected_for_a_broken_estimator(self):
         fam = F.bernoulli_sum(20)
         # mean-zero at every p but wildly non-smooth in p: the covariance
@@ -112,9 +105,12 @@ class TestOrthogonalization:
         nuis = E.nuisance_information(ENGINE, fam, g, point)
         assert abs(nuis[0, 0]) < 1e-6
 
-    def test_singular_nuisance_gram_warns_and_uses_the_pseudo_inverse(self):
+    @pytest.mark.filterwarnings("error")
+    def test_singular_nuisance_block_raises_everywhere(self):
         # the second parameter leaves the law unchanged: its score is
-        # identically 0, so the nuisance Gram matrix is [[0]]
+        # identically 0, so the nuisance block is [[0]] and every route
+        # through the projection fails as fisher_info does, without a
+        # warning
         base = F.bernoulli_sum(6)
         fam = F.ModelFamily(
             label="bernoulli-with-idle-nuisance", support=base.support,
@@ -127,9 +123,16 @@ class TestOrthogonalization:
         pre = E.PreEstimator(lambda Y, point: _column(Y > 2), "threshold")
         g = E.orthogonalize(ENGINE, fam, pre)
         point = [0.4, 1.0]
-        with pytest.warns(UserWarning, match="pseudo-inverse"):
-            mean = ENGINE.expect(fam, point, lambda Y: g.rows(Y, point))
-        assert abs(mean[0]) < 1e-12
+        Y = fam.support.outcomes
+        for call in (lambda: F.fisher_info(ENGINE, fam, point),
+                     lambda: E.orthogonalized_score(ENGINE, fam, point),
+                     lambda: E.information(ENGINE, fam, g, point),
+                     lambda: E.check_score_equation(ENGINE, fam, g, point),
+                     lambda: g.rows(Y, point)):
+            with pytest.raises(F.DomainError,
+                               match=r"singular nuisance information at "
+                                     r"\[0\.4, 1\.0\]"):
+                call()
 
     def test_orthogonalized_score_matches_schur_complement(self):
         fam = F.two_binomial(8, 6)

@@ -321,7 +321,6 @@ class TestFisherInfo:
         info = F.fisher_info(ENGINE, fam, point)
         assert info.I_perp[0, 0] == pytest.approx(3.0, abs=1e-10)
         assert abs(info.I_cross[0, 0]) < 1e-12
-        assert not info.nuis_singular
 
     def test_two_binomial_inverts_each_point_once(self, monkeypatch):
         # every score() starts with a domain check; the check must reuse the
