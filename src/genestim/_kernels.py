@@ -7,6 +7,8 @@ implementation.  Every two-binomial root lies in ``_p1_range``, the
 clipped feasible p1 range at a nuisance value: p1 at (theta, nuisance)
 is a closed-form quadratic root.  Every other scalar root (the z-interval
 edges, the t3 MLE, the exact tail endpoints) comes from ``_newton``.
+The (theta, nuisance) -> (p1, p2) map is ``_line_probs`` and the log odds
+ratio ``_log_or``, here and nowhere else.
 """
 
 from __future__ import annotations
@@ -129,6 +131,19 @@ def invert_p1_batch(theta, tnuis, n1, n2):
                                    + 4.0 * n1 * n2 * r * s))  # |q|
     p1 = np.where(b >= 0.0, tnuis * s / q, q / (n1 * (r - s)))
     return np.where(ok, np.clip(p1, lo, hi), np.nan)
+
+
+def _line_probs(theta, tnuis, n1, n2):
+    """(p1, p2) at log odds ratio theta on the nuisance line
+    n1 p1 + n2 p2 = tnuis, elementwise: p1 from :func:`invert_p1_batch`
+    (NaN where it has none), p2 = (tnuis - n1 p1)/n2."""
+    p1 = invert_p1_batch(theta, tnuis, n1, n2)
+    return p1, (tnuis - n1 * p1) / n2
+
+
+def _log_or(p1, p2):
+    """logit p1 - logit p2, elementwise."""
+    return _logit(p1) - _logit(p2)
 
 
 def sbar_profiled_batch(x1, x2, n1, n2, p1, p2):

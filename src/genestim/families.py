@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import _expit, _logit, invert_p1_batch
+from ._kernels import _expit, _line_probs, _log_or, _logit
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # parameter points whose natural parameter, A(eta) and E T each finite
@@ -173,7 +173,8 @@ class FisherInfo(NamedTuple):
 def fisher_info(engine: ExpectationEngine, family: ModelFamily,
                 point) -> FisherInfo:
     """Blocks of E[score score^t], plus the Schur complement I_perp; a
-    singular nuisance block (not identified, no I_perp) raises DomainError."""
+    singular nuisance block (not identified, no I_perp) raises DomainError:
+    one not finite, or not positive definite with 2-norm condition <= 1e12."""
     point = family.check_point(point)
     k, kp = family.dim_interest, family.dim_nuisance
 
@@ -188,7 +189,9 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
     I_nuis = full[k:, k:]
     if kp == 0:
         return FisherInfo(I, I_cross, I_nuis, I.copy())
-    if np.linalg.cond(I_nuis) > 1e12:  # inf when exactly singular
+    finite = np.isfinite(I_nuis).all()
+    ev = np.linalg.eigvalsh(I_nuis) if finite else [0.0]  # ascending
+    if not (ev[-1] > 0.0 and ev[0] >= 1e-12 * ev[-1]):
         raise DomainError(
             f"{family.label}: singular nuisance information at "
             f"{point.tolist()}; the nuisance is not identified there")
@@ -431,16 +434,16 @@ def two_binomial_params(p1: float, p2: float, n1: int, n2: int):
     """(p1, p2) -> (theta, tnuis): log odds ratio and n1*p1 + n2*p2."""
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise DomainError("success probabilities must be in (0,1)")
-    return float(_logit(p1) - _logit(p2)), float(n1 * p1 + n2 * p2)
+    return float(_log_or(p1, p2)), float(n1 * p1 + n2 * p2)
 
 
 def two_binomial_probs(theta: float, tnuis: float, n1: int, n2: int):
-    """(theta, tnuis) -> (p1, p2), p1 from :func:`invert_p1_batch`."""
-    p1 = float(invert_p1_batch(theta, tnuis, n1, n2))
+    """(theta, tnuis) -> (p1, p2), from :func:`_kernels._line_probs`."""
+    p1, p2 = map(float, _line_probs(theta, tnuis, n1, n2))
     if math.isnan(p1):
         raise DomainError(
             f"no (p1,p2) in (0,1)^2 with log-OR {theta} and nuisance {tnuis}")
-    return p1, (tnuis - n1 * p1) / n2
+    return p1, p2
 
 
 def two_binomial(n1: int, n2: int) -> ModelFamily:

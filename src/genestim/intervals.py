@@ -80,13 +80,18 @@ def sbar_binom(n: int, y, p):
     return (y - n * p) / np.sqrt(n * p * (1.0 - p))
 
 
-def score_curves(family: ModelFamily, grid=None) -> CurveGrid:
-    """One standardized-score curve per outcome y in {0..n}."""
+def _curve_axes(family: ModelFamily, grid):
+    """(n, grid or DEFAULT_GRID, checked inside (0, 1), outcomes 0..n)."""
     n = _n_of(family)
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     if grid.min() <= 0.0 or grid.max() >= 1.0:
         raise ValueError("grid must stay strictly inside (0, 1)")
-    ys = np.arange(n + 1)
+    return n, grid, np.arange(n + 1)
+
+
+def score_curves(family: ModelFamily, grid=None) -> CurveGrid:
+    """One standardized-score curve per outcome y in {0..n}."""
+    n, grid, ys = _curve_axes(family, grid)
     return CurveGrid(parameter_grid=grid,
                      values=sbar_binom(n, ys[:, None], grid[None, :]))
 
@@ -97,11 +102,7 @@ def llr_curves(family: ModelFamily, grid=None) -> CurveGrid:
     Rows y = 0 and y = n use the supremum of the likelihood at the
     closure boundary (log-mass limit 0 there for the binomial).
     """
-    n = _n_of(family)
-    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    if grid.min() <= 0.0 or grid.max() >= 1.0:
-        raise ValueError("grid must stay strictly inside (0, 1)")
-    ys = np.arange(n + 1)
+    n, grid, ys = _curve_axes(family, grid)
 
     def loglik(y, p):
         # binomial coefficient cancels in the ratio; keep the kernel only

@@ -49,6 +49,10 @@ class McRunConfig(_McRun):
                              "stable efficiency estimates")
         if any(r <= 0 for r in self.rescale):
             raise ValueError("rescale factors must be positive")
+        if any(not isinstance(m, (int, np.integer)) or m < 1
+               for m in self.n_overlays):
+            raise ValueError("overlay sample sizes must be integers of at "
+                             "least 1")
         return self
 
     def to_dict(self):
@@ -224,7 +228,7 @@ def zeta_curves(reference, comparisons: dict, total: int) -> list:
     """Tail-depth curves from inclusive tail counts at reference points.
 
     ``reference`` and each comparison are (lo, hi) counts out of ``total``
-    at the reference archive's empirical quantiles at the 99 standard
+    at the reference archive's empirical quantiles at the 100 standard
     probabilities (median mass counted in both tails); a curve keeps the
     probabilities where both zetas are finite.
     """

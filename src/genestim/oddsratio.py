@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (_invert_tails, _logit, _newton, _p1_range,
-                       _sbar_slope, invert_p1_batch, sbar_profiled_batch,
+from ._kernels import (_invert_tails, _line_probs, _log_or, _newton,
+                       _p1_range, _sbar_slope, sbar_profiled_batch,
                        zinterval_p1_batch)
 from .families import log_binom_pmf, log_choose, two_binomial_outcomes
 from .intervals import IntervalResult
@@ -44,7 +44,9 @@ COVERAGE_C = (0.0, 0.5, 1.0)  # plus-c constants of the coverage study
 
 
 class InfeasibleNuisance(ValueError):
-    """Nuisance value outside (0, n1+n2): no (p1, p2) exists."""
+    """No score root at the nuisance value: it lies outside (0, n1+n2), so
+    no (p1, p2) exists, or the data are on the boundary, or the score does
+    not change sign over the feasible p1 range."""
 
 
 class _Counts(NamedTuple):
@@ -74,19 +76,6 @@ def plus_c_nuisance(x1, x2, n1: int, n2: int, c: float):
     return n1 * (x1 + c) / (n1 + 2.0 * c) + n2 * (x2 + c) / (n2 + 2.0 * c)
 
 
-def _sbar_on_line(data: TwoBinomialData, tnuis: float, p1):
-    """sbar of ``data`` at p1 and p2 = (tnuis - n1 p1)/n2: at most one
-    zero, as (x1/n1 - p1)/a1 - (x2/n2 - p2)/a2, a_i = p_i (1 - p_i),
-    strictly decreases in p1."""
-    return sbar_profiled_batch(data.x1, data.x2, data.n1, data.n2, p1,
-                               (tnuis - data.n1 * p1) / data.n2)
-
-
-def log_or(p1, p2):
-    """logit p1 - logit p2, elementwise."""
-    return _logit(p1) - _logit(p2)
-
-
 def _theta_intervals(x1, x2, n1: int, n2: int, tnuis, z: float):
     """(lower, upper, at_lo, at_hi, ok) of sbar^2 <= z^2 at fixed nuisance
     values: the p1 ends of :func:`zinterval_p1_batch` mapped to theta,
@@ -95,8 +84,8 @@ def _theta_intervals(x1, x2, n1: int, n2: int, tnuis, z: float):
     p1_lo, p1_hi, at_lo, at_hi, ok = zinterval_p1_batch(x1, x2, n1, n2,
                                                         tnuis, z)
     with np.errstate(divide="ignore"):
-        lower = log_or(p1_lo, (tnuis - n1 * p1_lo) / n2)
-        upper = log_or(p1_hi, (tnuis - n1 * p1_hi) / n2)
+        lower = _log_or(p1_lo, (tnuis - n1 * p1_lo) / n2)
+        upper = _log_or(p1_hi, (tnuis - n1 * p1_hi) / n2)
     lower[at_lo | ~ok] = -np.inf
     upper[at_hi | ~ok] = np.inf
     return lower, upper, at_lo, at_hi, ok
@@ -138,7 +127,9 @@ def z_interval(data: TwoBinomialData, z: float = Z_95, tnuis=None,
     notes = [] if ok else [
         f"no feasible p1 range at nuisance {tnuis}: whole line"]
     ends = np.array(_p1_range(tnuis, data.n1, data.n2)[:2])
-    if at_lo and at_hi and np.prod(_sbar_on_line(data, tnuis, ends)) > 0.0:
+    if at_lo and at_hi and np.prod(_sbar_slope(
+            ends, data.x1 / data.n1, data.x2 / data.n2, tnuis, data.n1,
+            data.n2)[0]) > 0.0:
         notes.append("score root not bracketed: whole feasible range")
     if at_lo:
         notes.append("lower endpoint unbounded (boundary of feasible range)")
@@ -157,22 +148,23 @@ def sbar_zero_theta(data: TwoBinomialData, tnuis=None) -> float:
     if tnuis is None:
         if data.x1 in (0, n1) or data.x2 in (0, n2):
             raise InfeasibleNuisance("boundary data: score root at infinity")
-        return float(log_or(data.x1 / n1, data.x2 / n2))
+        return float(_log_or(data.x1 / n1, data.x2 / n2))
     # the root of sbar in p1, where it falls through zero
     lo, hi, ok = _p1_range(tnuis, n1, n2)
     if not ok:
         raise InfeasibleNuisance(f"nuisance value {tnuis} infeasible")
-    slo, shi = _sbar_on_line(data, tnuis, lo), _sbar_on_line(data, tnuis, hi)
-    if slo * shi > 0.0:
+
+    def sbar(p1, live=None):
+        return _sbar_slope(p1, data.x1 / n1, data.x2 / n2, tnuis, n1, n2)
+
+    if sbar(lo)[0] * sbar(hi)[0] > 0.0:
         raise InfeasibleNuisance("score root not bracketed")
-    (p1,), (conv,) = _newton(
-        lambda p1, live: _sbar_slope(p1, data.x1 / n1, data.x2 / n2, tnuis,
-                                     n1, n2),
-        [0.5 * (lo + hi)], lo, hi, False, 0.0, 0.0)
+    (p1,), (conv,) = _newton(sbar, [0.5 * (lo + hi)], lo, hi, False, 0.0,
+                             0.0)
     if not conv:
         raise RuntimeError(f"score root at (x1, x2) = ({data.x1}, {data.x2}),"
                            f" n1={n1}, n2={n2}: not converged")
-    return float(log_or(p1, (tnuis - n1 * p1) / n2))
+    return float(_log_or(p1, (tnuis - n1 * p1) / n2))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +279,14 @@ def _mass_sum(logm, which):
     return math.fsum(np.exp(logm[which]))
 
 
+def _outcome_sbar(n1: int, n2: int, theta, tn):
+    """sbar of every outcome at theta, each on its own nuisance line
+    n1 p1 + n2 p2 = tn[i], in :func:`two_binomial_outcomes` order; theta
+    broadcasts over rows.  NaN where the line has no feasible p1."""
+    x1, x2 = two_binomial_outcomes(n1, n2).T
+    return sbar_profiled_batch(x1, x2, n1, n2, *_line_probs(theta, tn, n1, n2))
+
+
 def _z_covered(n1: int, n2: int, theta: float, c: float, z: float):
     """(closed, open) masks of the outcomes whose z-standard test at theta
     accepts: sbar^2 <= z^2 and sbar^2 < z^2 at the outcome's plus-c
@@ -299,8 +299,7 @@ def _z_covered(n1: int, n2: int, theta: float, c: float, z: float):
     """
     x1, x2 = two_binomial_outcomes(n1, n2).T
     tn = plus_c_nuisance(x1, x2, n1, n2, c)
-    p1 = invert_p1_batch(theta, tn, n1, n2)
-    s2 = sbar_profiled_batch(x1, x2, n1, n2, p1, (tn - n1 * p1) / n2) ** 2
+    s2 = _outcome_sbar(n1, n2, theta, tn) ** 2
     degenerate = (tn <= 0.0) | (tn >= n1 + n2)
     whole = ~(degenerate | _p1_range(tn, n1, n2)[2])
     return ((s2 <= z * z) | degenerate | whole,
@@ -376,43 +375,18 @@ def z_confidence(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _profile(n1: int, n2: int, theta):
-    """(p1, p2) on the curve log OR = theta at each interior profiled
-    nuisance t' = 1..n1+n2-1: two arrays of shape theta.shape + (n1+n2-1,).
-    """
-    tn = np.arange(1, n1 + n2)
-    p1 = invert_p1_batch(np.asarray(theta)[..., None], tn, n1, n2)
-    return p1, (tn - n1 * p1) / n2
-
-
-def _profiled_sbar_all_outcomes(n1: int, n2: int, p1, p2):
-    """Profiled standardized score of every outcome, one row per profile.
-
-    ``(p1, p2)`` is a :func:`_profile`; each outcome takes the column of
-    its own profiled nuisance t' = x1' + x2', and the two all-boundary
-    outcomes (t' = 0 or n1+n2) take the degenerate limit 0.
-    """
-    x1, x2 = two_binomial_outcomes(n1, n2).T
-    t = x1 + x2
-    interior = (t > 0) & (t < n1 + n2)
-    cols = t[interior] - 1
-    stats = np.zeros(p1.shape[:-1] + x1.shape)
-    stats[..., interior] = sbar_profiled_batch(
-        x1[interior], x2[interior], n1, n2, p1[..., cols], p2[..., cols])
-    return stats
-
-
 def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     """Exact tail probabilities of the one-sided profiled-score test.
 
     Row r observes (x1[r], x2[r]), with 0 < x1 + x2 < n1 + n2, and tests
     theta[r]: the null (p1, p2) lies on the curve log OR = theta[r]
     pinned by the observed profiled nuisance x1[r] + x2[r], and outcomes
-    are ordered by their profiled standardized score at theta[r].  Where
-    ge[r] holds the row sums the mass with statistic >= the observed one,
-    else the mass <= it, in ``math.fsum``.  p1 is
-    inverted once per (theta, t') pair; the (rows, outcomes) arrays are
-    built SCORE_TAIL_BLOCK elements at a time.
+    are ordered by their profiled standardized score at theta[r], each at
+    its own profiled nuisance x1' + x2' (the two all-boundary outcomes
+    take the degenerate limit 0).  Where ge[r] holds the row sums the mass
+    with statistic >= the observed one, else the mass <= it, with
+    :func:`_mass_sum`.  The (rows, outcomes) arrays are built
+    SCORE_TAIL_BLOCK elements at a time.
     """
     x1, x2, theta, ge = (np.ravel(a) for a in np.broadcast_arrays(
         x1, x2, theta, ge))
@@ -420,20 +394,20 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     if np.any((t <= 0) | (t >= n1 + n2)):
         raise InfeasibleNuisance(
             f"observed nuisance outside (0, {n1 + n2}): no null (p1, p2)")
-    p1, p2 = _profile(n1, n2, theta)
-    rows = np.arange(len(t))
-    obs_p1, obs_p2 = p1[rows, t - 1], p2[rows, t - 1]
+    tn = two_binomial_outcomes(n1, n2).sum(axis=1)
+    boundary = (tn == 0) | (tn == n1 + n2)
+    obs_p1, obs_p2 = _line_probs(theta, t, n1, n2)
     out = np.empty(len(t))
-    block = max(1, SCORE_TAIL_BLOCK // ((n1 + 1) * (n2 + 1)))
+    block = max(1, SCORE_TAIL_BLOCK // len(tn))
     for start in range(0, len(t), block):
         r = slice(start, start + block)
-        stats = _profiled_sbar_all_outcomes(n1, n2, p1[r], p2[r])
+        stats = _outcome_sbar(n1, n2, theta[r, None], tn)
+        stats[:, boundary] = 0.0
         obs = stats[np.arange(len(stats)), x1[r] * (n2 + 1) + x2[r], None]
         keep = np.where(ge[r, None], stats >= obs - 1e-12,
                         stats <= obs + 1e-12)
-        logm = np.where(keep, _log_masses(n1, n2, obs_p1[r], obs_p2[r]),
-                        -np.inf)
-        out[r] = [math.fsum(row) for row in np.exp(logm)]
+        logm = _log_masses(n1, n2, obs_p1[r], obs_p2[r])
+        out[r] = [_mass_sum(lm, k) for lm, k in zip(logm, keep)]
     return out
 
 

@@ -327,13 +327,13 @@ class TestFisherInfo:
         # family's memoized inversion rather than redo the p1 inversion for
         # each of the 21 * 31 outcomes
         calls = []
-        inner = F.invert_p1_batch
+        inner = F._line_probs
 
         def counting(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(F, "invert_p1_batch", counting)
+        monkeypatch.setattr(F, "_line_probs", counting)
         fam = F.two_binomial(20, 30)
         point = np.array([0.4, 22.0])
         F.fisher_info(ENGINE, fam, point)
@@ -350,6 +350,48 @@ class TestFisherInfo:
         got = np.block([[full.I, full.I_cross],
                         [full.I_cross.T, full.I_nuis]]).ravel()
         assert_matches_loop(got, family, point, outer)
+
+    @staticmethod
+    def _tilted(eps):
+        """Two-binomial grid with eta = (theta + nu1, nu1 + eps nu2): at
+        the origin (p1 = p2 = 1/2, n1 a1 = 5, n2 a2 = 7.5) the nuisance
+        block is [[12.5, 7.5 eps], [7.5 eps, 7.5 eps^2]], its condition
+        number about 4.2 / eps^2."""
+        def natural(point):
+            theta, nu1, nu2 = point
+            return (np.array([theta + nu1, nu1 + eps * nu2]),
+                    np.array([[1.0, 1.0, 0.0], [0.0, 1.0, eps]]))
+
+        return F.finite_exponential_family(
+            f"tilted(eps={eps})", F.two_binomial_outcomes(20, 30),
+            log_h=lambda Y: (F.log_choose(20, Y[:, 0])
+                             + F.log_choose(30, Y[:, 1])),
+            T=lambda Y: np.asarray(Y, dtype=float), natural=natural, k=1,
+            kp=2, in_domain=lambda point: bool(np.isfinite(point).all()),
+            sampler=None, meta={})
+
+    @pytest.mark.parametrize("eps, singular", [(3e-6, False),
+                                               (1.4e-6, True), (0.0, True)])
+    def test_nuisance_block_singular_past_condition_1e12(self, eps,
+                                                         singular):
+        block = np.array([[12.5, 7.5 * eps], [7.5 * eps, 7.5 * eps ** 2]])
+        assert (np.linalg.cond(block) > 1e12) == singular
+        fam = self._tilted(eps)
+        if singular:
+            with pytest.raises(F.DomainError, match="singular nuisance"):
+                F.fisher_info(ENGINE, fam, [0.0, 0.0, 0.0])
+        else:
+            info = F.fisher_info(ENGINE, fam, [0.0, 0.0, 0.0])
+            np.testing.assert_allclose(info.I_nuis, block, rtol=1e-9)
+
+    @pytest.mark.parametrize("column", [0.0, math.nan, math.inf])
+    def test_zero_or_non_finite_nuisance_block_raises(self, column):
+        base = self._tilted(1.0)
+        fam = base._replace(score_rows=lambda Y, point: base.score_rows(
+            Y, point) * np.array([1.0, column, column]))
+        with pytest.raises(F.DomainError, match="singular nuisance"), \
+                np.errstate(invalid="ignore"):  # inf - inf in the sums
+            F.fisher_info(ENGINE, fam, [0.0, 0.0, 0.0])
 
     def test_probs_cache_is_a_bounded_lru(self, monkeypatch):
         monkeypatch.setattr(F, "STATS_CACHE_SIZE", 8)

@@ -69,6 +69,10 @@ class TestConfig:
             L.McRunConfig(rescale=(0.0,))
         with pytest.raises(ValueError, match="sample size"):
             L.McRunConfig(n=0)
+        for sizes in ((0,), (-2,), (7, 2.5)):
+            with pytest.raises(ValueError, match="overlay sample sizes"):
+                L.McRunConfig(n_overlays=sizes)
+        assert L.McRunConfig(n_overlays=(1, np.int64(9))).n_overlays[1] == 9
 
     def test_to_dict_round_trips_the_fields(self):
         cfg = L.McRunConfig(data_family="t3", n=7, reps=2000, seed=3,
