@@ -321,8 +321,10 @@ def efficiency_mc(family: ModelFamily, g, point, reps: int, seed: int = 0):
     """Monte Carlo squared correlation between g and the score (k = 1).
 
     Returns (eff, se): eff = corr(s, g)^2 over ``reps`` draws from the
-    family at ``point``; the standard error comes from a delta-method
-    combination of MC_BATCHES batch-level correlation estimates.
+    family at ``point``, the draws cut into MC_BATCHES consecutive blocks
+    (the last takes the remainder) and fed to :func:`corr_sq_with_se`
+    one block at a time; se is the delta-method spread of the block
+    correlations.
     """
     point = family.check_point(point)
     if family.support.sampler is None:
@@ -333,22 +335,53 @@ def efficiency_mc(family: ModelFamily, g, point, reps: int, seed: int = 0):
     gv = estimator_rows(g, draws, point)[:, 0]
     if gv.std() == 0.0:
         raise EstimatorError("degenerate sample variance of g")
-    return corr_sq_with_se(sv, gv, MC_BATCHES)
+    m = reps // MC_BATCHES
+    cuts = m * np.arange(1, MC_BATCHES)
+    eff, se = corr_sq_with_se([
+        block_moments(s, b[None], m)
+        for s, b in zip(np.split(sv, cuts), np.split(gv, cuts))])
+    return float(eff[0]), float(se[0])
 
 
-def corr_sq_with_se(a, b, blocks: int):
-    """(corr(a, b)^2, its standard error) over paired draws.
+def _moments(s, g):
+    """(count, mean of s, means of g, centred sum of squares of s, of each
+    row of g, centred cross products) of draws s (N,) and g (k, N)."""
+    mean_s, mean_g = s.mean(), g.mean(axis=1)
+    sc, gc = s - mean_s, g - mean_g[:, None]
+    return (len(s), mean_s, mean_g, (sc * sc).sum(), (gc * gc).sum(axis=1),
+            (gc * sc).sum(axis=1))
 
-    The standard error is the delta-method 2|r| se(r), with se(r) the
-    spread of the correlations of ``blocks`` equal consecutive blocks.
+
+def block_moments(s, g, m: int):
+    """What :func:`corr_sq_with_se` keeps of one block of paired draws, s
+    (N,) and g (k, N) with N >= m: the block's moments and the (k,)
+    correlations over its first m draws."""
+    *_, ss_s, ss_g, cross = head = _moments(s[:m], g[:, :m])
+    r = cross / np.sqrt(ss_s * ss_g)
+    return (head if len(s) == m else _moments(s, g)), r
+
+
+def corr_sq_with_se(blocks):
+    """(corr(s, g)^2, its standard error), (k,) each, from the
+    :func:`block_moments` of consecutive blocks of paired draws, a list.
+
+    The blocks' centred sums add, plus the spread of the block means about
+    the grand mean weighted by block counts (Chan, Golub & LeVeque 1979),
+    into the correlation r over every draw; nothing is kept per draw.  The
+    standard error is the delta-method 2|r| se(r), with se(r) the spread
+    of the block correlations over sqrt(blocks).
     """
-    r = float(np.corrcoef(a, b)[0, 1])
-    m = len(a) // blocks
-    x, y = (v[:blocks * m].reshape(blocks, m) for v in (a, b))
-    x, y = x - x.mean(1, keepdims=True), y - y.mean(1, keepdims=True)
-    rb = (x * y).sum(1) / np.sqrt((x * x).sum(1) * (y * y).sum(1))
-    se_r = float(rb.std(ddof=1) / math.sqrt(blocks))
-    return r * r, 2.0 * abs(r) * se_r
+    n, mean_s, mean_g, ss_s, ss_g, cross = (
+        np.array(v) for v in zip(*(mo for mo, _ in blocks)))
+    ds = mean_s - n @ mean_s / n.sum()  # block means about the grand mean
+    dg = mean_g - n @ mean_g / n.sum()
+    ss_s = ss_s.sum() + n @ (ds * ds)
+    ss_g = ss_g.sum(axis=0) + n @ (dg * dg)
+    cross = cross.sum(axis=0) + (n * ds) @ dg
+    r = np.clip(cross / np.sqrt(ss_s * ss_g), -1.0, 1.0)
+    rb = np.array([r_b for _, r_b in blocks])
+    se_r = rb.std(axis=0, ddof=1) / math.sqrt(len(blocks))
+    return r * r, 2.0 * np.abs(r) * se_r
 
 
 class EstimatorRegistry:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import row_median, t3_mle_batch
-from .estimation import corr_sq_with_se
+from .estimation import block_moments, corr_sq_with_se
 
 ZETA_PROBS = np.round(np.arange(0.005, 0.9951, 0.01), 3)  # .005..0.995 step .01
 ESTIMATORS = ("mean", "median", "t3_mle")
@@ -130,13 +130,15 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     Replications run in BLOCKS pre-assigned seed blocks (order-independent),
     the last block taking the remainder of ``reps``; each block draws its main
     sample and then the overlay samples in ``n_overlays`` order.  Only the
-    estimator archives are kept ``reps`` long, plus the score under t3 data
-    (under normal data it is n times the mean archive).  One sort per block
-    gives the row medians that serve as the median archive and replace t3
-    MLE roots that do not converge (``t3_mle_batch`` takes its own row
-    medians as Newton starts).  The efficiency of each estimator is the
-    squared correlation with the generating family's score across
-    replications, and variance ratios are relative to the sample mean.
+    estimator archives are kept ``reps`` long.  One sort per block gives
+    the row medians that serve as the median archive and replace t3 MLE
+    roots that do not converge (``t3_mle_batch`` takes its own row medians
+    as Newton starts).  The efficiency of each estimator is the squared
+    correlation with the generating family's score across replications:
+    each block's score (n times the block means under normal data) goes
+    into :func:`block_moments` with the block's three estimates and is
+    dropped, and :func:`corr_sq_with_se` merges the blocks' moments.
+    Variance ratios are relative to the sample mean.
 
     The tail-depth curves compare each estimator and each overlay (means
     at alternate sample sizes, means of rescaled data) with the mean at
@@ -151,8 +153,7 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     per[-1] += config.reps - sum(per)
 
     archives = {label: np.empty(config.reps) for label in ESTIMATORS}
-    t3_data = config.data_family == "t3"
-    score_vals = np.empty(config.reps) if t3_data else None
+    moments = []
     rngs = []
     failures = 0
 
@@ -169,18 +170,18 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
         roots, conv = t3_mle_batch(x)
         failures += int(np.sum(~conv))
         archives["t3_mle"][rows] = np.where(conv, roots, med)
-        if t3_data:
-            score_vals[rows] = t3_score_sum(x)
+        score = (t3_score_sum(x) if config.data_family == "t3"
+                 else config.n * archives["mean"][rows])
+        moments.append(block_moments(
+            score, np.stack([archives[label][rows] for label in ESTIMATORS]),
+            per[0]))
 
     if failures > 0.001 * config.reps:
         raise McRunError(f"{failures} t3-MLE failures out of {config.reps}")
 
+    efficiency = {label: (float(eff), float(se)) for label, eff, se in
+                  zip(ESTIMATORS, *corr_sq_with_se(moments))}
     mean = archives["mean"]
-    if not t3_data:
-        score_vals = config.n * mean
-    efficiency = {label: corr_sq_with_se(score_vals, archives[label], BLOCKS)
-                  for label in ESTIMATORS}
-    del score_vals
     vm = mean.var(ddof=1)
     var_ratio = {label: float(vm / archives[label].var(ddof=1))
                  for label in ESTIMATORS}

@@ -345,16 +345,21 @@ def coverage_table(n1: int, n2: int, cells, z: float = Z_95) -> list:
     """Exact coverage for each (or, p1, p2) cell: for each sign convention,
     the z-standard interval at each COVERAGE_C and the exact interval.
 
-    Each cell's masses, its test at each c and its exact test are
-    computed once and serve both conventions.
+    The tests depend on the odds ratio alone: each odds ratio's test at
+    each c and its exact test are built once and serve all its cells, and
+    each cell's masses are computed once and serve both conventions.
     """
     conf = z_confidence(z)
+    masks = {}
     out = []
     for or_true, p1, p2 in cells:
+        if or_true not in masks:
+            masks[or_true] = ([_z_covered(n1, n2, math.log(or_true), c, z)
+                               for c in COVERAGE_C],
+                              _fisher_covered(n1, n2, or_true, conf))
+        z_sets, fisher_mask = masks[or_true]
         logm = _log_masses(n1, n2, p1, p2)
-        z_sets = [_z_covered(n1, n2, math.log(or_true), c, z)
-                  for c in COVERAGE_C]
-        fisher = _mass_sum(logm, _fisher_covered(n1, n2, or_true, conf))
+        fisher = _mass_sum(logm, fisher_mask)
         for eq in (True, False):
             for c, (closed, open_) in zip(COVERAGE_C, z_sets):
                 out.append(CoverageCell(
@@ -385,7 +390,9 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     its own profiled nuisance x1' + x2' (the two all-boundary outcomes
     take the degenerate limit 0).  Where ge[r] holds the row sums the mass
     with statistic >= the observed one, else the mass <= it, with
-    :func:`_mass_sum`.  The (rows, outcomes) arrays are built
+    :func:`_mass_sum`.  The statistics are :func:`_outcome_sbar`'s, with
+    each row's null points found once per nuisance value 0..n1+n2 and
+    gathered by x1' + x2'.  The (rows, outcomes) arrays are built
     SCORE_TAIL_BLOCK elements at a time.
     """
     x1, x2, theta, ge = (np.ravel(a) for a in np.broadcast_arrays(
@@ -394,14 +401,17 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     if np.any((t <= 0) | (t >= n1 + n2)):
         raise InfeasibleNuisance(
             f"observed nuisance outside (0, {n1 + n2}): no null (p1, p2)")
-    tn = two_binomial_outcomes(n1, n2).sum(axis=1)
+    ox1, ox2 = two_binomial_outcomes(n1, n2).T
+    tn = ox1 + ox2
     boundary = (tn == 0) | (tn == n1 + n2)
     obs_p1, obs_p2 = _line_probs(theta, t, n1, n2)
     out = np.empty(len(t))
     block = max(1, SCORE_TAIL_BLOCK // len(tn))
     for start in range(0, len(t), block):
         r = slice(start, start + block)
-        stats = _outcome_sbar(n1, n2, theta[r, None], tn)
+        p1, p2 = (p[:, tn] for p in _line_probs(
+            theta[r, None], np.arange(n1 + n2 + 1), n1, n2))
+        stats = sbar_profiled_batch(ox1, ox2, n1, n2, p1, p2)
         stats[:, boundary] = 0.0
         obs = stats[np.arange(len(stats)), x1[r] * (n2 + 1) + x2[r], None]
         keep = np.where(ge[r, None], stats >= obs - 1e-12,

@@ -182,6 +182,20 @@ class TestEfficiencyMC:
         assert eff == pytest.approx(1.0, abs=1e-9)
 
 
+def corr_sq_with_se_oracle(a, b, blocks):
+    """Oracle: (corr(a, b)^2, its se) from full-array NumPy, as
+    corr_sq_with_se computed it before it streamed blocks: one np.corrcoef
+    over every draw, and the correlations of ``blocks`` equal consecutive
+    blocks (the remainder left out) from centred (blocks, m) copies."""
+    r = float(np.corrcoef(a, b)[0, 1])
+    m = len(a) // blocks
+    x, y = (v[:blocks * m].reshape(blocks, m) for v in (a, b))
+    x, y = x - x.mean(1, keepdims=True), y - y.mean(1, keepdims=True)
+    rb = (x * y).sum(1) / np.sqrt((x * x).sum(1) * (y * y).sum(1))
+    se_r = float(rb.std(ddof=1) / math.sqrt(blocks))
+    return r * r, 2.0 * abs(r) * se_r
+
+
 def _corr_sq_with_se_loop(a, b, blocks):
     """Oracle: one np.corrcoef per block, as corr_sq_with_se once did."""
     r = float(np.corrcoef(a, b)[0, 1])
@@ -192,15 +206,57 @@ def _corr_sq_with_se_loop(a, b, blocks):
     return r * r, 2.0 * abs(r) * float(rb.std(ddof=1) / math.sqrt(blocks))
 
 
+def _streamed(a, b, blocks):
+    """corr_sq_with_se fed ``blocks`` consecutive blocks of a and b, the
+    last taking the remainder, as efficiency_mc feeds them."""
+    m = len(a) // blocks
+    cuts = m * np.arange(1, blocks)
+    eff, se = E.corr_sq_with_se([
+        E.block_moments(s, g[None], m)
+        for s, g in zip(np.split(a, cuts), np.split(b, cuts))])
+    return float(eff[0]), float(se[0])
+
+
+def _t3_pairs(n, offset=0.0):
+    rng = np.random.default_rng(n)
+    a = offset + rng.standard_t(3, n)
+    return a, a + rng.normal(0.0, 2.0, n)
+
+
 @pytest.mark.parametrize("n,blocks", [(100_000, 100), (3001, 7), (2003, 10)])
 def test_batched_block_correlations_match_the_per_block_loop(n, blocks):
-    rng = np.random.default_rng(n)
-    a = rng.standard_t(3, n)
-    b = a + rng.normal(0.0, 2.0, n)
-    eff, se = E.corr_sq_with_se(a, b, blocks)
+    a, b = _t3_pairs(n)
+    eff, se = _streamed(a, b, blocks)
     want_eff, want_se = _corr_sq_with_se_loop(a, b, blocks)
-    assert eff == want_eff
+    # the moments add in another order than np.corrcoef's
+    assert eff == pytest.approx(want_eff, rel=1e-12, abs=0.0)
     assert se == pytest.approx(want_se, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n,blocks,offset", [
+    (100_000, 100, 0.0), (3001, 7, 0.0), (2003, 10, 0.0),
+    (100_000, 100, 1e6), (3001, 100, 0.0)],
+    ids=["100000-100", "3001-7", "2003-10", "offset-1e6",
+         "unequal-last-block"])
+def test_streamed_correlation_matches_the_full_array_oracle(n, blocks,
+                                                            offset):
+    a, b = _t3_pairs(n, offset)
+    got = _streamed(a, b, blocks)
+    assert got == pytest.approx(corr_sq_with_se_oracle(a, b, blocks),
+                                rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(_corr_sq_with_se_loop(a, b, blocks)[1],
+                                   rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_streamed_correlation_of_a_multiple_is_one(sign):
+    s = _t3_pairs(3001)[0]
+    eff, se = _streamed(s, sign * 3.0 * s, 100)
+    assert eff == pytest.approx(corr_sq_with_se_oracle(s, sign * 3.0 * s,
+                                                         100)[0],
+                                rel=1e-12, abs=0.0)
+    assert eff == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert se == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRegistry:

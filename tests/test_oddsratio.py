@@ -549,6 +549,21 @@ class TestExactCoverage:
                                       O.z_confidence(O.Z_95)))
             assert r.coverage == want
 
+    def test_coverage_table_builds_each_odds_ratios_tests_once(
+            self, monkeypatch):
+        calls = {"_z_covered": 0, "_fisher_covered": 0}
+        for name in calls:
+            def counted(*args, name=name, inner=getattr(O, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(O, name, counted)
+        rows = O.coverage_table(6, 8, O.COVERAGE_CELLS)
+        # 3 odds ratios: a z test at each of the 3 c and one exact test
+        assert calls == {"_z_covered": 9, "_fisher_covered": 3}
+        monkeypatch.undo()
+        assert rows == [row for cell in O.COVERAGE_CELLS
+                        for row in O.coverage_table(6, 8, [cell])]
+
     def test_coverage_table_shape(self):
         rows = O.coverage_table(6, 8, ((1.0, 0.5, 0.5),))
         # both sign conventions, each with every c and the exact method
@@ -647,6 +662,21 @@ class TestScoreTails:
         monkeypatch.setattr(O, "SCORE_TAIL_BLOCK", 1)
         np.testing.assert_array_equal(
             O.score_tails(N1, N2, x1, x2, theta, ge), default)
+
+    def test_each_row_inverts_once_per_nuisance_value(self, monkeypatch):
+        sizes, inner = [], O._line_probs
+
+        def counted(theta, tnuis, n1, n2):
+            sizes.append(np.broadcast(theta, tnuis).size)
+            return inner(theta, tnuis, n1, n2)
+
+        monkeypatch.setattr(O, "_line_probs", counted)
+        rng = np.random.default_rng(7)
+        x1, x2 = rng.integers(1, 20, 120), rng.integers(1, 30, 120)
+        O.score_tails(N1, N2, x1, x2, rng.normal(0.0, 1.0, 120), True)
+        # each row's observed null point, then one per nuisance value
+        # 0..n1+n2, not one per outcome
+        assert sum(sizes) == 120 * (1 + N1 + N2 + 1)
 
     def test_boundary_data_have_no_null(self):
         with pytest.raises(O.InfeasibleNuisance):
