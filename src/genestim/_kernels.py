@@ -7,8 +7,9 @@ implementation.  Every two-binomial root lies in ``_p1_range``, the
 clipped feasible p1 range at a nuisance value: p1 at (theta, nuisance)
 is a closed-form quadratic root.  Every other scalar root (the z-interval
 edges, the t3 MLE, the exact tail endpoints) comes from ``_newton``.
-The (theta, nuisance) -> (p1, p2) map is ``_line_probs`` and the log odds
-ratio ``_log_or``, here and nowhere else.
+The (theta, nuisance) -> (p1, p2) map is ``_line_probs``, the
+(p1, nuisance) -> p2 step ``_line_p2`` and the log odds ratio
+``_log_or``, here and nowhere else.
 """
 
 from __future__ import annotations
@@ -133,12 +134,18 @@ def invert_p1_batch(theta, tnuis, n1, n2):
     return np.where(ok, np.clip(p1, lo, hi), np.nan)
 
 
+def _line_p2(p1, tnuis, n1, n2):
+    """p2 = (tnuis - n1 p1)/n2, elementwise: the other coordinate of p1 on
+    the nuisance line n1 p1 + n2 p2 = tnuis."""
+    return (tnuis - n1 * p1) / n2
+
+
 def _line_probs(theta, tnuis, n1, n2):
     """(p1, p2) at log odds ratio theta on the nuisance line
     n1 p1 + n2 p2 = tnuis, elementwise: p1 from :func:`invert_p1_batch`
-    (NaN where it has none), p2 = (tnuis - n1 p1)/n2."""
+    (NaN where it has none), p2 from :func:`_line_p2`."""
     p1 = invert_p1_batch(theta, tnuis, n1, n2)
-    return p1, (tnuis - n1 * p1) / n2
+    return p1, _line_p2(p1, tnuis, n1, n2)
 
 
 def _log_or(p1, p2):
@@ -167,7 +174,7 @@ def sbar_profiled_batch(x1, x2, n1, n2, p1, p2):
 def _sbar_slope(p1, c1, c2, tnuis, n1, n2):
     """sbar at p1 and p2 = (tnuis - n1 p1)/n2, c_i = x_i/n_i, rounded as
     :func:`sbar_profiled_batch` rounds it, and its derivative in p1."""
-    p2 = (tnuis - n1 * p1) / n2
+    p2 = _line_p2(p1, tnuis, n1, n2)
     a1, a2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
     e1, e2 = c1 - p1, c2 - p2
     var = 1.0 / (n1 * a1) + 1.0 / (n2 * a2)
@@ -255,7 +262,7 @@ def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):
     pts[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
 
     s = sbar_profiled_batch(x1[:, None], x2[:, None], n1, n2, pts,
-                            (t[:, None] - n1 * pts) / n2)
+                            _line_p2(pts, t[:, None], n1, n2))
     inside = s * s - z * z <= 0.0
 
     # the run of inside points jl..jr around the anchor j; when any point

@@ -10,8 +10,8 @@ manifests produce byte-identical CSV bodies.
 from __future__ import annotations
 
 if __name__ == "__main__":
-    from ._entry import pin_blas
-    pin_blas()  # before NumPy loads; see _entry
+    from ._entry import prepare_process
+    prepare_process()  # before NumPy loads; see _entry
 
 import argparse
 import contextlib

@@ -1,8 +1,8 @@
 """Score-inversion confidence sets for the binomial-count family.
 
 Curve grids of the standardized score and of twice the log-likelihood
-ratio, z-standard intervals from the Wilson (1927) roots, vertical-slice
-distributions, and exact tail-based (Clopper-Pearson 1934) endpoints.
+ratio, z-standard intervals from the Wilson (1927) roots, and exact
+tail-based (Clopper-Pearson 1934) endpoints.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._kernels import _invert_tails
-from .families import ModelFamily, log_binom_pmf, log_choose
+from .families import ModelFamily, log_choose
 
 DEFAULT_GRID = np.linspace(1e-4, 1.0 - 1e-4, 512)
 LOGIT_BOUND = 700.0  # exact endpoints lie in [expit(-700), expit(700)]
@@ -173,26 +173,6 @@ def ci_z(family: ModelFamily, y: int, z: float,
                           closed_upper=closed_upper,
                           z=z, side=side,
                           boundary_note="; ".join(notes) or None)
-
-
-def vertical_slice(curves: CurveGrid, family: ModelFamily, p: float):
-    """Distribution of the curve values at abscissa p.
-
-    Returns a list of (value, probability, slope_sign) triples, one per
-    outcome; slope signs come from the adjacent grid columns.
-    """
-    n = _n_of(family)
-    grid = curves.parameter_grid
-    if not (grid[0] <= p <= grid[-1]):
-        raise ValueError("p outside the curve grid range")
-    j = int(np.clip(np.searchsorted(grid, p), 1, len(grid) - 1))
-    frac = (p - grid[j - 1]) / (grid[j] - grid[j - 1])
-    vals = curves.values[:, j - 1] * (1.0 - frac) + curves.values[:, j] * frac
-    slopes = (curves.values[:, j] - curves.values[:, j - 1]) \
-        / (grid[j] - grid[j - 1])
-    mass = np.exp(log_binom_pmf(np.arange(n + 1), n, p))
-    return [(float(v), float(m), int(np.sign(s)))
-            for v, m, s in zip(vals, mass, slopes)]
 
 
 def tail_z_adjusted_ci(family: ModelFamily, y: int, alpha: float,

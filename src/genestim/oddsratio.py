@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (_invert_tails, _line_probs, _log_or, _newton,
-                       _p1_range, _sbar_slope, sbar_profiled_batch,
+from ._kernels import (_invert_tails, _line_p2, _line_probs, _log_or,
+                       _newton, _p1_range, _sbar_slope, sbar_profiled_batch,
                        zinterval_p1_batch)
 from .families import log_binom_pmf, log_choose, two_binomial_outcomes
 from .intervals import IntervalResult
@@ -84,8 +84,8 @@ def _theta_intervals(x1, x2, n1: int, n2: int, tnuis, z: float):
     p1_lo, p1_hi, at_lo, at_hi, ok = zinterval_p1_batch(x1, x2, n1, n2,
                                                         tnuis, z)
     with np.errstate(divide="ignore"):
-        lower = _log_or(p1_lo, (tnuis - n1 * p1_lo) / n2)
-        upper = _log_or(p1_hi, (tnuis - n1 * p1_hi) / n2)
+        lower = _log_or(p1_lo, _line_p2(p1_lo, tnuis, n1, n2))
+        upper = _log_or(p1_hi, _line_p2(p1_hi, tnuis, n1, n2))
     lower[at_lo | ~ok] = -np.inf
     upper[at_hi | ~ok] = np.inf
     return lower, upper, at_lo, at_hi, ok
@@ -164,7 +164,7 @@ def sbar_zero_theta(data: TwoBinomialData, tnuis=None) -> float:
     if not conv:
         raise RuntimeError(f"score root at (x1, x2) = ({data.x1}, {data.x2}),"
                            f" n1={n1}, n2={n2}: not converged")
-    return float(_log_or(p1, (tnuis - n1 * p1) / n2))
+    return float(_log_or(p1, _line_p2(p1, tnuis, n1, n2)))
 
 
 # ---------------------------------------------------------------------------

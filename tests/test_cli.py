@@ -88,6 +88,17 @@ LAUNCH = {
 }
 
 
+def _launch_script(launch, args):
+    """Source for ``python -c`` that runs the CLI on ``args`` through one
+    launch path and fails on a nonzero exit status."""
+    body = "".join("    " + line + "\n"
+                   for line in LAUNCH[launch].splitlines())
+    return (f"import sys\nsys.argv = ['genestim', *{args!r}]\n"
+            "try:\n" + body +
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs /proc to count threads")
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
@@ -99,15 +110,8 @@ def test_cli_main_runs_blas_on_one_thread(tmp_path, launch):
     env = _subprocess_env()
     env.update(dict.fromkeys(
         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"))
-    body = "".join("    " + line + "\n"
-                   for line in LAUNCH[launch].splitlines())
-    code = (
-        "import sys\n"
-        "sys.argv = ['genestim', 'binom-ci', '--n', '20', '--y', '6',"
-        f" '--out-dir', {str(tmp_path)!r}]\n"
-        "try:\n" + body +
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n"
+    code = _launch_script(launch, ["binom-ci", "--n", "20", "--y", "6",
+                                   "--out-dir", str(tmp_path)]) + (
         "with open('/proc/self/status') as fh:\n"
         "    print([line.split()[1] for line in fh"
         " if line.startswith('Threads:')][0])\n")
@@ -115,6 +119,50 @@ def test_cli_main_runs_blas_on_one_thread(tmp_path, launch):
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "1"
     assert (tmp_path / "interval.json").exists()
+
+
+ZETA_LAB_QUICK = ["zeta-lab", "--reps", "1000"]
+
+
+@pytest.mark.parametrize("launch", sorted(LAUNCH))
+def test_cli_main_runs_without_openssl(tmp_path, launch):
+    # numpy.random imports secrets, whose hashlib and hmac would load
+    # _hashlib and libcrypto; the launched CLI marks _hashlib absent, and
+    # hashlib and secrets still work from CPython's own digests and
+    # os.urandom.  (-X importtime would list the halted attempt too.)
+    code = _launch_script(launch, ZETA_LAB_QUICK
+                          + ["--out-dir", str(tmp_path)]) + (
+        "import hashlib, secrets\n"
+        "assert '_hashlib' in sys.modules, 'never imported'\n"
+        "assert sys.modules['_hashlib'] is None, 'OpenSSL loaded'\n"
+        "assert 'numpy.random' in sys.modules\n"
+        "assert hashlib.sha256(b'').hexdigest() == ('e3b0c44298fc1c149afbf4c8"
+        "996fb92427ae41e4649b934ca495991b7852b855')\n"
+        "assert 0 <= secrets.randbits(8) < 256\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=_subprocess_env(), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert (tmp_path / "efficiency.csv").exists()
+
+
+@pytest.mark.parametrize("family", ["normal", "t3"])
+def test_zeta_lab_outputs_do_not_depend_on_openssl(runner, tmp_path,
+                                                   family):
+    # the entry's run against this process's, where hashlib keeps OpenSSL
+    pytest.importorskip("_hashlib")
+    args = ZETA_LAB_QUICK + ["--family", family, "--out-dir"]
+    entry, plain = tmp_path / "entry", tmp_path / "plain"
+    subprocess.run(
+        [sys.executable, "-c",
+         _launch_script("console script", args + [str(entry)])],
+        env=_subprocess_env(), check=True, capture_output=True, timeout=120)
+    assert sys.modules["_hashlib"] is not None
+    res = runner.invoke(main, args + [str(plain)])
+    assert res.exit_code == 0, res.output
+    for name in ("manifest.json", "efficiency.csv", "zeta_curves.csv"):
+        assert (entry / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_import_loads_no_click_or_dataclasses():
@@ -201,16 +249,18 @@ def test_console_script_is_the_pinning_entry():
 
 
 def test_import_leaves_the_environment_alone():
-    # only launching the CLI pins BLAS; a library import must not
+    # only launching the CLI pins BLAS and blocks _hashlib; a library
+    # import must do neither
     env = _subprocess_env()
     env["OPENBLAS_NUM_THREADS"] = "2"
     env.pop("OMP_NUM_THREADS", None)
-    code = ("import os; before = dict(os.environ); "
+    code = ("import os, sys; before = dict(os.environ); "
             "import genestim._entry, genestim.cli; "
-            "print(dict(os.environ) == before)")
+            "print(dict(os.environ) == before, "
+            "sys.modules.get('_hashlib', 'unset') is not None)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "True"
+    assert out.stdout.strip() == "True True"
 
 
 def _write_csv_per_value(path, manifest, header, rows):

@@ -182,20 +182,6 @@ class TestCiZ:
             I.ci_z(FAM, 6, -1.0)
 
 
-class TestVerticalSlice:
-    def test_masses_sum_to_one_and_slopes_are_negative(self):
-        sc = I.score_curves(FAM)
-        rows = I.vertical_slice(sc, FAM, 0.35)
-        assert sum(m for _, m, _ in rows) == pytest.approx(1.0, abs=1e-12)
-        assert all(s == -1 for _, _, s in rows)
-        assert len(rows) == 21
-
-    def test_slice_outside_grid_rejected(self):
-        sc = I.score_curves(FAM)
-        with pytest.raises(ValueError):
-            I.vertical_slice(sc, FAM, 1.5)
-
-
 class TestTailAdjustedCi:
     def test_upper_endpoint_inverts_the_lower_tail(self):
         res = I.tail_z_adjusted_ci(FAM, 6, 0.025, side="upper")
