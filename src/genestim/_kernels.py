@@ -9,7 +9,7 @@ is a closed-form quadratic root.  Every other scalar root (the z-interval
 edges, the t3 MLE, the exact tail endpoints) comes from ``_newton``.
 The (theta, nuisance) -> (p1, p2) map is ``_line_probs``, the
 (p1, nuisance) -> p2 step ``_line_p2`` and the log odds ratio
-``_log_or``, here and nowhere else.
+``_log_or``, here and nowhere else; so is the t3 score ``_t3_score``.
 """
 
 from __future__ import annotations
@@ -367,21 +367,31 @@ def row_median(x):
     return np.where(np.isnan(s[:, -1]), np.nan, med)
 
 
+def _t3_score(d):
+    """(psi(d), 3 + d^2), elementwise: psi(d) = 4d/(3 + d^2) is the score
+    of the unit-scale t3 density at the residual d."""
+    den = 3.0 + d * d
+    return 4.0 * d / den, den
+
+
 def t3_mle_batch(samples):
     """Location MLE of the unit-scale t3 family, one root per sample row.
 
-    ``_newton`` on the falling psi(a) = sum 4(x-a)/(3+(x-a)^2), starting
-    from the row median, in the bracket [min(x)-1, max(x)+1] where a sign
-    change is guaranteed; a row is done where |psi| < T3_FTOL.  Returns
-    (roots, converged).
+    ``_newton`` on the falling sum of :func:`_t3_score` psi(x - a),
+    starting from the row median, in the bracket [min(x)-1, max(x)+1]
+    where a sign change is guaranteed; a row is done where
+    |psi| < T3_FTOL.  Returns (roots, converged).
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
 
     def psi(a, live):
         d = x - a[:, None]
-        den = 3.0 + d * d
-        return (np.sum(4.0 * d / den, axis=1),
-                np.sum(4.0 * (d * d - 3.0) / (den * den), axis=1))
+        s, den = _t3_score(d)
+        f = np.sum(s, axis=1)
+        # freed before the slope's temporaries: kept through them, it
+        # doubled a normal zeta-lab job's minor page faults
+        del s
+        return f, np.sum(4.0 * (d * d - 3.0) / (den * den), axis=1)
 
     return _newton(psi, row_median(x), x.min(axis=1) - 1.0,
                    x.max(axis=1) + 1.0, False, T3_FTOL, 0.0)

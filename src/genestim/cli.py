@@ -31,13 +31,7 @@ CSV_BLOCK = 4096  # rows per formatting template
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _manifest(command: str, params: dict, out_dir: Path) -> dict:
@@ -226,22 +220,19 @@ def info_report(n, p, out_dir):
 
 
 @command("zeta-lab",
-         opt("--family", dest="data_family", choices=["normal", "t3"],
+         opt("--family", dest="data_family", choices=list(location.OVERLAYS),
              default="normal"),
          opt("--n", type=SIZE, default=10),
          opt("--reps", type=_at_least(location.MIN_REPS), default=100_000),
          opt("--seed", type=_at_least(0), default=0), OUT_DIR)
 def zeta_lab(data_family, n, reps, seed, out_dir):
     """Location-estimator comparison: efficiencies and tail-depth curves."""
-    overlays = (7, 9) if data_family == "normal" else (15, 17)
-    rescale = () if data_family == "normal" else (1.50 ** -0.5, 1.78 ** -0.5)
     config = location.McRunConfig(data_family=data_family, n=n, reps=reps,
-                                  seed=seed, n_overlays=overlays,
-                                  rescale=rescale)
+                                  seed=seed)
     man = _manifest("zeta-lab", config.to_dict(), out_dir)
     result = location.run_comparison(config)
     eff_rows = [
-        (label, data_family, eff, se, result.var_ratio.get(label, 1.0))
+        (label, data_family, eff, se, result.var_ratio[label])
         for label, (eff, se) in result.efficiency.items()]
     _write_csv(out_dir / "efficiency.csv", man,
                ["estimator", "data_family", "eff", "se", "var_ratio"],

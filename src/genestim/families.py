@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import _expit, _line_probs, _log_or, _logit
+from ._kernels import _expit, _line_probs, _log_or, _logit, _t3_score
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # parameter points whose natural parameter, A(eta) and E T each finite
@@ -411,14 +411,22 @@ _T3_LOGC = (math.lgamma(2.0) - math.lgamma(1.5)
             - 0.5 * math.log(3.0 * math.pi))
 
 
+def t3_draw(rng, shape) -> np.ndarray:
+    """Unit-scale t3 draws as z / sqrt(w/3), z standard normal and w
+    chi-square(3), the whole z array drawn before w; zeta-lab's seed
+    blocks are frozen on this order."""
+    z = rng.standard_normal(shape)
+    w = rng.chisquare(3.0, shape)
+    return z / np.sqrt(w / 3.0)
+
+
 def t3_location(n: int) -> ModelFamily:
     """Student-t(3) location family (unit scale) on the full n-vector."""
     n = _check_n(n)
     return _location_vector_family(
         "t3-location", n,
         log_phi=lambda d: _T3_LOGC - 2.0 * np.log1p(d * d / 3.0),
-        score_one=lambda d: 4.0 * d / (3.0 + d * d),
-        sampler_one=lambda rng, shape: rng.standard_t(3, shape))
+        score_one=lambda d: _t3_score(d)[0], sampler_one=t3_draw)
 
 
 # --- two-binomial family with log-odds-ratio interest parameter -----------

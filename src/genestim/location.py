@@ -15,11 +15,16 @@ import numpy as np
 
 from ._kernels import row_median, t3_mle_batch
 from .estimation import block_moments, corr_sq_with_se
+from .families import normal_location, t3_draw, t3_location
 
 ZETA_PROBS = np.round(np.arange(0.005, 0.9951, 0.01), 3)  # .005..0.995 step .01
 ESTIMATORS = ("mean", "median", "t3_mle")
 BLOCKS = 100  # seed blocks of a run, and batches behind each efficiency se
 MIN_REPS = 1000  # fewest replications for stable efficiency estimates
+# data family -> (overlay sample sizes, data-rescaling factors) of the
+# mean's overlay curves
+OVERLAYS = {"normal": ((7, 9), ()),
+            "t3": ((15, 17), (1.50 ** -0.5, 1.78 ** -0.5))}
 
 
 class McRunError(RuntimeError):
@@ -27,12 +32,10 @@ class McRunError(RuntimeError):
 
 
 class _McRun(NamedTuple):
-    data_family: str = "normal"  # "normal" | "t3"
+    data_family: str = "normal"  # a key of OVERLAYS
     n: int = 10
     reps: int = 100_000
     seed: int = 0
-    rescale: tuple = ()  # extra data-rescaling factors for mean overlays
-    n_overlays: tuple = ()  # extra sample sizes for mean overlays
 
 
 class McRunConfig(_McRun):
@@ -40,28 +43,25 @@ class McRunConfig(_McRun):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.data_family not in ("normal", "t3"):
+        if self.data_family not in OVERLAYS:
             raise ValueError(f"unknown data family {self.data_family!r}")
-        if self.n < 1:
-            raise ValueError(f"sample size must be at least 1, got {self.n}")
-        if self.reps < MIN_REPS:
-            raise ValueError(f"need at least {MIN_REPS} replications for "
-                             "stable efficiency estimates")
-        if any(r <= 0 for r in self.rescale):
-            raise ValueError("rescale factors must be positive")
-        if any(not isinstance(m, (int, np.integer)) or m < 1
-               for m in self.n_overlays):
-            raise ValueError("overlay sample sizes must be integers of at "
-                             "least 1")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError("sample size must be an integer of at least 1, "
+                             f"got {self.n}")
+        if (not isinstance(self.reps, (int, np.integer))
+                or self.reps < MIN_REPS):
+            raise ValueError(f"need an integer of at least {MIN_REPS} "
+                             "replications for stable efficiency estimates, "
+                             f"got {self.reps}")
         return self
 
     def to_dict(self):
+        n_overlays, rescale = OVERLAYS[self.data_family]
         return {
             "data_family": self.data_family, "n": self.n, "reps": self.reps,
             "seed": self.seed, "estimators": list(ESTIMATORS),
-            "rescale": list(self.rescale),
-            "n_overlays": list(self.n_overlays), "blocks": BLOCKS,
-            "zeta_probs": "0.005:0.995:0.01",
+            "rescale": list(rescale), "n_overlays": list(n_overlays),
+            "blocks": BLOCKS, "zeta_probs": "0.005:0.995:0.01",
         }
 
 
@@ -98,30 +98,10 @@ def zeta(tail_area_low: float, tail_area_high: float) -> float:
     return -math.log2(2.0 * tail_area_high)
 
 
-def estimators(sample) -> tuple:
-    """(mean, median, t3 location MLE) of one sample."""
-    x = np.asarray(sample, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample")
-    roots, conv = t3_mle_batch(x[None, :])
-    if not conv[0]:
-        raise McRunError("t3 MLE did not converge")
-    return float(x.mean()), float(np.median(x)), float(roots[0])
-
-
-def t3_score_sum(x, a=0.0):
-    d = np.asarray(x, dtype=float) - a
-    return np.sum(4.0 * d / (3.0 + d * d), axis=-1)
-
-
 def _draw(rng, family, m, n):
     if family == "normal":
         return rng.standard_normal((m, n))
-    # t3 as a normal/chi-square ratio so the two ingredient streams can
-    # be split and reproduced independently
-    z = rng.standard_normal((m, n))
-    w = rng.chisquare(3.0, (m, n))
-    return z / np.sqrt(w / 3.0)
+    return t3_draw(rng, (m, n))
 
 
 def run_comparison(config: McRunConfig) -> ComparisonResult:
@@ -129,25 +109,31 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
 
     Replications run in BLOCKS pre-assigned seed blocks (order-independent),
     the last block taking the remainder of ``reps``; each block draws its main
-    sample and then the overlay samples in ``n_overlays`` order.  Only the
-    estimator archives are kept ``reps`` long.  One sort per block gives
-    the row medians that serve as the median archive and replace t3 MLE
-    roots that do not converge (``t3_mle_batch`` takes its own row medians
-    as Newton starts).  The efficiency of each estimator is the squared
-    correlation with the generating family's score across replications:
-    each block's score (n times the block means under normal data) goes
-    into :func:`block_moments` with the block's three estimates and is
-    dropped, and :func:`corr_sq_with_se` merges the blocks' moments.
-    Variance ratios are relative to the sample mean.
+    sample and then the overlay samples in the family's ``OVERLAYS`` order.
+    Only the estimator archives are kept ``reps`` long.  One sort per block
+    gives the row medians that serve as the median archive and replace t3
+    MLE roots that do not converge (``t3_mle_batch`` takes its own row
+    medians as Newton starts).  The efficiency of each estimator is the
+    squared correlation with the generating family's score across
+    replications: each block's score, the ``score_rows`` of
+    ``families.t3_location(n)`` on its samples under t3 data and of
+    ``families.normal_location(n)`` on its means under normal data, both
+    at location 0, goes into :func:`block_moments` with the block's three
+    estimates and is dropped, and :func:`corr_sq_with_se` merges the
+    blocks' moments.  Variance ratios are relative to the sample mean.
 
     The tail-depth curves compare each estimator and each overlay (means
-    at alternate sample sizes, means of rescaled data) with the mean at
-    the mean archive's quantiles, from inclusive tail counts there.  Each
-    block's generator is kept after its main draw, so once the quantiles
-    are known a second pass draws that block's overlays; overlay and
-    rescaled means are counted block by block and the counts added, so
-    none of them is ever held ``reps`` long.
+    at the family's alternate sample sizes, means of its rescaled data)
+    with the mean at the mean archive's quantiles, from inclusive tail
+    counts there.  Each block's generator is kept after its main draw, so
+    once the quantiles are known a second pass draws that block's
+    overlays; overlay and rescaled means are counted block by block and
+    the counts added, so none of them is ever held ``reps`` long.
     """
+    n_overlays, rescale = OVERLAYS[config.data_family]
+    t3_data = config.data_family == "t3"
+    score_rows = (t3_location if t3_data else normal_location)(
+        config.n).score_rows
     seeds = np.random.SeedSequence(config.seed).spawn(BLOCKS)
     per = [config.reps // BLOCKS] * BLOCKS
     per[-1] += config.reps - sum(per)
@@ -170,10 +156,10 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
         roots, conv = t3_mle_batch(x)
         failures += int(np.sum(~conv))
         archives["t3_mle"][rows] = np.where(conv, roots, med)
-        score = (t3_score_sum(x) if config.data_family == "t3"
-                 else config.n * archives["mean"][rows])
+        score = score_rows(x if t3_data else archives["mean"][rows], [0.0])
         moments.append(block_moments(
-            score, np.stack([archives[label][rows] for label in ESTIMATORS]),
+            score[:, 0],
+            np.stack([archives[label][rows] for label in ESTIMATORS]),
             per[0]))
 
     if failures > 0.001 * config.reps:
@@ -196,12 +182,12 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
 
     counts = {label: tail_counts(archives[label], qs)
               for label in ("median", "t3_mle")}
-    for n_alt in config.n_overlays:
+    for n_alt in n_overlays:
         counts[f"mean_n{n_alt}"] = added(
             _draw(rng, config.data_family, m, n_alt).mean(axis=1)
             for rng, m in zip(rngs, per))
     mean_blocks = np.split(mean, np.cumsum(per)[:-1])
-    for fac in config.rescale:
+    for fac in rescale:
         counts[f"mean_rescale_{fac:g}"] = added(fac * b for b in mean_blocks)
     counts["mean"] = tail_counts(mean, qs)
     curves = zeta_curves(counts["mean"], counts, config.reps)

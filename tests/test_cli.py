@@ -512,6 +512,23 @@ class TestZetaLab:
         assert {"median", "t3_mle", "mean", "mean_n7",
                 "mean_n9"} <= curve_labels
 
+    @pytest.mark.parametrize("family, sizes, factors", [
+        ("normal", [7, 9], []),
+        ("t3", [15, 17], [1.50 ** -0.5, 1.78 ** -0.5])])
+    def test_manifest_carries_the_familys_overlays(self, runner, tmp_path,
+                                                   family, sizes, factors):
+        res = runner.invoke(main, ZETA_LAB_QUICK + ["--family", family,
+                                                    "--out-dir",
+                                                    str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        params = json.loads((tmp_path / "manifest.json").read_text())[
+            "params"]
+        assert (params["n_overlays"], params["rescale"]) == (sizes, factors)
+        curves = (tmp_path / "zeta_curves.csv").read_text().splitlines()
+        labels = {ln.split(",")[0] for ln in curves[2:]}
+        assert {f"mean_n{m}" for m in sizes} <= labels
+        assert {f"mean_rescale_{f:g}" for f in factors} <= labels
+
 
 class TestOrInterval:
     def test_payload_shape(self, runner, tmp_path):

@@ -469,6 +469,21 @@ def test_t3_mle_is_a_score_root_and_downweights_outliers():
     assert 0.0 < root[0] < 10.0 / 3.0
 
 
+def test_t3_mle_and_row_median_of_small_samples():
+    # a constant sample is its own location, a symmetric one centres on 0
+    x = np.array([[2.0, 2.0, 2.0], [-1.0, 0.0, 1.0]])
+    root, conv = K.t3_mle_batch(x)
+    assert conv.all() and root[0] == 2.0 and abs(root[1]) < 1e-9
+    assert K.row_median(x).tolist() == [2.0, 0.0]
+
+
+def test_t3_mle_is_a_root_of_the_written_out_score_sum():
+    x = np.array([-2.0, 0.5, 1.0, 3.0])
+    root, conv = K.t3_mle_batch(x)
+    d = x - root[0]
+    assert conv[0] and abs(np.sum(4.0 * d / (3.0 + d * d))) < 1e-7
+
+
 def test_t3_mle_equivariance_under_shift():
     rng = _rng()
     x = rng.standard_t(3, (50, 10))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from genestim import _kernels as K
+from genestim import families as F
 from genestim import location as L
 from test_estimation import corr_sq_with_se_oracle
 
@@ -35,54 +36,68 @@ class TestZeta:
         assert z[0] == pytest.approx(-z[1], abs=0.02)
 
 
-class TestEstimators:
-    def test_all_three_agree_on_a_constant_sample(self):
-        assert L.estimators([2.0, 2.0, 2.0]) == (2.0, 2.0, 2.0)
-
-    def test_symmetric_sample(self):
-        m, md, t = L.estimators([-1.0, 0.0, 1.0])
-        assert m == 0.0 and md == 0.0 and abs(t) < 1e-9
-
-    def test_outlier_downweighting(self):
-        m, md, t = L.estimators([0.0, 0.0, 10.0])
-        assert m == pytest.approx(10.0 / 3.0)
-        assert md == 0.0
-        assert t == pytest.approx(0.1487896462478019, abs=1e-8)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            L.estimators([])
-
-    def test_t3_mle_is_a_root_of_the_score_sum(self):
-        x = [-2.0, 0.5, 1.0, 3.0]
-        _, _, t = L.estimators(x)
-        assert L.t3_score_sum(x, t) == pytest.approx(0.0, abs=1e-7)
-
-
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             L.McRunConfig(data_family="cauchy")
         with pytest.raises(ValueError):
             L.McRunConfig(reps=10)
-        with pytest.raises(ValueError):
-            L.McRunConfig(rescale=(0.0,))
         with pytest.raises(ValueError, match="sample size"):
             L.McRunConfig(n=0)
-        for sizes in ((0,), (-2,), (7, 2.5)):
-            with pytest.raises(ValueError, match="overlay sample sizes"):
-                L.McRunConfig(n_overlays=sizes)
-        assert L.McRunConfig(n_overlays=(1, np.int64(9))).n_overlays[1] == 9
+        # a float would reach NumPy's shapes and fail there with TypeError
+        with pytest.raises(ValueError, match="sample size"):
+            L.McRunConfig(n=2.5, reps=1000)
+        with pytest.raises(ValueError, match="replications"):
+            L.McRunConfig(reps=1000.5)
+        cfg = L.McRunConfig(n=np.int64(9), reps=np.int64(1000))
+        assert (cfg.n, cfg.reps) == (9, 1000)
+        assert L.McRunConfig._fields == ("data_family", "n", "reps", "seed")
 
     def test_to_dict_round_trips_the_fields(self):
-        cfg = L.McRunConfig(data_family="t3", n=7, reps=2000, seed=3,
-                            rescale=(0.5,), n_overlays=(15,))
+        cfg = L.McRunConfig(data_family="t3", n=7, reps=2000, seed=3)
         d = cfg.to_dict()
         assert d["data_family"] == "t3" and d["n"] == 7
-        assert d["rescale"] == [0.5] and d["n_overlays"] == [15]
+        assert d["reps"] == 2000 and d["seed"] == 3
         # constants now, still written to every zeta-lab manifest
         assert d["estimators"] == ["mean", "median", "t3_mle"]
         assert d["blocks"] == 100
+
+    def test_to_dict_writes_the_familys_overlays(self):
+        # the values every zeta-lab manifest has carried
+        want = {"normal": ([7, 9], []),
+                "t3": ([15, 17], [1.50 ** -0.5, 1.78 ** -0.5])}
+        assert list(L.OVERLAYS) == list(want)
+        for family, (sizes, factors) in want.items():
+            d = L.McRunConfig(data_family=family).to_dict()
+            assert (d["n_overlays"], d["rescale"]) == (sizes, factors)
+
+
+class TestFamilyScores:
+    """zeta-lab's score and t3 draws are those of ``families``' location
+    models, bit for bit."""
+
+    def _block(self, family, n=10, m=1000):
+        ss = np.random.SeedSequence(806029).spawn(L.BLOCKS)[3]
+        return L._draw(np.random.default_rng(ss), family, m, n)
+
+    def test_t3_score_is_the_inline_sum(self):
+        x = self._block("t3")
+        got = F.t3_location(10).score_rows(x, [0.0])
+        np.testing.assert_array_equal(
+            got[:, 0], np.sum(4.0 * x / (3.0 + x * x), axis=1), strict=True)
+
+    def test_normal_score_is_n_times_the_mean(self):
+        ybar = self._block("normal").mean(axis=1)
+        got = F.normal_location(10).score_rows(ybar, [0.0])
+        np.testing.assert_array_equal(got[:, 0], 10 * ybar, strict=True)
+
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_t3_sampler_is_zeta_labs_draw(self, n):
+        ss = np.random.SeedSequence(806029)
+        got = F.t3_location(n).support.sampler(np.random.default_rng(ss),
+                                                [0.0], 500)
+        want = L._draw(np.random.default_rng(ss), "t3", 500, n)
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestRunComparison:
@@ -119,14 +134,14 @@ class TestRunComparison:
         # overlay and rescaled means are counted at the reference
         # quantiles block by block, never stored: their curves must equal
         # those of the full archives the old loop kept
-        cfg = L.McRunConfig(data_family="normal", n=10, reps=2000, seed=5,
-                            n_overlays=(7,), rescale=(0.8,))
+        cfg = L.McRunConfig(data_family="t3", n=10, reps=2000, seed=5)
         res = L.run_comparison(cfg)
         assert list(res.archives) == list(L.ESTIMATORS)
         archives = _chunked_comparison(cfg)[0]
         want = {c.estimator_label: c for c in _oracle_curves(archives)}
         got = {c.estimator_label: c for c in res.curves}
-        for label in ("mean_n7", "mean_rescale_0.8"):
+        for label in ("mean_n15", "mean_n17", "mean_rescale_0.816497",
+                      "mean_rescale_0.749532"):
             _assert_same_curve(got[label], want[label])
 
 
@@ -136,11 +151,8 @@ class TestRunComparison:
 # 5.8 MB; the three 0.8 MB archives and np.quantile's copy of one are
 # what is left, about 3.5 MB
 @pytest.mark.parametrize("config, limit_mb", [
-    (L.McRunConfig(data_family="t3", n=10, reps=100_000, seed=0,
-                   n_overlays=(15, 17),
-                   rescale=(1.50 ** -0.5, 1.78 ** -0.5)), 4.0),
-    (L.McRunConfig(data_family="normal", n=10, reps=100_000, seed=0,
-                   n_overlays=(7, 9)), 4.0),
+    (L.McRunConfig(data_family="t3", n=10, reps=100_000, seed=0), 4.0),
+    (L.McRunConfig(data_family="normal", n=10, reps=100_000, seed=0), 4.0),
 ], ids=["t3", "normal"])
 def test_run_comparison_peak_memory(config, limit_mb):
     # a small run first, so lazy imports are not counted
@@ -151,7 +163,8 @@ def test_run_comparison_peak_memory(config, limit_mb):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res.curves) == 3 + len(config.n_overlays) + len(config.rescale)
+    assert len(res.curves) == 3 + sum(map(len,
+                                          L.OVERLAYS[config.data_family]))
     assert peak <= limit_mb * 1e6, f"peak {peak / 1e6:.2f} MB"
 
 
@@ -198,15 +211,16 @@ class TestTailsAndCurves:
 
 def _chunked_comparison(config):
     """The block loop before preallocation: per-block chunk lists joined
-    by np.concatenate, np.median called for every use of the median, and
-    every overlay and rescaled archive kept."""
+    by np.concatenate, np.median called for every use of the median, the
+    t3 score written out, and every overlay and rescaled archive kept."""
+    n_overlays, rescale = L.OVERLAYS[config.data_family]
     seeds = np.random.SeedSequence(config.seed).spawn(L.BLOCKS)
     per = [config.reps // L.BLOCKS] * L.BLOCKS
     per[-1] += config.reps - sum(per)
     main = {label: [] for label in L.ESTIMATORS}
     scores = []
-    overlays = {f"mean_n{n}": [] for n in config.n_overlays}
-    overlays.update({f"mean_rescale_{fac:g}": [] for fac in config.rescale})
+    overlays = {f"mean_n{n}": [] for n in n_overlays}
+    overlays.update({f"mean_rescale_{fac:g}": [] for fac in rescale})
     for ss, m in zip(seeds, per):
         rng = np.random.default_rng(ss)
         x = L._draw(rng, config.data_family, m, config.n)
@@ -221,11 +235,11 @@ def _chunked_comparison(config):
         if config.data_family == "normal":
             scores.append(config.n * x.mean(axis=1))
         else:
-            scores.append(L.t3_score_sum(x))
-        for n_alt in config.n_overlays:
+            scores.append(np.sum(4.0 * x / (3.0 + x * x), axis=1))
+        for n_alt in n_overlays:
             x_alt = L._draw(rng, config.data_family, m, n_alt)
             overlays[f"mean_n{n_alt}"].append(x_alt.mean(axis=1))
-        for fac in config.rescale:
+        for fac in rescale:
             overlays[f"mean_rescale_{fac:g}"].append(fac * x.mean(axis=1))
     score_vals = np.concatenate(scores)
     archives, efficiency, var_ratio = {}, {}, {}
@@ -276,11 +290,9 @@ def _assert_same_curve(got, want):
 # 2003 and 3001 replications leave a remainder for the last of the
 # BLOCKS seed blocks; 1000 splits evenly
 @pytest.mark.parametrize("config", [
-    L.McRunConfig(data_family="normal", n=10, reps=2003, seed=7,
-                  n_overlays=(7, 9)),
-    L.McRunConfig(data_family="t3", n=10, reps=3001, seed=11,
-                  n_overlays=(15, 17), rescale=(1.50 ** -0.5, 1.78 ** -0.5)),
-    L.McRunConfig(data_family="t3", n=6, reps=1000, seed=2, rescale=(0.8,)),
+    L.McRunConfig(data_family="normal", n=10, reps=2003, seed=7),
+    L.McRunConfig(data_family="t3", n=10, reps=3001, seed=11),
+    L.McRunConfig(data_family="t3", n=6, reps=1000, seed=2),
 ], ids=["normal-overlays", "t3-overlays-rescale", "t3-even-n"])
 def test_run_comparison_matches_the_chunked_loop_bit_for_bit(config):
     res = L.run_comparison(config)
