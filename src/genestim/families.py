@@ -417,7 +417,10 @@ def t3_draw(rng, shape) -> np.ndarray:
     blocks are frozen on this order."""
     z = rng.standard_normal(shape)
     w = rng.chisquare(3.0, shape)
-    return z / np.sqrt(w / 3.0)
+    w /= 3.0  # in place: z / np.sqrt(w / 3.0) without two temporaries
+    np.sqrt(w, out=w)
+    z /= w
+    return z
 
 
 def t3_location(n: int) -> ModelFamily:

@@ -53,6 +53,10 @@ class McRunConfig(_McRun):
             raise ValueError(f"need an integer of at least {MIN_REPS} "
                              "replications for stable efficiency estimates, "
                              f"got {self.reps}")
+        # NumPy's SeedSequence would fail on its own terms otherwise
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be an integer of at least 0, "
+                             f"got {self.seed}")
         return self
 
     def to_dict(self):
@@ -74,7 +78,7 @@ class ZetaCurve(NamedTuple):
 
 class ComparisonResult(NamedTuple):
     config: McRunConfig
-    archives: dict  # estimator label -> (reps,) values
+    archives: dict  # estimator label -> (reps,) values, sorted ascending
     efficiency: dict  # label -> (eff, se)
     var_ratio: dict  # label -> Var(mean)/Var(g)
     failures: int
@@ -120,15 +124,20 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     ``families.normal_location(n)`` on its means under normal data, both
     at location 0, goes into :func:`block_moments` with the block's three
     estimates and is dropped, and :func:`corr_sq_with_se` merges the
-    blocks' moments.  Variance ratios are relative to the sample mean.
+    blocks' moments.  Variance ratios are relative to the sample mean;
+    :func:`sample_var` takes them in replication order, bit for bit those
+    of ``var(ddof=1)``.
 
-    The tail-depth curves compare each estimator and each overlay (means
-    at the family's alternate sample sizes, means of its rescaled data)
-    with the mean at the mean archive's quantiles, from inclusive tail
-    counts there.  Each block's generator is kept after its main draw, so
-    once the quantiles are known a second pass draws that block's
-    overlays; overlay and rescaled means are counted block by block and
-    the counts added, so none of them is ever held ``reps`` long.
+    Each archive is then sorted in place, once, so the returned archives
+    are sorted ascending and no archive-sized array is allocated beside
+    them.  The tail-depth curves compare each estimator and each overlay
+    (means at the family's alternate sample sizes, means of its rescaled
+    data) with the mean at the sorted mean archive's quantiles
+    (:func:`sorted_quantiles`), from inclusive tail counts there.  Each
+    block's generator is kept after its main draw, so once the quantiles
+    are known a second pass draws that block's overlays; overlay and
+    rescaled means are counted block by block and the counts added, so
+    none of them is ever held ``reps`` long.
     """
     n_overlays, rescale = OVERLAYS[config.data_family]
     t3_data = config.data_family == "t3"
@@ -167,12 +176,14 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
 
     efficiency = {label: (float(eff), float(se)) for label, eff, se in
                   zip(ESTIMATORS, *corr_sq_with_se(moments))}
-    mean = archives["mean"]
-    vm = mean.var(ddof=1)
-    var_ratio = {label: float(vm / archives[label].var(ddof=1))
-                 for label in ESTIMATORS}
+    variances = {label: sample_var(archives[label]) for label in ESTIMATORS}
+    var_ratio = {label: float(variances["mean"] / v)
+                 for label, v in variances.items()}
 
-    qs = np.quantile(mean, ZETA_PROBS)
+    for values in archives.values():
+        values.sort()  # tail counts and quantiles are order-free from here
+    mean = archives["mean"]
+    qs = sorted_quantiles(mean, ZETA_PROBS)
 
     def added(blocks):  # tail counts at qs, summed over blocks
         lo_hi = np.zeros((2, len(qs)), dtype=np.int64)
@@ -180,7 +191,7 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
             lo_hi += tail_counts(values, qs)
         return tuple(lo_hi)
 
-    counts = {label: tail_counts(archives[label], qs)
+    counts = {label: sorted_tail_counts(archives[label], qs)
               for label in ("median", "t3_mle")}
     for n_alt in n_overlays:
         counts[f"mean_n{n_alt}"] = added(
@@ -189,7 +200,7 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
     mean_blocks = np.split(mean, np.cumsum(per)[:-1])
     for fac in rescale:
         counts[f"mean_rescale_{fac:g}"] = added(fac * b for b in mean_blocks)
-    counts["mean"] = tail_counts(mean, qs)
+    counts["mean"] = sorted_tail_counts(mean, qs)
     curves = zeta_curves(counts["mean"], counts, config.reps)
     return ComparisonResult(config, archives, efficiency, var_ratio, failures,
                             curves)
@@ -197,9 +208,59 @@ def run_comparison(config: McRunConfig) -> ComparisonResult:
 
 def tail_counts(archive, points):
     """(#{X <= q}, #{X >= q}) per point q: one sort and a searchsorted."""
-    srt = np.sort(np.asarray(archive, dtype=float))
+    return sorted_tail_counts(np.sort(np.asarray(archive, dtype=float)),
+                              points)
+
+
+def sorted_tail_counts(srt, points):
+    """:func:`tail_counts` of an archive already sorted ascending."""
     return (np.searchsorted(srt, points, side="right"),
             len(srt) - np.searchsorted(srt, points, side="left"))
+
+
+def sorted_quantiles(srt, probs) -> np.ndarray:
+    """Quantiles of a sorted archive at probs in [0, 1], as NumPy's
+    ``quantile`` gives them by its default linear method (Hyndman & Fan
+    1996, type 7).
+
+    The order statistics around the virtual index (n - 1) q are mixed by
+    the two branches of NumPy's ``_lerp``.  Only the sign of a zero can
+    differ, since NumPy's partition may order -0.0 and 0.0 otherwise.
+    NumPy's function calls ``np.unique``, which imports ``numpy.ma``.
+    """
+    virtual = (len(srt) - 1) * np.asarray(probs, dtype=float)
+    below = np.floor(virtual)
+    t = virtual - below
+    below = below.astype(np.intp)
+    a, b = srt[below], srt[np.minimum(below + 1, len(srt) - 1)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+# any leaf of at least NumPy's 128-value pairwise block gives its tree;
+# this one keeps each centred temporary at 64 KB
+_SUM_LEAF = 8192
+
+
+def sample_var(values) -> float:
+    """``values.var(ddof=1)`` of a contiguous float array, bit for bit,
+    without a centred copy of it.
+
+    The centred squares are summed as NumPy's pairwise sum splits an
+    array (halves, the split rounded down to a multiple of 8), each leaf
+    by ``np.add.reduce``.
+    """
+    def centred_ss(x):
+        if len(x) <= _SUM_LEAF:
+            d = x - mean
+            d *= d
+            return np.add.reduce(d)
+        half = len(x) // 2
+        half -= half % 8
+        return centred_ss(x[:half]) + centred_ss(x[half:])
+
+    mean = np.add.reduce(values) / len(values)
+    return centred_ss(values) / (len(values) - 1)
 
 
 def zeta_of_counts(lo, hi, total) -> np.ndarray:

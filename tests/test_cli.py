@@ -130,12 +130,15 @@ def test_cli_main_runs_without_openssl(tmp_path, launch):
     # _hashlib and libcrypto; the launched CLI marks _hashlib absent, and
     # hashlib and secrets still work from CPython's own digests and
     # os.urandom.  (-X importtime would list the halted attempt too.)
+    # zeta-lab takes its quantiles without np.quantile, whose np.unique
+    # imports numpy.ma.
     code = _launch_script(launch, ZETA_LAB_QUICK
                           + ["--out-dir", str(tmp_path)]) + (
         "import hashlib, secrets\n"
         "assert '_hashlib' in sys.modules, 'never imported'\n"
         "assert sys.modules['_hashlib'] is None, 'OpenSSL loaded'\n"
         "assert 'numpy.random' in sys.modules\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
         "assert hashlib.sha256(b'').hexdigest() == ('e3b0c44298fc1c149afbf4c8"
         "996fb92427ae41e4649b934ca495991b7852b855')\n"
         "assert 0 <= secrets.randbits(8) < 256\n")

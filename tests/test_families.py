@@ -502,6 +502,15 @@ class TestLocationFamilies:
         dens = np.exp(fam.log_density_rows(grid[:, None], [0.0]))
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
+    def test_t3_draw_is_z_over_the_root_of_w_over_3(self):
+        # the in-place steps are the same IEEE operations
+        ss = np.random.SeedSequence(806029)
+        got = F.t3_draw(np.random.default_rng(ss), (300, 7))
+        rng = np.random.default_rng(ss)
+        z = rng.standard_normal((300, 7))
+        w = rng.chisquare(3.0, (300, 7))
+        np.testing.assert_array_equal(got, z / np.sqrt(w / 3.0), strict=True)
+
     def test_cauchy_score_shape(self):
         fam = F.cauchy_location(3)
         s = F.score(fam, np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0]]), [0.0])

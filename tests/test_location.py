@@ -49,8 +49,14 @@ class TestConfig:
             L.McRunConfig(n=2.5, reps=1000)
         with pytest.raises(ValueError, match="replications"):
             L.McRunConfig(reps=1000.5)
-        cfg = L.McRunConfig(n=np.int64(9), reps=np.int64(1000))
-        assert (cfg.n, cfg.reps) == (9, 1000)
+        # NumPy's SeedSequence would raise TypeError and its own message
+        with pytest.raises(ValueError, match="seed"):
+            L.McRunConfig(reps=1000, seed=2.5)
+        with pytest.raises(ValueError, match="seed"):
+            L.McRunConfig(reps=1000, seed=-1)
+        cfg = L.McRunConfig(n=np.int64(9), reps=np.int64(1000),
+                            seed=np.int64(3))
+        assert (cfg.n, cfg.reps, cfg.seed) == (9, 1000, 3)
         assert L.McRunConfig._fields == ("data_family", "n", "reps", "seed")
 
     def test_to_dict_round_trips_the_fields(self):
@@ -147,12 +153,14 @@ class TestRunComparison:
 
 # zeta-lab's configurations at its default 100,000 replications; keeping
 # every overlay and rescaled archive peaked at 9.1 MB (t3) and 7.4 MB
-# (normal), and a reps-long score with np.corrcoef's temporaries at
-# 5.8 MB; the three 0.8 MB archives and np.quantile's copy of one are
-# what is left, about 3.5 MB
+# (normal), a reps-long score with np.corrcoef's temporaries at 5.8 MB,
+# and np.quantile's copy of the mean archive at 3.5 MB.  The archives
+# are now sorted in place and no archive-sized temporary is made: the
+# three 0.8 MB archives plus the block loop's per-block temporaries peak
+# at about 3.15 MB
 @pytest.mark.parametrize("config, limit_mb", [
-    (L.McRunConfig(data_family="t3", n=10, reps=100_000, seed=0), 4.0),
-    (L.McRunConfig(data_family="normal", n=10, reps=100_000, seed=0), 4.0),
+    (L.McRunConfig(data_family="t3", n=10, reps=100_000, seed=0), 3.3),
+    (L.McRunConfig(data_family="normal", n=10, reps=100_000, seed=0), 3.3),
 ], ids=["t3", "normal"])
 def test_run_comparison_peak_memory(config, limit_mb):
     # a small run first, so lazy imports are not counted
@@ -202,6 +210,29 @@ class TestTailsAndCurves:
         lo, hi = L.tail_counts(arch, qs)
         np.testing.assert_array_equal(sum(b[0] for b in blocks), lo)
         np.testing.assert_array_equal(sum(b[1] for b in blocks), hi)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 1001, 99_999, 100_000,
+                                   100_001])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_sorted_quantiles_are_np_quantiles(self, n, ties):
+        rng = np.random.default_rng(n)
+        arch = rng.standard_normal(n)
+        if ties:
+            arch = np.round(arch, 1)  # -0.0 and 0.0 among them
+        probs = np.concatenate([L.ZETA_PROBS, [0.0, 0.25, 0.5, 1.0]])
+        got = L.sorted_quantiles(np.sort(arch), probs)
+        # values: sort and partition may order -0.0 and 0.0 otherwise
+        np.testing.assert_array_equal(got, np.quantile(arch, probs))
+        assert got.dtype == np.float64
+
+    def test_sample_var_is_var_ddof1_bit_for_bit(self):
+        # sizes around NumPy's 8-way unrolled, 128-value pairwise blocks
+        # and around sample_var's 8192-value leaves
+        rng = np.random.default_rng(6)
+        for n in [*range(2, 300), 1000, 8191, 8192, 8193, 16_384, 16_385,
+                  99_999, 100_000, 100_001, 123_457, 262_144, 1_000_003]:
+            arch = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n) + 2.5
+            assert L.sample_var(arch) == arch.var(ddof=1), n
 
     def test_probe_grid_covers_the_unit_interval(self):
         probs = L.ZETA_PROBS
@@ -298,8 +329,11 @@ def test_run_comparison_matches_the_chunked_loop_bit_for_bit(config):
     res = L.run_comparison(config)
     archives, efficiency, var_ratio = _chunked_comparison(config)
     assert list(res.archives) == list(L.ESTIMATORS)
+    # the archives come back sorted; var_ratio and the curves below still
+    # pin the replication order
     for label in L.ESTIMATORS:
-        np.testing.assert_array_equal(res.archives[label], archives[label])
+        np.testing.assert_array_equal(res.archives[label],
+                                      np.sort(archives[label]))
     # the streamed moments add in another order than np.corrcoef
     for label in L.ESTIMATORS:
         assert res.efficiency[label] == pytest.approx(efficiency[label],
