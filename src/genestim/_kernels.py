@@ -10,9 +10,14 @@ edges, the t3 MLE, the exact tail endpoints) comes from ``_newton``.
 The (theta, nuisance) -> (p1, p2) map is ``_line_probs``, the
 (p1, nuisance) -> p2 step ``_line_p2`` and the log odds ratio
 ``_log_or``, here and nowhere else; so is the t3 score ``_t3_score``.
+Every small symmetric eigenproblem of the information layer is
+``_sym_eig``'s, cyclic Jacobi rotations in NumPy: no LAPACK routine is
+loaded for a k x k block.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +29,7 @@ TAIL_BLOCK = 1 << 17  # (row, support point) elements per block of tail roots
 NEWTON_ITERS = 100  # cap on the safeguarded Newton steps of one root
 T3_FTOL = 1e-10  # a t3 MLE row is done where |psi| is below this
 TAIL_XTOL = 1e-7  # a tail root is done after a step this small
+JACOBI_SWEEPS = 50  # cap on the cyclic Jacobi sweeps of one eigenproblem
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -209,6 +215,69 @@ def _real_roots(coef):
     comp[..., :, -1] = -coef[..., :-1] / coef[..., -1:]
     roots = np.linalg.eigvals(comp)
     return np.where(roots.imag == 0.0, roots.real, np.nan)
+
+
+def _rotate(m, p, q, c, s):
+    """Columns p and q of m, in place, to c m_p - s m_q and s m_p + c m_q."""
+    mp = m[:, p].copy()
+    m[:, p] = c * mp - s * m[:, q]
+    m[:, q] = s * mp + c * m[:, q]
+
+
+def _sym_eig(a):
+    """(w, U): the eigenvalues of a small symmetric matrix, ascending, and
+    orthonormal eigenvectors as the columns of U, by cyclic Jacobi
+    rotations (Golub & Van Loan, Matrix Computations, section 8.5).
+
+    A sweep visits each pair p < q once and rotates a[p, q] to zero,
+    unless it is negligible: adding 100 |a[p, q]| changes neither |a[p, p]|
+    nor |a[q, q]| (Rutishauser's test).  The tangent is the smaller root
+    t = sign(theta) / (|theta| + hypot(1, theta)), theta = (a[q, q] -
+    a[p, p]) / (2 a[p, q]), in Python floats, so an off-diagonal entry of
+    round-off size gives t = 0, never an overflow warning.  Done after a
+    sweep with no rotation: a 1 x 1 or diagonal matrix comes back as is
+    with the identity's columns, a 1 x 1 bit for bit as LAPACK returns
+    it.  RuntimeError for a non-finite entry, or when JACOBI_SWEEPS
+    sweeps all rotate.
+    """
+    a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise RuntimeError(f"symmetric eigenproblem with a non-finite "
+                           f"entry: {a.tolist()}")
+    k = len(a)
+    v = np.eye(k)
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                app, aqq, apq = float(a[p, p]), float(a[q, q]), float(a[p, q])
+                g = 100.0 * abs(apq)
+                if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                    continue
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta)
+                                                 + math.hypot(1.0, theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                for m in (a, a.T, v):  # a J, then J^t (a J), and v J
+                    _rotate(m, p, q, c, t * c)
+                a[p, p], a[q, q] = app - t * apq, aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                rotated = True
+        if not rotated:
+            break
+    else:
+        raise RuntimeError(
+            f"Jacobi rotations not converged in {JACOBI_SWEEPS} sweeps")
+    w = a.diagonal().copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def _sym_solve(w, U, B):
+    """X with U diag(w) U^t X = B, as U diag(1/w) U^t B: a solve by a
+    positive definite block from its :func:`_sym_eig`.  For a 1 x 1 block
+    it is B / w, as LAPACK's solve rounds it."""
+    return U @ ((U.T @ B) / w[:, None])
 
 
 def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from ._kernels import _sym_eig, _sym_solve
 from .families import (FD_STEP, ExpectationEngine, FisherInfo, ModelFamily,
                        fisher_info, outer_rows, score)
 
@@ -31,6 +32,9 @@ COEFFS_CACHE_SIZE = 4096
 DEGENERATE_RATIO = 1e-12
 # a difference step h keeps this many steps of room to the domain's edge
 STENCIL_ROOM = 5e3
+# ... and for the five-point stencil, whose truncation error (h/d)^4 at
+# distance d from the edge is then as small as the central one's (h/d)^2
+SCORE_STENCIL_ROOM = STENCIL_ROOM ** 0.5
 ROUTE_TOL = 1e-6  # route gap allowed, as a share of max(1, max |Lambda|)
 PSD_FLOOR = 1e-12  # smallest eigenvalue allowed, as a share of the largest
 MC_BATCHES = 50  # batches behind the se of a Monte Carlo efficiency
@@ -52,6 +56,9 @@ class GeneralizedEstimator(NamedTuple):
 
     rows: Callable  # (Y, point) -> (N, k)
     label: str = "estimator"
+    # (engine, family, point) -> the FisherInfo g already holds at a point,
+    # as an orthogonalized estimator's projection does; None: fisher_info
+    fisher_info: Optional[Callable] = None
 
 
 def estimator_rows(g, Y, point) -> np.ndarray:
@@ -72,13 +79,13 @@ class InformationReport(NamedTuple):
 
 
 def inv_sqrt_psd(V: np.ndarray) -> np.ndarray:
-    """Inverse symmetric PSD square root via eigendecomposition.
+    """Inverse symmetric PSD square root via ``_sym_eig``.
 
     Eigenvalues below PSD_FLOOR * max eigenvalue are an error, not
     clamped: a near-singular variance invalidates everything downstream.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    w, U = np.linalg.eigh(0.5 * (V + V.T))
+    w, U = _sym_eig(0.5 * (V + V.T))
     if w[-1] <= 0.0 or w[0] < PSD_FLOOR * w[-1]:
         raise EstimatorError(
             f"variance matrix not positive definite (eigenvalues {w})")
@@ -95,7 +102,9 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
     block is singular raises its DomainError.  The projection term is
     absent when the family has no nuisance parameters.  The coefficients
     are kept per point in a bounded LRU, whose ``cache_info()`` the
-    returned estimator's ``rows`` exposes.
+    returned estimator's ``rows`` exposes, with the ``fisher_info`` they
+    were projected by: the estimator's ``fisher_info`` lends it, so
+    ``information`` takes the blocks once per point.
 
     A point where the smallest eigenvalue of g's variance,
     E[f f^t] - E f E f^t - C G^{-1} C^t, falls below DEGENERATE_RATIO of
@@ -118,30 +127,40 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
         first = engine.expect(family, point, moments)
         mean, second = first[:k], first[k:k + k * k].reshape(k, k)
         V = second - np.outer(mean, mean)
-        proj = None
+        proj = info = None
         if kp:
             C = first[k + k * k:].reshape(k, kp)
-            G = fisher_info(engine, family, point).I_nuis
-            proj = np.linalg.solve(G, C.T).T
+            info = fisher_info(engine, family, point)
+            proj = _sym_solve(*info.nuis_eig, C.T).T
             V = V - proj @ C.T
-        var = float(np.linalg.eigvalsh(0.5 * (V + V.T))[0])
+        var = float(_sym_eig(0.5 * (V + V.T))[0][0])
         scale = float(np.trace(second))
         if not var > DEGENERATE_RATIO * scale:
             raise EstimatorError(
                 f"{f.label} is degenerate at {list(key)}: variance {var:.2e} "
                 f"after centring and projection, E[f f^t] {scale:.2e}")
-        return mean, proj
+        return mean, proj, info
+
+    def coeffs(point):
+        return cached_coeffs(
+            tuple(np.atleast_1d(np.asarray(point, dtype=float)).tolist()))
 
     def rows(Y, point):
-        mean, proj = cached_coeffs(
-            tuple(np.atleast_1d(np.asarray(point, dtype=float)).tolist()))
+        mean, proj, _ = coeffs(point)
         out = estimator_rows(f, Y, point) - mean
         if proj is not None:
             out = out - score(family, Y, point)[:, k:] @ proj.T
         return out
 
+    def info_at(eng, fam, point):
+        # the blocks are only this estimator's to lend at its own engine
+        # and family
+        if kp and eng == engine and fam is family:
+            return coeffs(point)[2]
+        return fisher_info(eng, fam, point)
+
     rows.cache_info = cached_coeffs.cache_info
-    return GeneralizedEstimator(rows, f"{f.label}-orthogonalized")
+    return GeneralizedEstimator(rows, f"{f.label}-orthogonalized", info_at)
 
 
 def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
@@ -159,7 +178,7 @@ def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
         info = fisher_info(engine, family, point)
     if family.dim_nuisance == 0:
         return (lambda Y: score(family, Y, point)), info.I_perp
-    proj = np.linalg.solve(info.I_nuis, info.I_cross.T).T
+    proj = _sym_solve(*info.nuis_eig, info.I_cross.T).T
 
     def S(Y):
         full = score(family, Y, point)
@@ -195,10 +214,13 @@ def information(engine: ExpectationEngine, family: ModelFamily,
     The covariance route E(s gbar^t) E(gbar s^t) is always computed;
     when ``direct_route`` is set the squared mean slope of gbar is also
     obtained by central finite differences and compared against it.
-    A precomputed ``info`` for the same point skips the Fisher block.
+    A precomputed ``info`` for the same point skips the Fisher block, as
+    do the blocks g holds there (:func:`_fisher_info_of`).
     """
     point = family.check_point(point)
     k = family.dim_interest
+    if info is None:
+        info = _fisher_info_of(g, engine, family, point)
     S, bound = orthogonalized_score(engine, family, point, info)
     gbar = standardize(engine, family, g, point)
     A = engine.expect(family, point,
@@ -223,11 +245,25 @@ def information(engine: ExpectationEngine, family: ModelFamily,
         route_gap=route_gap, routes_agree=routes_agree)
 
 
+def _fisher_info_of(g, engine, family, point) -> FisherInfo:
+    """``fisher_info`` at the point, or the blocks g already holds there."""
+    return (getattr(g, "fisher_info", None) or fisher_info)(
+        engine, family, point)
+
+
 def _shifted(point, j, step) -> np.ndarray:
     """``point`` with coordinate j moved by ``step``."""
     q = point.copy()
     q[j] += step
     return q
+
+
+def _fitted_step(family, point, j, h, room) -> float:
+    """h, halved until theta_j +- room * h are in the family's domain."""
+    while not all(family.in_domain(_shifted(point, j, c * h))
+                  for c in (room, -room)):
+        h *= 0.5
+    return h
 
 
 def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
@@ -242,10 +278,8 @@ def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
     k = family.dim_interest
     rows = []
     for j in axes:
-        h = FD_STEP * max(1.0, abs(point[j]))
-        while not all(family.in_domain(_shifted(point, j, c * h))
-                      for c in (STENCIL_ROOM, -STENCIL_ROOM)):
-            h *= 0.5
+        h = _fitted_step(family, point, j, FD_STEP * max(1.0, abs(point[j])),
+                         STENCIL_ROOM)
         qp, qm = _shifted(point, j, h), _shifted(point, j, -h)
         gp = standardize(engine, family, g, qp)
         gm = standardize(engine, family, g, qm)
@@ -267,19 +301,26 @@ def nuisance_information(engine, family, g, point) -> np.ndarray:
 
 def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
                          g, point) -> np.ndarray:
-    """Residual E(grad g^t) + E(s g^t); near-zero certifies the identity."""
+    """Residual E(grad g^t) + E(s g^t); near-zero certifies the identity.
+
+    The derivative is a five-point stencil of step h = 1e-4 max(1, |theta_j|),
+    halved near the domain's edge until theta_j +- SCORE_STENCIL_ROOM * h
+    are in the domain.
+    """
     point = family.check_point(point)
     k = family.dim_interest
-    S, _ = orthogonalized_score(engine, family, point)
+    S, _ = orthogonalized_score(engine, family, point,
+                                _fisher_info_of(g, engine, family, point))
+    steps = [_fitted_step(family, point, j, 1e-4 * max(1.0, abs(point[j])),
+                          SCORE_STENCIL_ROOM) for j in range(k)]
 
     def grad_g(Y):
         """(N, k, k) rows: entry [i, j, b] is d g_b / d theta_j at Y[i]."""
         rows = []
-        for j in range(k):
+        for j, h in enumerate(steps):
             # fourth-order five-point stencil: the residual certifies an
             # exact identity, so truncation error has to stay well below
             # the certification tolerance
-            h = 1e-4 * max(1.0, abs(point[j]))
             vals = [estimator_rows(g, Y, _shifted(point, j, c * h))
                     for c in (-2.0, -1.0, 1.0, 2.0)]
             rows.append((vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3])

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import _expit, _line_probs, _log_or, _logit, _t3_score
+from ._kernels import (_expit, _line_probs, _log_or, _logit, _sym_eig,
+                       _sym_solve, _t3_score)
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # parameter points whose natural parameter, A(eta) and E T each finite
@@ -162,19 +163,23 @@ def score(family: ModelFamily, Y, point) -> np.ndarray:
 
 
 class FisherInfo(NamedTuple):
-    """Score covariance blocks partitioned by interest/nuisance."""
+    """Score covariance blocks partitioned by interest/nuisance, and the
+    eigendecomposition of the nuisance block that certified it."""
 
     I: np.ndarray  # noqa: E741 - matches the standard symbol
     I_cross: np.ndarray
     I_nuis: np.ndarray
     I_perp: np.ndarray
+    nuis_eig: tuple  # (w, U) with I_nuis = U diag(w) U^t, w ascending
 
 
 def fisher_info(engine: ExpectationEngine, family: ModelFamily,
                 point) -> FisherInfo:
     """Blocks of E[score score^t], plus the Schur complement I_perp; a
     singular nuisance block (not identified, no I_perp) raises DomainError:
-    one not finite, or not positive definite with 2-norm condition <= 1e12."""
+    one not finite, or not positive definite with 2-norm condition <= 1e12.
+    One eigendecomposition of the nuisance block decides that and solves
+    by it."""
     point = family.check_point(point)
     k, kp = family.dim_interest, family.dim_nuisance
 
@@ -188,15 +193,16 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
     I_cross = full[:k, k:]
     I_nuis = full[k:, k:]
     if kp == 0:
-        return FisherInfo(I, I_cross, I_nuis, I.copy())
+        return FisherInfo(I, I_cross, I_nuis, I.copy(),
+                          (np.zeros(0), np.zeros((0, 0))))
     finite = np.isfinite(I_nuis).all()
-    ev = np.linalg.eigvalsh(I_nuis) if finite else [0.0]  # ascending
-    if not (ev[-1] > 0.0 and ev[0] >= 1e-12 * ev[-1]):
+    w, U = _sym_eig(I_nuis) if finite else ([0.0], None)  # w ascending
+    if not (w[-1] > 0.0 and w[0] >= 1e-12 * w[-1]):
         raise DomainError(
             f"{family.label}: singular nuisance information at "
             f"{point.tolist()}; the nuisance is not identified there")
     return FisherInfo(I, I_cross, I_nuis,
-                      I - I_cross @ np.linalg.solve(I_nuis, I_cross.T))
+                      I - I_cross @ _sym_solve(w, U, I_cross.T), (w, U))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,76 @@ class TestOrthogonalization:
         assert var[0] == pytest.approx(float(bound[0, 0]), abs=1e-10)
 
 
+class TestFisherBlocksOncePerPoint:
+    """An orthogonalized estimator lends information the Fisher blocks its
+    projection used, so they are taken once per point."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+
+        def counted(engine, family, point):
+            calls.append(list(np.asarray(point, dtype=float)))
+            return F.fisher_info(engine, family, point)
+
+        monkeypatch.setattr(E, "fisher_info", counted)
+        return calls
+
+    def test_information_takes_the_blocks_once(self, monkeypatch):
+        fam = F.two_binomial(8, 6)
+        g = E.orthogonalize(ENGINE, fam, E.PreEstimator(
+            lambda Y, point: _column(Y[:, 0]), "first-count"))
+        calls = self._counted(monkeypatch)
+        for p1, p2 in ((0.4, 0.55), (0.2, 0.7), (0.6, 0.3)):
+            point = list(F.two_binomial_params(p1, p2, 8, 6))
+            before = len(calls)
+            rep = E.information(ENGINE, fam, g, point, direct_route=False)
+            assert calls[before:] == [point]
+            want = E.information(ENGINE, fam, g, point, direct_route=False,
+                                 info=F.fisher_info(ENGINE, fam, point))
+            assert rep.Lambda.tobytes() == want.Lambda.tobytes()
+            assert rep.fisher_bound.tobytes() == want.fisher_bound.tobytes()
+            # the score equation at the point reuses them too; its stencil
+            # moves the point, where the projection takes its own
+            before = len(calls)
+            E.check_score_equation(ENGINE, fam, g, point)
+            assert point not in calls[before:]
+
+    def test_another_family_takes_its_own_blocks(self, monkeypatch):
+        fam = F.two_binomial(8, 6)
+        g = E.orthogonalize(ENGINE, fam, E.PreEstimator(
+            lambda Y, point: _column(Y[:, 0]), "first-count"))
+        calls = self._counted(monkeypatch)
+        point = list(F.two_binomial_params(0.4, 0.55, 8, 6))
+        E.information(ENGINE, F.two_binomial(8, 6), g, point,
+                      direct_route=False)
+        assert calls == [point, point]
+
+
+def test_the_information_layer_makes_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+
+    for name in ("eigh", "eigvalsh", "solve", "eig", "eigvals", "inv",
+                 "cond", "svd", "pinv", "lstsq", "cholesky", "qr", "det",
+                 "slogdet"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    suite = E.bernoulli_suite(20, ENGINE)
+    for est in suite:
+        E.information(ENGINE, suite.family, est, [0.3])
+        E.check_score_equation(ENGINE, suite.family, est, [0.3])
+    tb = F.two_binomial(20, 30)
+    point = F.two_binomial_params(0.3, 0.6, 20, 30)
+    assert F.fisher_info(ENGINE, tb, point).I_perp[0, 0] > 0.0
+    g = E.orthogonalize(ENGINE, tb, E.PreEstimator(
+        lambda Y, point: _column(Y[:, 0]), "first-count"))
+    interest = E.GeneralizedEstimator(
+        lambda Y, point: F.score(tb, Y, point)[:, :1], "interest-score")
+    for est in (g, interest):
+        E.information(ENGINE, tb, est, point)
+    E.orthogonalized_score(ENGINE, tb, point)
+
+
 class TestScoreEquation:
     def test_suite_residuals_are_tiny(self):
         fam = F.bernoulli_sum(20)
@@ -155,6 +225,32 @@ class TestScoreEquation:
             lambda Y, point: _column((Y + 2.0) / 24.0), "biased")
         res = E.check_score_equation(ENGINE, fam, biased, [0.5])
         assert abs(res[0, 0]) > 1e-3
+
+    @pytest.mark.parametrize("p", [1e-4, 2e-4, 0.9998, 0.9999])
+    def test_stencil_stays_inside_the_domain(self, p):
+        # h = 1e-4 would step the five-point stencil to p -+ 2e-4, out of
+        # (0, 1); it is halved until the stencil keeps its room instead
+        suite = E.bernoulli_suite(20, ENGINE)
+        for est in suite:
+            if p > 0.5 and est.label == "sign-coarse-orthogonalized":
+                # y - 20 p - 0.5 < 0 for every y: a constant pre-estimator
+                with pytest.raises(E.EstimatorError):
+                    E.check_score_equation(ENGINE, suite.family, est, [p])
+                continue
+            res = E.check_score_equation(ENGINE, suite.family, est, [p])
+            assert np.isfinite(res).all(), (est.label, res)
+
+    def test_stencil_keeps_its_step_away_from_the_edges(self, monkeypatch):
+        # verify's grid, 0.1 .. 0.9, keeps h = 1e-4
+        steps = []
+        shifted = E._shifted
+        monkeypatch.setattr(E, "_shifted", lambda point, j, step: (
+            steps.append(step), shifted(point, j, step))[1])
+        fam = F.bernoulli_sum(20)
+        for p in (0.1, 0.9):
+            E.check_score_equation(ENGINE, fam, _score_estimator(fam), [p])
+        room = E.SCORE_STENCIL_ROOM * 1e-4
+        assert set(steps) == {-2e-4, -1e-4, 1e-4, 2e-4, -room, room}
 
 
 class TestScaling:

@@ -576,3 +576,85 @@ def test_every_exported_kernel_has_a_trace_row_count():
     runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runner)
     assert set(K.__all__) == set(runner.KERNEL_ROWS)
+
+
+@pytest.mark.parametrize("x", [3.3, -2.0, 0.0, 1e-300, 5e-324, 1e300, 0.1])
+def test_sym_eig_of_a_1x1_is_lapacks_bit_for_bit(x):
+    a = np.array([[x]])
+    w, U = K._sym_eig(a)
+    w_ref, U_ref = np.linalg.eigh(a)
+    assert w.tobytes() == w_ref.tobytes() and U.tobytes() == U_ref.tobytes()
+    if x > 1e-300:  # positive definite, and no quotient overflows
+        # one right-hand side, as every 1 x 1 nuisance block solves
+        for b in (0.7, -1.3e5, 2.0 / 3.0):
+            b = np.array([[b]])
+            assert (K._sym_solve(w, U, b).tobytes()
+                    == np.linalg.solve(a, b).tobytes())
+
+
+def _symmetric(rng, k, kind):
+    """A k x k symmetric test matrix: dense (indefinite), with a repeated
+    eigenvalue, diagonal, or positive definite across 16 decades."""
+    if kind == "dense":
+        b = rng.normal(size=(k, k))
+        return b + b.T
+    if kind == "repeated":
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        ev = rng.choice([-1.0, 2.0], size=k)
+        ev[:2] = 2.0
+        a = (q * ev) @ q.T
+        return 0.5 * (a + a.T)
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=k))
+    b = rng.normal(size=(k, k))
+    return b @ b.T * 10.0 ** rng.uniform(-8, 8)
+
+
+@pytest.mark.parametrize("kind", ["dense", "repeated", "diagonal", "pd"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_sym_eig_agrees_with_lapack(k, kind):
+    rng = np.random.default_rng(100 * k + len(kind))
+    for _ in range(40):
+        a = _symmetric(rng, k, kind)
+        w, U = K._sym_eig(a)
+        norm = np.linalg.norm(a, 2)
+        assert np.all(np.diff(w) >= 0.0)
+        np.testing.assert_array_less(np.abs(w - np.linalg.eigh(a)[0]),
+                                     1e-13 * norm + 1e-300)
+        np.testing.assert_allclose(U.T @ U, np.eye(k), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(a @ U, U * w, rtol=0.0,
+                                   atol=1e-13 * norm)
+        if kind == "pd":
+            b = rng.normal(size=(k, 3))
+            x = K._sym_solve(w, U, b)
+            np.testing.assert_allclose(a @ x, b, rtol=0.0,
+                                       atol=1e-13 * norm * np.abs(x).max())
+
+
+@pytest.mark.parametrize("a", [
+    [[1.0, 1e-320], [1e-320, 0.0]],
+    [[0.0, 1e-300], [1e-300, 0.0]],
+    [[1.0, 1e-17], [1e-17, 1.0]],
+    [[1.0, 1e-300, 0.0], [1e-300, 1e-310, 1e-200], [0.0, 1e-200, 5.0]],
+])
+def test_sym_eig_of_round_off_off_diagonals_does_not_warn(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            w, U = K._sym_eig(a)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(a), rtol=1e-15,
+                               atol=1e-300)
+    np.testing.assert_allclose(U.T @ U, np.eye(len(a)), atol=1e-15)
+
+
+def test_sym_eig_not_converged_raises(monkeypatch):
+    monkeypatch.setattr(K, "JACOBI_SWEEPS", 1)
+    a = _symmetric(np.random.default_rng(7), 4, "dense")
+    with pytest.raises(RuntimeError, match="not converged in 1 sweeps"):
+        K._sym_eig(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sym_eig_of_a_non_finite_matrix_raises(bad):
+    with pytest.raises(RuntimeError, match="non-finite"):
+        K._sym_eig([[1.0, bad], [bad, 2.0]])
