@@ -9,7 +9,8 @@ is a closed-form quadratic root.  Every other scalar root (the z-interval
 edges, the t3 MLE, the exact tail endpoints) comes from ``_newton``.
 The (theta, nuisance) -> (p1, p2) map is ``_line_probs``, the
 (p1, nuisance) -> p2 step ``_line_p2`` and the log odds ratio
-``_log_or``, here and nowhere else; so is the t3 score ``_t3_score``.
+``_log_or``, here and nowhere else; so are the t3 score ``_t3_score``
+and the standardized score's terms, ``_sbar_line`` and ``_sbar_combine``.
 Every small symmetric eigenproblem of the information layer is
 ``_sym_eig``'s, cyclic Jacobi rotations in NumPy: no LAPACK routine is
 loaded for a k x k block.
@@ -167,14 +168,41 @@ def sbar_profiled_batch(x1, x2, n1, n2, p1, p2):
     the difference reflecting that the interest parameter is the
     difference of the two logits.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
+    x1, x2, p1, p2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x1, x2, p1, p2)))
+    return _sbar_combine(x1, x2, n1, n2, _sbar_line(p1, p2, n1, n2))
+
+
+def _sbar_line(p1, p2, n1, n2):
+    """(p1, p2, a1, a2, pref): the terms of sbar that depend on (p1, p2)
+    alone, a_i = p_i (1 - p_i) and pref = [1/(n1 a1) + 1/(n2 a2)]^(-1/2),
+    elementwise."""
     a1 = p1 * (1.0 - p1)
     a2 = p2 * (1.0 - p2)
     pref = 1.0 / np.sqrt(1.0 / (n1 * a1) + 1.0 / (n2 * a2))
-    return pref * ((x1 / n1 - p1) / a1 - (x2 / n2 - p2) / a2)
+    return p1, p2, a1, a2, pref
+
+
+def _sbar_combine(x1, x2, n1, n2, line, at=None):
+    """sbar of the outcomes (x1, x2) from the :func:`_sbar_line` terms:
+    pref * ((x1/n1 - p1)/a1 - (x2/n2 - p2)/a2), in place.
+
+    With ``at`` None the terms have the outcomes' shape.  Otherwise outcome
+    j reads them at index at[j] of their last axis, so terms taken once per
+    nuisance value serve every outcome on it, and the result is
+    (..., len(at)).
+    """
+    def take(v):  # at is in range: "clip" checks no bound
+        return v if at is None else np.take(v, at, axis=-1, mode="clip")
+
+    p1, p2, a1, a2, pref = line
+    s = np.subtract(x1 / n1, take(p1))
+    s /= take(a1)
+    e2 = np.subtract(x2 / n2, take(p2))
+    e2 /= take(a2)
+    s -= e2
+    s *= take(pref)
+    return s
 
 
 def _sbar_slope(p1, c1, c2, tnuis, n1, n2):
@@ -269,7 +297,9 @@ def _sym_eig(a):
         raise RuntimeError(
             f"Jacobi rotations not converged in {JACOBI_SWEEPS} sweeps")
     w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
+    # the order np.argsort(w, kind="stable") gives, without the first call
+    # of a NumPy sort, which maps 0.1-0.2 MB of its code into the process
+    order = sorted(range(k), key=w.tolist().__getitem__)
     return w[order], v[:, order]
 
 

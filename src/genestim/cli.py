@@ -449,4 +449,6 @@ def main(args=None, prog_name: str = "genestim"):
 main.main = main
 
 if __name__ == "__main__":
+    import gc
+    gc.freeze()  # imports done; see _entry
     main()

@@ -51,14 +51,29 @@ class SupportDescriptor(_Support):
         if self.outcomes is not None:
             if len(self.outcomes) == 0:
                 raise ValueError("finite support needs outcomes")
-            # equal rows are neighbours once sorted; np.unique(axis=0)
-            # would say the same but imports numpy.ma to do it
             arr = np.asarray(self.outcomes)
             flat = arr.reshape(len(arr), -1)
-            srt = flat[np.lexsort(flat.T[::-1])]
-            if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
-                raise ValueError("duplicate outcomes in finite support")
+            if not _rows_rise(flat):
+                # equal rows are neighbours once sorted; np.unique(axis=0)
+                # would say the same but imports numpy.ma to do it
+                srt = flat[np.lexsort(flat.T[::-1])]
+                if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
+                    raise ValueError("duplicate outcomes in finite support")
         return self
+
+
+def _rows_rise(flat) -> bool:
+    """Whether each row of a 2-D array is strictly below the next in
+    lexicographic order, so no two are equal: the order every family here
+    builds its outcomes in, checked with no sort.
+
+    Elements are compared, not subtracted: a difference wraps for unsigned
+    rows and is NaN for NaN ones.  A pair of rows is ordered at its first
+    differing column; equal rows, or a NaN there, are not in order.
+    """
+    prev, nxt = flat[:-1], flat[1:]
+    first = np.argmax(prev != nxt, axis=1)  # 0 where the rows are equal
+    return bool((prev < nxt)[np.arange(len(first)), first].all())
 
 
 class _Family(NamedTuple):

@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import (_invert_tails, _line_p2, _line_probs, _log_or,
-                       _newton, _p1_range, _sbar_slope, sbar_profiled_batch,
-                       zinterval_p1_batch)
+                       _newton, _p1_range, _sbar_combine, _sbar_line,
+                       _sbar_slope, sbar_profiled_batch, zinterval_p1_batch)
 from .families import log_binom_pmf, log_choose, two_binomial_outcomes
 from .intervals import IntervalResult
 
@@ -201,10 +201,12 @@ def fisher_exact_intervals(x1, x2, n1: int, n2: int,
     Pr_psi(X >= x1) = alpha, the upper one Pr_psi(X <= x1) = alpha, with
     alpha = (1 - confidence)/2: all of them in one ``_invert_tails`` call
     in log psi, started from Woolf's log OR and se (0.5 added to each cell)
-    and inside |log psi| <= LOG_PSI_BOUND.  Returns (lower, upper) arrays in
-    psi: lower is 0 where x1 is the smallest value its conditional
-    support allows, upper is inf where x1 is the largest, so t = 0 or
-    n1 + n2 gives (0, inf).
+    and inside |log psi| <= LOG_PSI_BOUND, each outcome reading the row
+    of its t in one table of conditional laws, from the smallest t that
+    occurs to the largest.  Returns (lower, upper) arrays in psi: lower is
+    0 where x1 is the smallest value its conditional support allows,
+    upper is inf where x1 is the largest, so t = 0 or n1 + n2 gives
+    (0, inf).
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0,1)")
@@ -217,14 +219,15 @@ def fisher_exact_intervals(x1, x2, n1: int, n2: int,
     ends = np.stack([x1 > np.maximum(0, t - n2), x1 < np.minimum(n1, t)])
     a, b = (np.broadcast_to(v, ends.shape)[ends] for v in (x1, x2))
     ge = np.nonzero(ends)[0] == 0
-    ts, which = np.unique(a + b, return_inverse=True)
+    ts = a + b
+    lo, hi = ts.min(initial=n1 + n2), ts.max(initial=0)
     woolf = np.log((a + 0.5) * (n2 - b + 0.5) / ((n1 - a + 0.5) * (b + 0.5)))
     se = np.sqrt(1.0 / (a + 0.5) + 1.0 / (n1 - a + 0.5) + 1.0 / (b + 0.5)
                  + 1.0 / (n2 - b + 0.5))
     psi = np.stack([np.zeros(t.shape), np.full(t.shape, np.inf)])
     psi[ends] = np.exp(_invert_tails(
-        _cond_log_coef(n1, n2, ts), which, a + ~ge, ge, math.log(alpha),
-        woolf, se, LOG_PSI_BOUND,
+        _cond_log_coef(n1, n2, np.arange(lo, hi + 1)), ts - lo, a + ~ge, ge,
+        math.log(alpha), woolf, se, LOG_PSI_BOUND,
         lambda i: f"Fisher {'lower' if ge[i] else 'upper'} endpoint at "
                   f"n1={n1}, n2={n2}, (x1, x2) = ({a[i]}, {b[i]})"))
     return psi[0], psi[1]
@@ -268,10 +271,13 @@ class CoverageCell(NamedTuple):
 
 
 def _log_masses(n1, n2, p1, p2):
-    """Log masses of every outcome, one row per entry of p1 and p2."""
-    x1, x2 = two_binomial_outcomes(n1, n2).T
-    return (log_binom_pmf(x1, n1, np.asarray(p1)[..., None])
-            + log_binom_pmf(x2, n2, np.asarray(p2)[..., None]))
+    """Log masses of every outcome, one row per entry of p1 and p2, in
+    :func:`two_binomial_outcomes` order: the outer sum of the two groups'
+    log pmfs, so the only outcome-sized array is the result."""
+    lm1 = log_binom_pmf(np.arange(n1 + 1), n1, np.asarray(p1)[..., None])
+    lm2 = log_binom_pmf(np.arange(n2 + 1), n2, np.asarray(p2)[..., None])
+    logm = lm1[..., :, None] + lm2[..., None, :]
+    return logm.reshape(logm.shape[:-2] + (-1,))
 
 
 def _mass_sum(logm, which):
@@ -391,8 +397,9 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     take the degenerate limit 0).  Where ge[r] holds the row sums the mass
     with statistic >= the observed one, else the mass <= it, with
     :func:`_mass_sum`.  The statistics are :func:`_outcome_sbar`'s, with
-    each row's null points found once per nuisance value 0..n1+n2 and
-    gathered by x1' + x2'.  The (rows, outcomes) arrays are built
+    each row's null points and the score's line terms taken once per
+    nuisance value 0..n1+n2 and gathered by x1' + x2' only into the
+    per-outcome combination.  The (rows, outcomes) arrays are built
     SCORE_TAIL_BLOCK elements at a time.
     """
     x1, x2, theta, ge = (np.ravel(a) for a in np.broadcast_arrays(
@@ -409,9 +416,9 @@ def score_tails(n1: int, n2: int, x1, x2, theta, ge) -> np.ndarray:
     block = max(1, SCORE_TAIL_BLOCK // len(tn))
     for start in range(0, len(t), block):
         r = slice(start, start + block)
-        p1, p2 = (p[:, tn] for p in _line_probs(
-            theta[r, None], np.arange(n1 + n2 + 1), n1, n2))
-        stats = sbar_profiled_batch(ox1, ox2, n1, n2, p1, p2)
+        line = _sbar_line(*_line_probs(
+            theta[r, None], np.arange(n1 + n2 + 1), n1, n2), n1, n2)
+        stats = _sbar_combine(ox1, ox2, n1, n2, line, tn)
         stats[:, boundary] = 0.0
         obs = stats[np.arange(len(stats)), x1[r] * (n2 + 1) + x2[r], None]
         keep = np.where(ge[r, None], stats >= obs - 1e-12,

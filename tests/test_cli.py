@@ -150,6 +150,38 @@ def test_cli_main_runs_without_openssl(tmp_path, launch):
     assert (tmp_path / "efficiency.csv").exists()
 
 
+@pytest.mark.parametrize("launch", sorted(LAUNCH))
+def test_launched_cli_freezes_the_import_heap(tmp_path, launch):
+    # the exit-time collections skip what the imports made: both launch
+    # paths freeze it before the command runs
+    code = _launch_script(launch, ["binom-ci", "--n", "20", "--y", "6",
+                                   "--out-dir", str(tmp_path)]) + (
+        "import gc\n"
+        "print(gc.get_freeze_count())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert int(out.stdout.splitlines()[-1]) > 0
+    assert (tmp_path / "interval.json").exists()
+
+
+def test_import_and_in_process_main_leave_the_collector_alone(tmp_path):
+    code = ("import gc, genestim._entry, genestim.cli\n"
+            "print(gc.get_freeze_count())\n"
+            "try:\n"
+            "    genestim.cli.main(['binom-ci', '--n', '20', '--y', '6',"
+            f" '--out-dir', {str(tmp_path)!r}])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(gc.get_freeze_count())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    lines = out.stdout.splitlines()  # the command prints its interval
+    assert (lines[0], lines[-1]) == ("0", "0")
+    assert (tmp_path / "interval.json").exists()
+
+
 @pytest.mark.parametrize("family", ["normal", "t3"])
 def test_zeta_lab_outputs_do_not_depend_on_openssl(runner, tmp_path,
                                                    family):

@@ -188,14 +188,27 @@ class TestFisherBlocksOncePerPoint:
         assert calls == [point, point]
 
 
-def test_the_information_layer_makes_no_lapack_call(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("LAPACK call")
+def _refuse(*args, **kwargs):
+    raise AssertionError("refused call")
 
+
+def test_the_information_layer_makes_no_lapack_call(monkeypatch):
     for name in ("eigh", "eigvalsh", "solve", "eig", "eigvals", "inv",
                  "cond", "svd", "pinv", "lstsq", "cholesky", "qr", "det",
                  "slogdet"):
-        monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.linalg, name, _refuse)
+    _run_the_information_layer()
+
+
+def test_the_information_layer_sorts_nothing(monkeypatch):
+    # the first NumPy sort of a process maps 0.1-0.2 MB of its code; the
+    # outcome grids come in order and the eigenvalues are few
+    for name in ("sort", "argsort", "lexsort"):
+        monkeypatch.setattr(np, name, _refuse)
+    _run_the_information_layer()
+
+
+def _run_the_information_layer():
     suite = E.bernoulli_suite(20, ENGINE)
     for est in suite:
         E.information(ENGINE, suite.family, est, [0.3])

@@ -234,11 +234,36 @@ class TestSupportDescriptor:
         F.SupportDescriptor(outcomes=grid)
         F.SupportDescriptor(outcomes=np.array([3, 1, 2]))
         for dup in ([[0, 1], [1, 0], [2, 2], [0, 1]],
-                    [[5, 5], [5, 5]], [[0.5, 1.0], [1.0, 0.5], [0.5, 1.0]]):
+                    [[5, 5], [5, 5]], [[0.5, 1.0], [1.0, 0.5], [0.5, 1.0]],
+                    [[0, 0], [0, 1], [0, 1], [1, 0]],  # sorted, adjacent
+                    np.uint8([3, 1, 3])):  # a difference would wrap
             with pytest.raises(ValueError, match="duplicate"):
                 F.SupportDescriptor(outcomes=np.array(dup))
         with pytest.raises(ValueError, match="duplicate"):
             F.SupportDescriptor(outcomes=np.array([4, 0, 3, 0]))
+
+    @pytest.mark.parametrize("outcomes", [
+        [np.nan, 0.0, np.nan], [[0.0, np.nan], [0.0, np.nan]], [0.0, np.nan],
+        [5], [[1, 2]], np.uint8([0, 1, 255]), np.uint8([255, 0, 3])])
+    def test_nan_single_row_and_unsigned_outcomes_accepted(self, outcomes):
+        # NaN equals nothing, so NaN rows are never duplicates
+        F.SupportDescriptor(outcomes=np.array(outcomes))
+
+    def test_ordered_outcomes_are_checked_without_a_sort(self, monkeypatch):
+        calls, lexsort = [], np.lexsort
+
+        def counted(keys, *args, **kwargs):
+            calls.append(1)
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        F.bernoulli_sum(30)
+        F.two_binomial(5, 7)
+        F.SupportDescriptor(outcomes=np.uint8([0, 1, 255]))
+        F.SupportDescriptor(outcomes=np.array([[0, 9], [1, -3], [1, 2]]))
+        assert calls == []
+        F.SupportDescriptor(outcomes=np.array([3, 1, 2]))
+        assert calls == [1]
 
     def test_family_construction_leaves_numpy_ma_unloaded(self):
         # np.unique imports numpy.ma; a fresh interpreter, since this one

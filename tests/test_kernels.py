@@ -631,6 +631,14 @@ def test_sym_eig_agrees_with_lapack(k, kind):
                                        atol=1e-13 * norm * np.abs(x).max())
 
 
+def test_sym_eig_orders_ties_as_a_stable_argsort():
+    w0 = np.array([2.0, -0.0, 0.0, 1.0, 2.0, -3.0])
+    w, U = K._sym_eig(np.diag(w0))  # diagonal: no rotation
+    order = np.argsort(w0, kind="stable")
+    assert w.tobytes() == w0[order].tobytes()
+    assert U.tobytes() == np.eye(len(w0))[:, order].tobytes()
+
+
 @pytest.mark.parametrize("a", [
     [[1.0, 1e-320], [1e-320, 0.0]],
     [[0.0, 1e-300], [1e-300, 0.0]],

@@ -688,3 +688,153 @@ class TestScoreTails:
         worst = max(max(r[2], r[3]) for r in rows)
         assert worst == pytest.approx(0.02134075438604372, abs=1e-10)
         assert worst <= 0.025
+
+    def test_endpoint_tails_memory_is_bounded(self):
+        # line terms once per nuisance value and factored masses: the
+        # broadcast forms peaked at 1.45 MB here
+        O.fisher_endpoint_tails(N1, N2)  # warm tables
+        tracemalloc.start()
+        try:
+            O.fisher_endpoint_tails(N1, N2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6, peak
+
+
+# the forms the factored kernels replaced, kept as oracles: each result
+# must come back bit for bit
+FACTORED_SHAPES = ((1, 1), (3, 4), (10, 15), (20, 30))
+
+
+def _log_masses_broadcast(n1, n2, p1, p2):
+    """Log masses from each group's pmf evaluated at every outcome."""
+    x1, x2 = O.two_binomial_outcomes(n1, n2).T
+    return (O.log_binom_pmf(x1, n1, np.asarray(p1)[..., None])
+            + O.log_binom_pmf(x2, n2, np.asarray(p2)[..., None]))
+
+
+def _fisher_intervals_unique(x1, x2, n1, n2, confidence):
+    """fisher_exact_intervals with its table rows chosen by np.unique."""
+    alpha = 0.5 * (1.0 - confidence)
+    x1, x2 = np.broadcast_arrays(x1, x2)
+    t = x1 + x2
+    ends = np.stack([x1 > np.maximum(0, t - n2), x1 < np.minimum(n1, t)])
+    a, b = (np.broadcast_to(v, ends.shape)[ends] for v in (x1, x2))
+    ge = np.nonzero(ends)[0] == 0
+    ts, which = np.unique(a + b, return_inverse=True)
+    woolf = np.log((a + 0.5) * (n2 - b + 0.5) / ((n1 - a + 0.5) * (b + 0.5)))
+    se = np.sqrt(1.0 / (a + 0.5) + 1.0 / (n1 - a + 0.5) + 1.0 / (b + 0.5)
+                 + 1.0 / (n2 - b + 0.5))
+    psi = np.stack([np.zeros(t.shape), np.full(t.shape, np.inf)])
+    psi[ends] = np.exp(K._invert_tails(
+        O._cond_log_coef(n1, n2, ts), which, a + ~ge, ge, math.log(alpha),
+        woolf, se, O.LOG_PSI_BOUND, str))
+    return psi[0], psi[1]
+
+
+def _sbar_elementwise(x1, x2, n1, n2, p1, p2):
+    """The standardized score as one broadcast expression."""
+    x1, x2, p1, p2 = (np.asarray(v, dtype=float) for v in (x1, x2, p1, p2))
+    a1 = p1 * (1.0 - p1)
+    a2 = p2 * (1.0 - p2)
+    pref = 1.0 / np.sqrt(1.0 / (n1 * a1) + 1.0 / (n2 * a2))
+    return pref * ((x1 / n1 - p1) / a1 - (x2 / n2 - p2) / a2)
+
+
+def _score_stats_gathered(n1, n2, p1, p2):
+    """Every outcome's score with (p1, p2) gathered from per-nuisance
+    value rows by x1 + x2 before the score is taken."""
+    ox1, ox2 = O.two_binomial_outcomes(n1, n2).T
+    tn = ox1 + ox2
+    return _sbar_elementwise(ox1, ox2, n1, n2, p1[:, tn], p2[:, tn])
+
+
+def _score_tails_gathered(n1, n2, x1, x2, theta, ge):
+    """score_tails from the gathered scores and broadcast masses."""
+    ox1, ox2 = O.two_binomial_outcomes(n1, n2).T
+    tn = ox1 + ox2
+    stats = _score_stats_gathered(n1, n2, *K._line_probs(
+        theta[:, None], np.arange(n1 + n2 + 1), n1, n2))
+    stats[:, (tn == 0) | (tn == n1 + n2)] = 0.0
+    obs = stats[np.arange(len(stats)), x1 * (n2 + 1) + x2, None]
+    keep = np.where(ge[:, None], stats >= obs - 1e-12, stats <= obs + 1e-12)
+    logm = _log_masses_broadcast(n1, n2, *K._line_probs(theta, x1 + x2, n1,
+                                                        n2))
+    return np.array([O._mass_sum(lm, k) for lm, k in zip(logm, keep)])
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _line_grid(n1, n2, rng):
+    """(p1, p2) rows over the nuisance values 0..n1+n2: the null points of
+    a few log odds ratios, then rows of uniform draws with 0 and 1 mixed
+    in."""
+    p1, p2 = K._line_probs(np.array([-3.0, 0.0, 0.4, 2.5])[:, None],
+                           np.arange(n1 + n2 + 1), n1, n2)
+    u = rng.random((2, 3, n1 + n2 + 1))
+    u[:, :, ::3] = 0.0
+    u[:, :, 1::4] = 1.0
+    return np.vstack([p1, u[0]]), np.vstack([p2, u[1]])
+
+
+class TestFactoredForms:
+    @pytest.mark.parametrize("n1,n2", FACTORED_SHAPES)
+    def test_log_masses_match_the_broadcast_form(self, n1, n2):
+        p = np.array([0.0, 1.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p1, p2 in ((p, p[::-1]), (0.0, 1.0), (0.3, p),
+                           (p[:, None], p)):
+                _assert_same_bits(O._log_masses(n1, n2, p1, p2),
+                                  _log_masses_broadcast(n1, n2, p1, p2))
+
+    @pytest.mark.parametrize("n1,n2", FACTORED_SHAPES)
+    def test_fisher_intervals_match_the_unique_route(self, n1, n2):
+        x1, x2 = O.two_binomial_outcomes(n1, n2).T
+        mid = len(x1) // 2
+        for rows in (slice(None), slice(mid, mid + 1), slice(0, 0)):
+            for confidence in (0.9, 0.95):
+                args = (x1[rows], x2[rows], n1, n2, confidence)
+                for got, want in zip(O.fisher_exact_intervals(*args),
+                                     _fisher_intervals_unique(*args)):
+                    _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n1,n2", FACTORED_SHAPES)
+    def test_line_terms_match_the_gathered_score(self, n1, n2):
+        p1, p2 = _line_grid(n1, n2, np.random.default_rng(n1 * 100 + n2))
+        ox1, ox2 = O.two_binomial_outcomes(n1, n2).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = K._sbar_combine(ox1, ox2, n1, n2,
+                                  K._sbar_line(p1, p2, n1, n2), ox1 + ox2)
+            want = _score_stats_gathered(n1, n2, p1, p2)
+            _assert_same_bits(got, want)
+            # the per-outcome kernel, on gathered and on broadcast inputs
+            tn = ox1 + ox2
+            _assert_same_bits(
+                K.sbar_profiled_batch(ox1, ox2, n1, n2, p1[:, tn], p2[:, tn]),
+                want)
+            _assert_same_bits(
+                K.sbar_profiled_batch(ox1[:, None], ox2[:, None], n1, n2,
+                                      p1[0], p2[0]),
+                _sbar_elementwise(ox1[:, None], ox2[:, None], n1, n2, p1[0],
+                                  p2[0]))
+        _assert_same_bits(K.sbar_profiled_batch(3.0, 4, n1 + 3, n2 + 4,
+                                                0.25, 0.5),
+                          _sbar_elementwise(3.0, 4, n1 + 3, n2 + 4, 0.25,
+                                            0.5))
+
+    @pytest.mark.parametrize("n1,n2", FACTORED_SHAPES[1:])
+    def test_score_tails_match_the_gathered_route(self, n1, n2):
+        x1, x2 = np.mgrid[1:n1, 1:n2].reshape(2, -1)
+        lower, upper = O.fisher_exact_intervals(x1, x2, n1, n2, 0.95)
+        ends = np.concatenate([lower, upper])
+        ok = (ends > 0.0) & np.isfinite(ends)
+        args = (np.tile(x1, 2)[ok], np.tile(x2, 2)[ok], np.log(ends[ok]),
+                np.repeat([True, False], len(x1))[ok])
+        _assert_same_bits(O.score_tails(n1, n2, *args),
+                          _score_tails_gathered(n1, n2, *args))
