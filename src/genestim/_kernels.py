@@ -305,9 +305,10 @@ def _sym_eig(a):
 
 def _sym_solve(w, U, B):
     """X with U diag(w) U^t X = B, as U diag(1/w) U^t B: a solve by a
-    positive definite block from its :func:`_sym_eig`.  For a 1 x 1 block
-    it is B / w, as LAPACK's solve rounds it."""
-    return U @ ((U.T @ B) / w[:, None])
+    positive definite block from its :func:`_sym_eig`, or by each of a
+    stack of them, w (P, k), U (P, k, k) and B (P, k, m).  For a 1 x 1
+    block it is B / w, as LAPACK's solve rounds it."""
+    return U @ ((U.mT @ B) / w[..., :, None])
 
 
 def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):

@@ -196,21 +196,24 @@ def info_report(n, p, out_dir):
     man = _manifest("info-report", {"n": n, "p": list(p)}, out_dir)
     engine = families.ExpectationEngine(mode="exact")
     suite = estimation.bernoulli_suite(n, engine)
-    fam = suite.family
+    points = np.array(p, dtype=float)[:, None]
+    # one batched call per estimator; rows and skips in p-then-estimator
+    # order, as one call per pair would give them
+    reports = [estimation.information(engine, suite.family, est, points,
+                                      direct_route=False) for est in suite]
     rows = []
-    for point in p:
-        for est in suite:
-            try:
-                rep = estimation.information(engine, fam, est, [point],
-                                             direct_route=False)
-            except (ValueError, RuntimeError) as err:
+    for i, point in enumerate(p):
+        for est, rep in zip(suite, reports):
+            err = rep.errors[i]
+            if err is not None:
                 last_err = err
                 print(f"[skip] {est.label} at p={point} "
                       f"({type(err).__name__}: {err})")
                 continue
-            rows.append((est.label, point, rep.lambda_scalar,
-                         float(rep.fisher_bound[0, 0]),
-                         float(rep.efficiency[0, 0]), float(rep.R[0, 0])))
+            rows.append((est.label, point, float(rep.lambda_scalar[i]),
+                         float(rep.fisher_bound[i, 0, 0]),
+                         float(rep.efficiency[i, 0, 0]),
+                         float(rep.R[i, 0, 0])))
     if not rows:
         _fail_numeric(last_err, out_dir)
     _write_csv(out_dir / "info_report.csv", man,
@@ -312,6 +315,18 @@ def or_endpoint_tails(n1, n2, level, out_dir):
           f"{n_over} with a tail above 0.025)")
 
 
+def _per_estimator(results) -> list:
+    """The batched results, one per estimator, at the same points; the
+    first error in point-then-estimator order is raised, as a loop over
+    points and then estimators would meet it."""
+    results = list(results)
+    for errs in zip(*(r.errors for r in results)):
+        for err in errs:
+            if err is not None:
+                raise err
+    return results
+
+
 @command("verify", opt("--n", type=SIZE, default=20))
 def verify(n):
     """Run the module-level invariant suites; nonzero exit on failure."""
@@ -333,50 +348,44 @@ def verify(n):
         mark = "PASS" if ok else "FAIL"
         print(f"[{mark}] {name}" + (f" ({text})" if text else ""))
 
-    def score_moment(p, H):
-        return float(engine.expect(fam, [p], H)[0])
-
     grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+    points = np.array(grid)[:, None]  # each grid check is one batched call
 
     def mean_score():
-        return max(abs(score_moment(
-            p, lambda Y: families.score(fam, Y, [p]))) for p in grid)
+        return float(np.max(np.abs(engine.expect(
+            fam, points, lambda Y: families.score(fam, Y, points)))))
 
     check("mean-zero score on p grid", mean_score, lambda w: w < 1e-10,
           lambda w: f"max |E s| = {w:.2e}")
 
     def information_identity():
-        worst = 0.0
-        for p in grid:
-            i_sq = score_moment(
-                p, lambda Y: families.score(fam, Y, [p]) ** 2)
-            h = families.FD_STEP * max(1.0, p)
-            i_grad = -score_moment(
-                p, lambda Y: (families.score(fam, Y, [p + h])
-                              - families.score(fam, Y, [p - h]))
-                / (2 * h))
-            worst = max(worst, abs(i_sq - i_grad) / i_sq)
-        return worst
+        i_sq = engine.expect(fam, points,
+                             lambda Y: families.score(fam, Y, points) ** 2)
+        h = families.FD_STEP * np.maximum(1.0, points)
+        i_grad = -engine.expect(
+            fam, points, lambda Y: (families.score(fam, Y, points + h)
+                                    - families.score(fam, Y, points - h))
+            / (2 * h[:, :, None]))
+        return float(np.max(np.abs(i_sq - i_grad) / i_sq))
 
     check("E(s^2) matches -E(grad s)", information_identity,
           lambda w: w < 1e-6, lambda w: f"max rel gap = {w:.2e}")
 
     def suite_residual():
-        return max(float(np.max(np.abs(
-            estimation.check_score_equation(engine, fam, est, [p]))))
-            for p in grid for est in suite)
+        res = _per_estimator(
+            estimation.check_score_equation(engine, fam, est, points)
+            for est in suite)
+        return float(max(np.abs(r.values).max() for r in res))
 
     check("score equation for the estimator suite", suite_residual,
           lambda w: w < 1e-8, lambda w: f"max residual = {w:.2e}")
 
     def suite_bound_gap():
-        gaps = []
-        for p in grid:
-            for est in suite:
-                rep = estimation.information(engine, fam, est, [p],
-                                             direct_route=False)
-                gaps.append(float((rep.fisher_bound - rep.Lambda)[0, 0]))
-        return min(gaps)
+        reps = _per_estimator(
+            estimation.information(engine, fam, est, points,
+                                   direct_route=False) for est in suite)
+        return float(min((rep.fisher_bound - rep.Lambda).min()
+                         for rep in reps))
 
     check("information bound for the estimator suite", suite_bound_gap,
           lambda gap: gap >= -1e-8)
@@ -392,12 +401,10 @@ def verify(n):
     tb = families.two_binomial(20, 30)
 
     def two_binomial_cross():
-        worst = 0.0
-        for p1, p2 in itertools.product(grid, grid):
-            point = families.two_binomial_params(p1, p2, 20, 30)
-            worst = max(worst, abs(float(
-                families.fisher_info(engine, tb, point).I_cross[0, 0])))
-        return worst
+        info, = _per_estimator([families.fisher_info(
+            engine, tb, [families.two_binomial_params(p1, p2, 20, 30)
+                         for p1, p2 in itertools.product(grid, grid)])])
+        return float(np.max(np.abs(info.I_cross[:, 0, 0])))
 
     check("two-binomial score orthogonality grid", two_binomial_cross,
           lambda w: w < 1e-10, lambda w: f"max |E s s~| = {w:.2e}")
@@ -422,13 +429,19 @@ def verify(n):
 def main(args=None, prog_name: str = "genestim"):
     """Parse ``args`` (default ``sys.argv[1:]``), run the command and exit
     with its status: 1 for a failed check, 2 for a usage error and 3 for a
-    numeric failure."""
+    numeric failure.
+
+    A command line that starts with a command builds that command's parser
+    alone; any other (help, or a name that is no command) builds them all,
+    for the list and the error message."""
+    args = sys.argv[1:] if args is None else list(args)
     parser = argparse.ArgumentParser(
         prog=prog_name, description="Generalized-estimation toolkit "
         "experiments.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 required=True)
-    for name, (fn, options) in COMMANDS.items():
+    for name in args[:1] if args[:1] and args[0] in COMMANDS else COMMANDS:
+        fn, options = COMMANDS[name]
         cmd = sub.add_parser(name, help=fn.__doc__.splitlines()[0],
                              description=fn.__doc__, allow_abbrev=False)
         for flags, kwargs in options:

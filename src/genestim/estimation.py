@@ -20,9 +20,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import _sym_eig, _sym_solve
+from ._kernels import _sym_solve
 from .families import (FD_STEP, ExpectationEngine, FisherInfo, ModelFamily,
-                       fisher_info, outer_rows, score)
+                       PerPoint, _Failures, _row, _sym_eig_rows, fisher_info,
+                       outer_rows, score)
 
 # parameter points whose projection coefficients an orthogonalized
 # estimator keeps
@@ -62,12 +63,23 @@ class GeneralizedEstimator(NamedTuple):
 
 
 def estimator_rows(g, Y, point) -> np.ndarray:
-    """(N, k) values of an estimating function at every outcome of Y."""
-    return np.asarray(g.rows(Y, point), dtype=float).reshape(len(Y), -1)
+    """(N, k) values of an estimating function at every outcome of Y, or
+    (P, N, k) at a (P, k) batch of points."""
+    point = np.asarray(point)
+    return np.asarray(g.rows(Y, point), dtype=float).reshape(
+        point.shape[:-1] + (len(Y), -1))
+
+
+def _own_errors(g, point):
+    """The errors g itself has at each point of a batch (an orthogonalized
+    estimator's projection), or None for an estimator that has none."""
+    errors = getattr(g.rows, "errors", None)
+    return errors(point) if errors is not None else None
 
 
 class InformationReport(NamedTuple):
-    """Information, bound, efficiency and score correlation at one point."""
+    """Information, bound, efficiency and score correlation at one point,
+    or at a batch of P points with a leading P axis on every field."""
 
     Lambda: np.ndarray
     lambda_scalar: float
@@ -76,6 +88,9 @@ class InformationReport(NamedTuple):
     R: np.ndarray
     route_gap: Optional[float] = None  # |direct - covariance| when both ran
     routes_agree: Optional[bool] = None
+    # at a batch, each point's first error (None where it stands); None
+    # for one point, whose error is raised
+    errors: Optional[tuple] = None
 
 
 def inv_sqrt_psd(V: np.ndarray) -> np.ndarray:
@@ -85,11 +100,21 @@ def inv_sqrt_psd(V: np.ndarray) -> np.ndarray:
     clamped: a near-singular variance invalidates everything downstream.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    w, U = _sym_eig(0.5 * (V + V.T))
-    if w[-1] <= 0.0 or w[0] < PSD_FLOOR * w[-1]:
-        raise EstimatorError(
-            f"variance matrix not positive definite (eigenvalues {w})")
-    return U @ np.diag(w ** -0.5) @ U.T
+    return _inv_sqrt_psd_rows(V[None], _Failures(V[0]))[0]
+
+
+def _inv_sqrt_psd_rows(V, fails) -> np.ndarray:
+    """:func:`inv_sqrt_psd` of each matrix of a (P, k, k) stack; a matrix
+    that is not positive definite has its EstimatorError noted in
+    ``fails`` and a NaN root, as has each point already failed."""
+    w, U, errors = _sym_eig_rows(0.5 * (V + V.mT))
+    fails.take(errors)
+    fails.note((w[:, -1] <= 0.0) | (w[:, 0] < PSD_FLOOR * w[:, -1]),
+               lambda i: EstimatorError(
+                   f"variance matrix not positive definite (eigenvalues "
+                   f"{w[i]})"))
+    # U diag(w^-1/2) U^t, each product of the diagonal a single term
+    return (U * fails.blank(w)[:, None, :] ** -0.5) @ U.mT
 
 
 def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
@@ -101,7 +126,8 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
     and G is the nuisance block of ``fisher_info``; a point where that
     block is singular raises its DomainError.  The projection term is
     absent when the family has no nuisance parameters.  The coefficients
-    are kept per point in a bounded LRU, whose ``cache_info()`` the
+    are computed per call's points, one point or a (P, k) batch in one
+    expectation, and kept in a bounded LRU, whose ``cache_info()`` the
     returned estimator's ``rows`` exposes, with the ``fisher_info`` they
     were projected by: the estimator's ``fisher_info`` lends it, so
     ``information`` takes the blocks once per point.
@@ -110,56 +136,75 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
     E[f f^t] - E f E f^t - C G^{-1} C^t, falls below DEGENERATE_RATIO of
     the trace of E[f f^t] raises EstimatorError: f is constant there or
     lies in the nuisance-score span, and what is left of g is round-off.
+    At a batch those errors do not raise: a failed point's rows are NaN,
+    and ``rows.errors(points)`` gives each point's error, None where it
+    stands.
     """
     k, kp = family.dim_interest, family.dim_nuisance
 
     @functools.lru_cache(maxsize=COEFFS_CACHE_SIZE)
     def cached_coeffs(key):
-        point = np.array(key)
+        point = np.frombuffer(key[1]).reshape(key[0])
+        fails = _Failures(point)
 
         def moments(Y):
             F = estimator_rows(f, Y, point)
             if not kp:
-                return np.hstack([F, outer_rows(F, F)])
-            S = score(family, Y, point)[:, k:]
-            return np.hstack([F, outer_rows(F, F), outer_rows(F, S)])
+                return np.concatenate([F, outer_rows(F, F)], axis=-1)
+            S = score(family, Y, point)[..., k:]
+            return np.concatenate([F, outer_rows(F, F), outer_rows(F, S)],
+                                  axis=-1)
 
-        first = engine.expect(family, point, moments)
-        mean, second = first[:k], first[k:k + k * k].reshape(k, k)
-        V = second - np.outer(mean, mean)
+        first = engine.expect(family, point, moments).reshape(
+            len(fails), -1)
+        mean = first[:, :k]
+        second = first[:, k:k + k * k].reshape(-1, k, k)
+        V = second - mean[:, :, None] * mean[:, None, :]
         proj = info = None
         if kp:
-            C = first[k + k * k:].reshape(k, kp)
+            C = first[:, k + k * k:].reshape(-1, k, kp)
             info = fisher_info(engine, family, point)
-            proj = _sym_solve(*info.nuis_eig, C.T).T
-            V = V - proj @ C.T
-        var = float(_sym_eig(0.5 * (V + V.T))[0][0])
-        scale = float(np.trace(second))
-        if not var > DEGENERATE_RATIO * scale:
-            raise EstimatorError(
-                f"{f.label} is degenerate at {list(key)}: variance {var:.2e} "
-                f"after centring and projection, E[f f^t] {scale:.2e}")
-        return mean, proj, info
+            fails.take(info.errors)
+            w, U = info.nuis_eig
+            proj = _sym_solve(w.reshape(-1, kp), U.reshape(-1, kp, kp),
+                              C.mT).mT
+            V = V - proj @ C.mT
+        w, _, errors = _sym_eig_rows(0.5 * (V + V.mT))
+        fails.take(errors)
+        var = w[:, 0]
+        scale = np.trace(second, axis1=1, axis2=2)
+        fails.note(~(var > DEGENERATE_RATIO * scale),
+                   lambda i: EstimatorError(
+                       f"{f.label} is degenerate at "
+                       f"{_row(point, i).tolist()}: variance {var[i]:.2e} "
+                       f"after centring and projection, E[f f^t] "
+                       f"{scale[i]:.2e}"))
+        if fails.single:
+            return mean[0], None if proj is None else proj[0], info, (None,)
+        return fails.blank(mean), proj, info, tuple(fails)
 
     def coeffs(point):
-        return cached_coeffs(
-            tuple(np.atleast_1d(np.asarray(point, dtype=float)).tolist()))
+        point = np.asarray(point, dtype=float)
+        return cached_coeffs((point.shape, point.tobytes()))
 
     def rows(Y, point):
-        mean, proj, _ = coeffs(point)
-        out = estimator_rows(f, Y, point) - mean
+        mean, proj, _, _ = coeffs(point)
+        out = estimator_rows(f, Y, point) - mean[..., None, :]
         if proj is not None:
-            out = out - score(family, Y, point)[:, k:] @ proj.T
+            out = out - score(family, Y, point)[..., k:] @ proj.mT
         return out
 
     def info_at(eng, fam, point):
         # the blocks are only this estimator's to lend at its own engine
-        # and family
+        # and family; with them come the points where its projection fails
         if kp and eng == engine and fam is family:
-            return coeffs(point)[2]
+            _, _, info, errors = coeffs(point)
+            return info if info.errors is None else info._replace(
+                errors=errors)
         return fisher_info(eng, fam, point)
 
     rows.cache_info = cached_coeffs.cache_info
+    rows.errors = lambda point: coeffs(point)[3]
     return GeneralizedEstimator(rows, f"{f.label}-orthogonalized", info_at)
 
 
@@ -167,10 +212,12 @@ def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
                          point, info: Optional[FisherInfo] = None):
     """The interest score with its nuisance-span projection removed.
 
-    Returns (S, I_perp) with S mapping the outcome array Y to (N, k) rows.
-    For families without nuisance parameters S is the plain interest
-    score and I_perp = I.  A precomputed ``info`` at the point is reused;
-    where the nuisance block is singular ``fisher_info`` raises DomainError.
+    Returns (S, I_perp) with S mapping the outcome array Y to (N, k) rows,
+    or (P, N, k) at a (P, k) batch with I_perp (P, k, k).  For families
+    without nuisance parameters S is the plain interest score and
+    I_perp = I.  A precomputed ``info`` at the point is reused; where the
+    nuisance block is singular ``fisher_info`` raises DomainError, or at a
+    batch notes it in ``info.errors``, and S and I_perp are NaN there.
     """
     point = family.check_point(point)
     k = family.dim_interest
@@ -178,31 +225,50 @@ def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
         info = fisher_info(engine, family, point)
     if family.dim_nuisance == 0:
         return (lambda Y: score(family, Y, point)), info.I_perp
-    proj = _sym_solve(*info.nuis_eig, info.I_cross.T).T
+    proj = _sym_solve(*info.nuis_eig, info.I_cross.mT).mT
 
     def S(Y):
         full = score(family, Y, point)
-        return full[:, :k] - full[:, k:] @ proj.T
+        return full[..., :k] - full[..., k:] @ proj.mT
 
     return S, info.I_perp
 
 
 def variance(engine, family, g, point) -> np.ndarray:
-    """V(g) = E[g g^t] at ``point``."""
+    """V(g) = E[g g^t] at ``point``, or (P, k, k) at a batch."""
     def H(Y):
         G = estimator_rows(g, Y, point)
         return outer_rows(G, G)
 
     k = family.dim_interest
-    return engine.expect(family, point, H).reshape(k, k)
+    return engine.expect(family, point, H).reshape(
+        np.shape(point)[:-1] + (k, k))
 
 
 def standardize(engine: ExpectationEngine, family: ModelFamily,
                 g: GeneralizedEstimator, point) -> Callable:
-    """Return gbar's rows, Y -> g(Y, point) V(g)^{-1/2}, with V(gbar) = I."""
-    point = family.check_point(point)
-    W = inv_sqrt_psd(variance(engine, family, g, point))
-    return lambda Y: estimator_rows(g, Y, point) @ W.T
+    """Return gbar's rows, Y -> g(Y, point) V(g)^{-1/2}, with V(gbar) = I;
+    at a (P, k) batch, (P, N, k) rows.  A point where V(g) is not
+    positive definite, or g fails, raises its error, the first point's
+    at a batch."""
+    point, fails = family.screen(point)
+    gbar = _standardize(engine, family, g, point, fails)
+    for err in fails:
+        if err is not None:
+            raise err
+    return gbar
+
+
+def _standardize(engine, family, g, point, fails) -> Callable:
+    """:func:`standardize` at a screened point or batch, each failure
+    noted in ``fails`` (raised for one point), its rows NaN."""
+    fails.take(_own_errors(g, point))
+    V = variance(engine, family, g, point).reshape(
+        len(fails), family.dim_interest, -1)
+    W = _inv_sqrt_psd_rows(V, fails)
+    if fails.single:
+        W = W[0]
+    return lambda Y: estimator_rows(g, Y, point) @ W.mT
 
 
 def information(engine: ExpectationEngine, family: ModelFamily,
@@ -211,38 +277,57 @@ def information(engine: ExpectationEngine, family: ModelFamily,
                 info: Optional[FisherInfo] = None) -> InformationReport:
     """Information utilized by g, its bound, efficiency, and correlation.
 
-    The covariance route E(s gbar^t) E(gbar s^t) is always computed;
-    when ``direct_route`` is set the squared mean slope of gbar is also
-    obtained by central finite differences and compared against it.
-    A precomputed ``info`` for the same point skips the Fisher block, as
-    do the blocks g holds there (:func:`_fisher_info_of`).
+    ``point`` is one point (k,) or a (P, k) batch, whose every step is one
+    expectation over all P points.  The covariance route
+    E(s gbar^t) E(gbar s^t) is always computed; when ``direct_route`` is
+    set the squared mean slope of gbar is also obtained by central finite
+    differences and compared against it.  A precomputed ``info`` for the
+    same point skips the Fisher block, as do the blocks g holds there
+    (:func:`_fisher_info_of`).  One point's first failure (DomainError,
+    EstimatorError) is raised; at a batch each point's is in the report's
+    ``errors``, in the order one point would meet them, and its fields
+    are NaN.
     """
-    point = family.check_point(point)
+    point, fails = family.screen(point)
     k = family.dim_interest
     if info is None:
         info = _fisher_info_of(g, engine, family, point)
+    fails.take(info.errors)
     S, bound = orthogonalized_score(engine, family, point, info)
-    gbar = standardize(engine, family, g, point)
+    gbar = _standardize(engine, family, g, point, fails)
     A = engine.expect(family, point,
-                      lambda Y: outer_rows(S(Y), gbar(Y))).reshape(k, k)
-    Lam = A @ A.T
+                      lambda Y: outer_rows(S(Y), gbar(Y))).reshape(-1, k, k)
+    Lam = A @ A.mT
 
     route_gap = None
     routes_agree = None
     if direct_route:
-        B = _mean_slope(engine, family, g, point, axes=range(k))
-        Lam_dir = B @ B.T
-        route_gap = float(np.max(np.abs(Lam_dir - Lam)))
-        routes_agree = route_gap <= ROUTE_TOL * max(
-            1.0, float(np.max(np.abs(Lam))))
+        B = _mean_slope(engine, family, g, point, range(k), fails)
+        Lam_dir = B @ B.mT
+        route_gap = np.max(np.abs(Lam_dir - Lam), axis=(1, 2))
+        routes_agree = route_gap <= ROUTE_TOL * np.maximum(
+            1.0, np.max(np.abs(Lam), axis=(1, 2)))
 
-    binv = inv_sqrt_psd(bound)
+    bound = np.reshape(bound, (-1, k, k))
+    binv = _inv_sqrt_psd_rows(bound, fails)
     eff = binv @ Lam @ binv
     R = binv @ A  # E(sbar gbar^t)
+    Lam, bound, eff, R = (fails.blank(v) for v in (Lam, bound, eff, R))
+    lam = np.trace(Lam, axis1=1, axis2=2)
+    if fails.single:
+        return InformationReport(
+            Lambda=Lam[0], lambda_scalar=float(lam[0]),
+            fisher_bound=bound[0], efficiency=eff[0], R=R[0],
+            route_gap=None if route_gap is None else float(route_gap[0]),
+            routes_agree=None if routes_agree is None
+            else bool(routes_agree[0]))
+    if direct_route:
+        route_gap = fails.blank(route_gap)
+        routes_agree = routes_agree & fails.live
     return InformationReport(
-        Lambda=Lam, lambda_scalar=float(np.trace(Lam)),
-        fisher_bound=bound, efficiency=eff, R=R,
-        route_gap=route_gap, routes_agree=routes_agree)
+        Lambda=Lam, lambda_scalar=lam, fisher_bound=bound, efficiency=eff,
+        R=R, route_gap=route_gap, routes_agree=routes_agree,
+        errors=fails.result())
 
 
 def _fisher_info_of(g, engine, family, point) -> FisherInfo:
@@ -252,21 +337,28 @@ def _fisher_info_of(g, engine, family, point) -> FisherInfo:
 
 
 def _shifted(point, j, step) -> np.ndarray:
-    """``point`` with coordinate j moved by ``step``."""
+    """``point`` with coordinate j moved by ``step``, one per point of a
+    batch."""
     q = point.copy()
-    q[j] += step
+    q[..., j] += step
     return q
 
 
-def _fitted_step(family, point, j, h, room) -> float:
-    """h, halved until theta_j +- room * h are in the family's domain."""
-    while not all(family.in_domain(_shifted(point, j, c * h))
-                  for c in (room, -room)):
-        h *= 0.5
-    return h
+def _fitted_step(family, point, j, h, room) -> np.ndarray:
+    """h, halved until theta_j +- room * h are in the family's domain, per
+    point of a batch (NaN rows, points failed before, keep theirs)."""
+    h = np.array(h, dtype=float)
+    skip = np.isnan(point[..., j])
+    while True:
+        short = ~skip & ~(np.asarray(family.in_domain(
+            _shifted(point, j, room * h))) & np.asarray(family.in_domain(
+                _shifted(point, j, -room * h))))
+        if not short.any():
+            return h
+        h = np.where(short, 0.5 * h, h)
 
 
-def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
+def _mean_slope(engine, family, g, point, axes, fails=None) -> np.ndarray:
     """E[d gbar_b / d theta_a] by central differences of the standardized g.
 
     The derivative is of the whole standardized map (g and its variance
@@ -274,20 +366,24 @@ def _mean_slope(engine, family, g, point, axes) -> np.ndarray:
     domain's edge the step h is halved until theta_a +- STENCIL_ROOM * h
     are in the domain: the stencil stays inside, and its truncation
     error, of order (h/d)^2 at distance d from the edge, stays small.
+    Failures at the stencil's points are noted in ``fails`` for the point
+    (raised for one point, or without ``fails``).  (A, k) for one point,
+    (P, A, k) at a batch.
     """
-    k = family.dim_interest
+    fails = _Failures(point) if fails is None else fails
     rows = []
     for j in axes:
-        h = _fitted_step(family, point, j, FD_STEP * max(1.0, abs(point[j])),
+        h = _fitted_step(family, point, j,
+                         FD_STEP * np.maximum(1.0, np.abs(point[..., j])),
                          STENCIL_ROOM)
         qp, qm = _shifted(point, j, h), _shifted(point, j, -h)
-        gp = standardize(engine, family, g, qp)
-        gm = standardize(engine, family, g, qm)
+        gp = _standardize(engine, family, g, qp, fails)
+        gm = _standardize(engine, family, g, qm, fails)
         # divide by the step the rounded points actually take
-        step = qp[j] - qm[j]
+        step = (qp[..., j] - qm[..., j])[..., None, None]
         rows.append(engine.expect(
             family, point, lambda Y: (gp(Y) - gm(Y)) / step))
-    return np.array(rows).reshape(-1, k)
+    return np.stack(rows, axis=-2)
 
 
 def nuisance_information(engine, family, g, point) -> np.ndarray:
@@ -296,42 +392,54 @@ def nuisance_information(engine, family, g, point) -> np.ndarray:
     k = family.dim_interest
     axes = range(k, family.dim)
     B = _mean_slope(engine, family, g, point, axes=list(axes))
-    return B @ B.T
+    return B @ B.mT
 
 
 def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
-                         g, point) -> np.ndarray:
+                         g, point):
     """Residual E(grad g^t) + E(s g^t); near-zero certifies the identity.
 
     The derivative is a five-point stencil of step h = 1e-4 max(1, |theta_j|),
     halved near the domain's edge until theta_j +- SCORE_STENCIL_ROOM * h
-    are in the domain.
+    are in the domain.  One point gives the (k, k) residual and raises its
+    first failure; a (P, k) batch, in one expectation, gives a
+    :class:`families.PerPoint` of the (P, k, k) residuals and each point's
+    first error, in the order one point would meet them.
     """
-    point = family.check_point(point)
+    point, fails = family.screen(point)
     k = family.dim_interest
-    S, _ = orthogonalized_score(engine, family, point,
-                                _fisher_info_of(g, engine, family, point))
-    steps = [_fitted_step(family, point, j, 1e-4 * max(1.0, abs(point[j])),
+    info = _fisher_info_of(g, engine, family, point)
+    fails.take(info.errors)
+    S, _ = orthogonalized_score(engine, family, point, info)
+    steps = [_fitted_step(family, point, j,
+                          1e-4 * np.maximum(1.0, np.abs(point[..., j])),
                           SCORE_STENCIL_ROOM) for j in range(k)]
+    # fourth-order five-point stencil: the residual certifies an exact
+    # identity, so truncation error has to stay well below the
+    # certification tolerance
+    stencil = [[_shifted(point, j, c * h) for c in (-2.0, -1.0, 1.0, 2.0)]
+               for j, h in enumerate(steps)]
+    for q in (*(q for qs in stencil for q in qs), point):
+        fails.take(_own_errors(g, q))
 
     def grad_g(Y):
-        """(N, k, k) rows: entry [i, j, b] is d g_b / d theta_j at Y[i]."""
+        """(..., N, k, k) rows: entry [i, j, b] is d g_b / d theta_j at
+        Y[i]."""
         rows = []
-        for j, h in enumerate(steps):
-            # fourth-order five-point stencil: the residual certifies an
-            # exact identity, so truncation error has to stay well below
-            # the certification tolerance
-            vals = [estimator_rows(g, Y, _shifted(point, j, c * h))
-                    for c in (-2.0, -1.0, 1.0, 2.0)]
+        for qs, h in zip(stencil, steps):
+            vals = [estimator_rows(g, Y, q) for q in qs]
             rows.append((vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3])
-                        / (12.0 * h))
-        return np.stack(rows, axis=1)
+                        / (12.0 * h[..., None, None]))
+        return np.stack(rows, axis=-2)
 
     def H(Y):
-        return (grad_g(Y).reshape(len(Y), -1)
+        return (grad_g(Y).reshape(point.shape[:-1] + (len(Y), -1))
                 + outer_rows(S(Y), estimator_rows(g, Y, point)))
 
-    return engine.expect(family, point, H).reshape(k, k)
+    res = engine.expect(family, point, H).reshape(-1, k, k)
+    if fails.single:
+        return res[0]
+    return PerPoint(fails.blank(res), fails.result())
 
 
 class ScalingRow(NamedTuple):
@@ -472,18 +580,25 @@ def bernoulli_suite(n: int, engine: Optional[ExpectationEngine] = None
     from .families import bernoulli_sum
     fam = bernoulli_sum(n)
     reg = EstimatorRegistry(family=fam)
+
+    def p_of(point):
+        """p as (1,) for one point or (P, 1) for a batch: each estimator's
+        rows broadcast over the batch to (P, N, 1)."""
+        return np.asarray(point, dtype=float)[..., :1]
+
     reg.register(GeneralizedEstimator(
         label="score", rows=functools.partial(score, fam)))
     reg.register(GeneralizedEstimator(
         label="centered-proportion",
-        rows=lambda Y, point: (Y / n - point[0])[:, None]))
+        rows=lambda Y, point: (Y / n - p_of(point))[..., None]))
     reg.register(GeneralizedEstimator(
         label="centered-shrinkage",
-        rows=lambda Y, point: ((Y * (1.0 - point[0]) - (n - Y) * point[0])
-                               / (n + 4.0))[:, None]))
+        rows=lambda Y, point: ((Y * (1.0 - p_of(point))
+                                - (n - Y) * p_of(point))
+                               / (n + 4.0))[..., None]))
     sign_pre = PreEstimator(
         label="sign-coarse",
         rows=lambda Y, point: np.copysign(
-            1.0, Y - n * point[0] - 0.5)[:, None])
+            1.0, Y - n * p_of(point) - 0.5)[..., None])
     reg.register(orthogonalize(engine, fam, sign_pre))
     return reg

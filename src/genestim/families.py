@@ -3,13 +3,21 @@
 A :class:`ModelFamily` is a support descriptor plus two row callables
 over a whole outcome array Y, (N,) or (N, d): the log-density and the
 full score, one row per outcome.  A single outcome is a one-row Y.
-Parameter points are flat float arrays ``(interest..., nuisance...)``.
-Every finite family is an exponential family on its outcome grid, built
-by :func:`finite_exponential_family` from log h, T and the natural
+Parameter points are flat float arrays ``(interest..., nuisance...)``,
+and a (P, k) array is a batch of P points: the row callables of the
+built-in families broadcast over it, giving (P, N, ...) rows, and a
+point's rows do not depend on the batch it comes in.  Every finite
+family is an exponential family on its outcome grid, built by
+:func:`finite_exponential_family` from log h, T and the natural
 parameter.  The :class:`ExpectationEngine` evaluates expectations of
-row maps H(Y) either by exact enumeration over a finite support or by
-seeded Monte Carlo; both are one weighted sum over the rows of an
-(N, m) outcome matrix.
+row maps H(Y) either by exact enumeration over a finite support, at one
+point or a batch, or by seeded Monte Carlo at one point; both are one
+weighted sum over the rows of an (N, m) outcome matrix per point.
+
+A batched call of the information layer (``fisher_info`` here, and
+``estimation``'s) reports each point's first failure in its result's
+``errors`` instead of raising, and a failed point's values are NaN; a
+one-point call raises that failure as it is met.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # parameter points whose natural parameter, A(eta) and E T each finite
 # exponential family keeps
 STATS_CACHE_SIZE = 4096
+# (point, outcome, score product) elements per block of fisher_info's
+# points: a batch whose (P, N, d^2) score products would hold more is taken
+# in blocks, as small as one point where one point fills a block
+POINT_BLOCK = 4096
 
 
 class DomainError(ValueError):
@@ -35,6 +47,54 @@ class DomainError(ValueError):
 
 class EngineError(RuntimeError):
     """Expectation engine misuse (e.g. Monte Carlo without a sampler)."""
+
+
+class _Failures(list):
+    """The first error met at each point of a call, None while the point
+    stands.  For one point, a (k,) array, an error is raised where it is
+    met instead, as a one-point call always did."""
+
+    def __init__(self, point):
+        self.single = np.ndim(point) == 1
+        self.clean = True  # no error noted yet
+        super().__init__([None] * (1 if self.single else len(point)))
+
+    @property
+    def live(self) -> np.ndarray:
+        """(P,) mask of the points with no error yet."""
+        return np.array([err is None for err in self], dtype=bool)
+
+    def note(self, bad, error):
+        """Note ``error(i)`` at each point i where ``bad`` holds that has
+        none yet; the message is built only for those."""
+        for i in np.flatnonzero(bad):
+            if self[i] is None:
+                if self.single:
+                    raise error(i)
+                self[i] = error(i)
+                self.clean = False
+
+    def take(self, errors):
+        """Note the per-point errors of a call on the same points."""
+        if errors is not None and any(err is not None for err in errors):
+            self.note([err is not None for err in errors],
+                      errors.__getitem__)
+
+    def blank(self, values):
+        """``values`` (P, ...) with the rows of the failed points NaN."""
+        if self.clean:
+            return values
+        return np.where(self.live.reshape((-1,) + (1,) * (values.ndim - 1)),
+                        values, np.nan)
+
+    def result(self):
+        """The ``errors`` a result carries: None for one point."""
+        return None if self.single else tuple(self)
+
+
+def _row(point, i):
+    """Point i of a (P, k) batch, or the one (k,) point."""
+    return point if point.ndim == 1 else point[i]
 
 
 class _Support(NamedTuple):
@@ -104,12 +164,44 @@ class ModelFamily(_Family):
         return self.dim_interest + self.dim_nuisance
 
     def check_point(self, point) -> np.ndarray:
+        """``point`` as a float array, (k,) or a (P, k) batch; DomainError
+        for the first point outside the domain.  A batch's NaN rows pass:
+        they are points that failed earlier in a batched call, and every
+        value at them is NaN."""
+        point = self._as_point(point)
+        if point.ndim == 1:
+            if not self.in_domain(point):
+                raise DomainError(
+                    f"{self.label}: point {point} outside domain")
+            return point
+        ok = self.in_domain(point)
+        if not ok.all():
+            ok = ok | np.isnan(point).all(axis=1)
+            if not ok.all():
+                raise DomainError(
+                    f"{self.label}: point {point[int(np.argmin(ok))]} "
+                    f"outside domain")
+        return point
+
+    def screen(self, point):
+        """(point, failures) for a call of the information layer: the
+        point as a float array, (k,) or a (P, k) batch, whose points
+        outside the domain (NaN rows included) have their DomainError noted
+        in the :class:`_Failures` and their rows set to NaN.  For one point
+        outside the domain the DomainError is raised."""
+        point = self._as_point(point)
+        fails = _Failures(point)
+        ok = self.in_domain(point)
+        if not np.all(ok):
+            fails.note(~np.reshape(ok, -1), lambda i: DomainError(
+                f"{self.label}: point {_row(point, i)} outside domain"))
+        return fails.blank(point), fails
+
+    def _as_point(self, point) -> np.ndarray:
         point = np.atleast_1d(np.asarray(point, dtype=float))
-        if point.shape != (self.dim,):
+        if point.shape[-1:] != (self.dim,) or point.ndim > 2:
             raise DomainError(
                 f"{self.label}: expected {self.dim} parameters, got {point.shape}")
-        if not self.in_domain(point):
-            raise DomainError(f"{self.label}: point {point} outside domain")
         return point
 
 
@@ -134,23 +226,35 @@ class ExpectationEngine(_Engine):
         return value
 
     def expect_se(self, family: ModelFamily, point, H):
-        """Return (E[H], se) for H mapping the outcome array to (N, ...) rows.
+        """Return (E[H], se) for H mapping the outcome array to rows.
 
-        Exact mode is pmf @ H(outcomes); Monte Carlo mode averages H over
-        seeded draws.  The result has the shape of one row ((N,) counts as
-        (N, 1)); se is None in exact mode.
+        ``point`` is one point (k,), with H giving (N, ...) rows, or in
+        exact mode a (P, k) batch, with H giving (P, N, ...) rows, row p
+        at point p.  Exact mode is pmf @ H(outcomes), the pmf a (P, N)
+        array (one point is P = 1); Monte Carlo mode averages H over
+        seeded draws at one point and raises EngineError for a batch.
+        The result has the shape of one row ((N,) counts as (N, 1)), after
+        the batch's P; se is None in exact mode.  A batch's NaN rows give
+        NaN results (see :meth:`ModelFamily.check_point`).
         """
+        if self.mode == "mc" and np.ndim(point) > 1:
+            raise EngineError(
+                f"{family.label}: Monte Carlo takes one point, not a batch "
+                f"of {len(point)}")
         point = family.check_point(point)
         if self.mode == "exact":
             if family.support.outcomes is None:
                 raise EngineError("exact enumeration needs a finite support")
             Y = family.support.outcomes
-            vals = _as_rows(H(Y))
-            w = np.exp(family.log_density_rows(Y, point))
+            lead = point.shape[:-1]
+            vals = np.asarray(H(Y), dtype=float)
+            w = np.exp(family.log_density_rows(Y, point)).reshape(-1, len(Y))
             # pmf @ vals as an elementwise weighted row sum: the first BLAS
             # matrix-vector call would raise each process's peak RSS
-            mean = (w[:, None] * vals.reshape(len(Y), -1)).sum(axis=0)
-            return mean.reshape(vals.shape[1:]), None
+            mean = (w[:, :, None] * vals.reshape(len(w), len(Y), -1)).sum(
+                axis=1)
+            return mean.reshape(lead + (vals.shape[len(lead) + 1:] or (1,))), \
+                None
         if family.support.sampler is None:
             raise EngineError(f"{family.label}: Monte Carlo needs a sampler")
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -167,57 +271,111 @@ def _as_rows(vals) -> np.ndarray:
 
 
 def outer_rows(A, B) -> np.ndarray:
-    """Row-wise flattened outer products: row i is outer(A[i], B[i]).ravel()."""
-    return (A[:, :, None] * B[:, None, :]).reshape(len(A), -1)
+    """Row-wise flattened outer products: row i is outer(A[i], B[i]).ravel(),
+    over any leading axes, as (..., N, a) and (..., N, b) batches of rows."""
+    return (A[..., :, None] * B[..., None, :]).reshape(A.shape[:-1] + (-1,))
 
 
 def score(family: ModelFamily, Y, point) -> np.ndarray:
     """Full scores (interest then nuisance) of every outcome of Y, as
-    (N, k + k') rows."""
+    (N, k + k') rows, or (P, N, k + k') at a batch of points."""
     return family.score_rows(Y, family.check_point(point))
 
 
 class FisherInfo(NamedTuple):
     """Score covariance blocks partitioned by interest/nuisance, and the
-    eigendecomposition of the nuisance block that certified it."""
+    eigendecomposition of the nuisance block that certified it; at a
+    batch of P points each field has a leading P axis."""
 
     I: np.ndarray  # noqa: E741 - matches the standard symbol
     I_cross: np.ndarray
     I_nuis: np.ndarray
     I_perp: np.ndarray
     nuis_eig: tuple  # (w, U) with I_nuis = U diag(w) U^t, w ascending
+    # at a batch, each point's first error (None where it stands); None
+    # for one point, whose error is raised
+    errors: Optional[tuple] = None
+
+
+class PerPoint(NamedTuple):
+    """A batched call's values, (P, ...), NaN at the points that failed,
+    and each point's first error, None where it stands."""
+
+    values: np.ndarray
+    errors: tuple
 
 
 def fisher_info(engine: ExpectationEngine, family: ModelFamily,
                 point) -> FisherInfo:
-    """Blocks of E[score score^t], plus the Schur complement I_perp; a
-    singular nuisance block (not identified, no I_perp) raises DomainError:
-    one not finite, or not positive definite with 2-norm condition <= 1e12.
-    One eigendecomposition of the nuisance block decides that and solves
-    by it."""
-    point = family.check_point(point)
-    k, kp = family.dim_interest, family.dim_nuisance
+    """Blocks of E[score score^t], plus the Schur complement I_perp, at
+    one point or a (P, k) batch (one expectation per POINT_BLOCK); a
+    singular nuisance
+    block (not identified, no I_perp) is a DomainError: one not finite, or
+    not positive definite with 2-norm condition <= 1e12.  One
+    eigendecomposition of the nuisance block decides that and solves by
+    it.  A point outside the domain or with a singular block raises its
+    error for one point; at a batch it is in ``errors`` and its blocks
+    are NaN."""
+    k, kp, d = family.dim_interest, family.dim_nuisance, family.dim
+    point, Y = np.asarray(point, dtype=float), family.support.outcomes
+    size = max(1, POINT_BLOCK // (len(Y) * d * d)) if Y is not None else 1
+    if point.ndim > 1 and len(point) > size:
+        parts = [fisher_info(engine, family, point[i:i + size])
+                 for i in range(0, len(point), size)]
+        return FisherInfo(
+            *(np.concatenate(v) for v in zip(*(part[:4] for part in parts))),
+            tuple(map(np.concatenate, zip(*(part[4] for part in parts)))),
+            sum((part.errors for part in parts), ()))
+    point, fails = family.screen(point)
 
     def outer(Y):
         S = score(family, Y, point)
         return outer_rows(S, S)
 
-    full = engine.expect(family, point, outer).reshape(
-        family.dim, family.dim)
-    I = full[:k, :k]
-    I_cross = full[:k, k:]
-    I_nuis = full[k:, k:]
+    full = engine.expect(family, point, outer).reshape(-1, d, d)
+    I = full[:, :k, :k]
+    I_cross = full[:, :k, k:]
+    I_nuis = full[:, k:, k:]
     if kp == 0:
-        return FisherInfo(I, I_cross, I_nuis, I.copy(),
-                          (np.zeros(0), np.zeros((0, 0))))
-    finite = np.isfinite(I_nuis).all()
-    w, U = _sym_eig(I_nuis) if finite else ([0.0], None)  # w ascending
-    if not (w[-1] > 0.0 and w[0] >= 1e-12 * w[-1]):
-        raise DomainError(
+        w, U = np.zeros((len(full), 0)), np.zeros((len(full), 0, 0))
+        I_perp = I.copy()
+    else:
+        finite = np.isfinite(I_nuis).all(axis=(1, 2))
+        w, U, _ = _sym_eig_rows(I_nuis)  # w ascending; NaN where not finite
+        certified = finite & (w[:, -1] > 0.0) & (w[:, 0] >= 1e-12 * w[:, -1])
+        fails.note(~certified, lambda i: DomainError(
             f"{family.label}: singular nuisance information at "
-            f"{point.tolist()}; the nuisance is not identified there")
-    return FisherInfo(I, I_cross, I_nuis,
-                      I - I_cross @ _sym_solve(w, U, I_cross.T), (w, U))
+            f"{_row(point, i).tolist()}; the nuisance is not identified "
+            f"there"))
+        w = fails.blank(w)
+        I_perp = I - I_cross @ _sym_solve(w, U, I_cross.mT)
+    blocks = [fails.blank(v) for v in (I, I_cross, I_nuis, I_perp)]
+    if fails.single:
+        return FisherInfo(*(v[0] for v in blocks), (w[0], U[0]))
+    return FisherInfo(*blocks, (w, U), fails.result())
+
+
+def _sym_eig_rows(a):
+    """(w, U, errors): :func:`_kernels._sym_eig` of each matrix of a (P, k, k)
+    stack, w (P, k) and U (P, k, k), and the RuntimeError it raises for a
+    matrix (a non-finite entry, or no convergence), whose w and U are NaN.
+    A 1 x 1 matrix is its own eigenvalue with eigenvector 1, bit for bit
+    as ``_sym_eig`` returns it, with no per-matrix call."""
+    P, k = len(a), a.shape[-1]
+    errors = [None] * P
+    if k == 1:
+        w, U = a[:, 0, :].copy(), np.ones((P, 1, 1))
+        todo = np.flatnonzero(~np.isfinite(w[:, 0]))
+    else:
+        w, U = np.empty((P, k)), np.empty((P, k, k))
+        todo = range(P)
+    for i in todo:
+        try:
+            w[i], U[i] = _sym_eig(a[i])
+        except RuntimeError as err:
+            errors[i] = err
+            w[i], U[i] = np.nan, np.nan
+    return w, U, errors
 
 
 # ---------------------------------------------------------------------------
@@ -276,65 +434,105 @@ def finite_exponential_family(label, outcomes, log_h, T, natural, k, kp,
     """Exponential family log f(y) = log h(y) + T(y).eta - A(eta) on a grid.
 
     ``log_h(Y)`` -> (N,) and ``T(Y)`` -> (N, m) act on outcome rows;
-    ``natural(point)`` returns the natural parameter eta (m,) and its
-    Jacobian J = d eta / d point, (m, k + k'), and raises DomainError
-    where the point has none.  A(eta) is the log-sum-exp of
-    log h + T.eta over ``outcomes`` and E T is taken under the same pmf,
-    so the score is (T - E T) J.  ``sampler(rng, eta, size)`` draws at
-    eta.  A point is in the domain when ``in_domain`` holds and
-    ``natural`` accepts it.
+    ``natural(points)`` maps a (P, k + k') array of points to the natural
+    parameter eta (P, m) and its Jacobian J = d eta / d point,
+    (P, m, k + k'), with NaN where a point has none.  A(eta) is the
+    log-sum-exp of log h + T.eta over ``outcomes`` and E T is taken under
+    the same pmf, so the score is (T - E T) J.  ``in_domain(point)``
+    broadcasts over a (P, k) batch, giving a (P,) mask, as do both row
+    forms, giving (P, N, ...) rows.  ``sampler(rng, eta, size)`` draws at
+    eta.  A point is in the domain when ``in_domain`` holds and its eta is
+    finite.
 
-    eta, J, c, A and E[T - c] are kept per point in one bounded LRU,
-    reachable as ``meta["stats"]`` with ``cache_info()``.  c is T at the
-    mode: centring T there leaves the law unchanged but keeps (T - c).eta
-    and T - c - E[T - c] small where the mass is, so large |eta| costs no
+    eta, J, c, A and E[T - c] are array functions of the points, kept per
+    call's points (one point or a batch) in one bounded LRU, reachable as
+    ``meta["stats"]`` with ``cache_info()``.  c is T at the mode: centring
+    T there leaves the law unchanged but keeps (T - c).eta and
+    T - c - E[T - c] small where the mass is, so large |eta| costs no
     precision there.
     """
     LH, TY = log_h(outcomes), T(outcomes)
 
     # the domain check, both row forms and the sampler all need eta at the
-    # same point; a rejected point raises, and lru_cache stores no failure.
-    # Products with eta and J are einsum sums, not @: no BLAS call, and a
-    # row's value does not depend on how many rows come with it.
+    # same points; the key is the points' shape and bytes, so a batch with
+    # NaN rows is found again.  Products with eta and J are summed term by
+    # term (_contract): no BLAS or einsum kernel, each of which maps more of
+    # NumPy's code into the process, and a row's value does not depend on
+    # how many rows or points come with it.  A is log-summed by math.log
+    # per point, as np.log rounds a few values in 10^4 differently.
     @functools.lru_cache(maxsize=STATS_CACHE_SIZE)
     def stats(key):
-        eta, J = natural(np.array(key))
-        top = int((LH + np.einsum("nm,m->n", TY, eta)).argmax())
+        points = np.frombuffer(key[1]).reshape(-1, key[0][-1])
+        eta, J = natural(points)
+        top = (LH + _contract(TY, eta)).argmax(axis=1)
         c = TY[top]
-        Tc = TY - c
-        x = LH + np.einsum("nm,m->n", Tc, eta)
-        A = x[top] + math.log(np.exp(x - x[top]).sum())
-        w = np.exp(x - A)
-        return eta, J, c, A, (w[:, None] * Tc).sum(axis=0)
+        Tc = TY - c[:, None]
+        x = LH + _contract(Tc, eta)
+        x_top = x[np.arange(len(x)), top]
+        A = x_top + np.array([math.log(v) for v in np.exp(
+            x - x_top[:, None]).sum(axis=1).tolist()])
+        w = np.exp(x - A[:, None])
+        return eta, J, c, A, (w[:, :, None] * Tc).sum(axis=1)
 
     def at(point):
-        return stats(tuple(np.asarray(point, dtype=float).tolist()))
+        return stats((point.shape, point.tobytes()))
 
     def accepts(point):
-        if not in_domain(point):
-            return False
-        try:
-            at(point)
-        except DomainError:
-            return False
-        return True
+        point = np.asarray(point, dtype=float)
+        ok = in_domain(point)
+        if point.ndim == 1:  # one point: Python's bool and isfinite
+            return bool(ok) and all(map(math.isfinite, at(point)[0][0]))
+        if ok.all():
+            eta = at(point)[0]
+        elif ok.any():
+            eta = at(np.where(ok[:, None], point, np.nan))[0]
+        else:
+            return ok
+        return ok & np.isfinite(eta).all(axis=1)
 
     def log_density_rows(Y, point):
+        point = np.asarray(point, dtype=float)
         eta, _, c, A, _ = at(point)
-        return log_h(Y) + np.einsum("nm,m->n", T(Y) - c, eta) - A
+        # log h + (T - c).eta - A, the sums taken in place
+        rows = _contract(T(Y) - c[:, None], eta)
+        rows += log_h(Y)
+        rows -= A[:, None]
+        return rows[0] if point.ndim == 1 else rows
 
     def score_rows(Y, point):
+        point = np.asarray(point, dtype=float)
         _, J, c, _, mean_Tc = at(point)
-        return np.einsum("nm,ma->na", (T(Y) - c) - mean_Tc, J)
+        centred = T(Y) - c[:, None]
+        centred -= mean_Tc[:, None]
+        rows = _contract(centred, J)
+        return rows[0] if point.ndim == 1 else rows
 
     def draw(rng, point, size):
-        return sampler(rng, at(point)[0], size)
+        return sampler(rng, at(np.asarray(point, dtype=float))[0][0], size)
 
     support = SupportDescriptor(outcomes=outcomes, sampler=draw)
     return ModelFamily(
         label=label, support=support, dim_interest=k, dim_nuisance=kp,
         in_domain=accepts, log_density_rows=log_density_rows,
         score_rows=score_rows, meta={**meta, "stats": stats})
+
+
+def _contract(X, M) -> np.ndarray:
+    """X, (N, m) or (P, N, m), times M per point, summed over m one term
+    at a time in order: M (P, m) gives (P, N), M (P, m, a) gives
+    (P, N, a).  For m <= 2 each row is bit for bit einsum's."""
+    vec = M.ndim == 2
+    M = M[:, :, None] if vec else M
+    out = X[..., 0, None] * M[:, None, 0, :]
+    for j in range(1, M.shape[1]):
+        out += X[..., j, None] * M[:, None, j, :]
+    return out[..., 0] if vec else out
+
+
+def _math_map(fn, x) -> np.ndarray:
+    """``fn`` of each element of x by Python's ``math``: ``math.log``
+    rounds a few values in 10^4 apart from ``np.log``."""
+    return np.array([fn(v) for v in x.tolist()])
 
 
 def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
@@ -346,18 +544,18 @@ def bernoulli_sum(n: int, parameterization: str = "p") -> ModelFamily:
     n = _check_n(n)
     if parameterization == "p":
         def in_domain(point):
-            return 0.0 < point[0] < 1.0
+            return (0.0 < point[..., 0]) & (point[..., 0] < 1.0)
 
-        def natural(point):
-            p = float(point[0])
-            return (np.array([math.log(p) - math.log1p(-p)]),
-                    np.array([[1.0 / (p * (1.0 - p))]]))
+        def natural(points):
+            p = points[:, 0]
+            eta = _math_map(math.log, p) - _math_map(math.log1p, -p)
+            return eta[:, None], (1.0 / (p * (1.0 - p)))[:, None, None]
     elif parameterization == "logit":
         def in_domain(point):
-            return np.isfinite(point[0])
+            return np.isfinite(point[..., 0])
 
-        def natural(point):
-            return np.array([float(point[0])]), np.ones((1, 1))
+        def natural(points):
+            return points[:, :1].copy(), np.ones((len(points), 1, 1))
     else:
         raise ValueError(f"unknown parameterization {parameterization!r}")
 
@@ -483,7 +681,7 @@ def two_binomial(n1: int, n2: int) -> ModelFamily:
     and nuisance tnuis = n1*p1 + n2*p2 (score-orthogonal to theta).
 
     The natural parameter is (logit p1, logit p2); ``meta["stats"]`` holds
-    the one (theta, tnuis) -> (p1, p2) inversion made per point.
+    the one (theta, tnuis) -> (p1, p2) inversion made per call's points.
     """
     n1 = _check_n(n1)
     n2 = _check_n(n2)
@@ -491,17 +689,19 @@ def two_binomial(n1: int, n2: int) -> ModelFamily:
     lg2 = log_choose(n2, np.arange(n2 + 1))
 
     def in_domain(point):
-        return 0.0 < point[1] < n1 + n2 and np.isfinite(point[0])
+        return ((0.0 < point[..., 1]) & (point[..., 1] < n1 + n2)
+                & np.isfinite(point[..., 0]))
 
-    def natural(point):
-        p1, p2 = two_binomial_probs(point[0], point[1], n1, n2)
+    def natural(points):
+        # NaN where the line has no (p1, p2) in (0, 1)^2
+        p1, p2 = _line_probs(points[:, 0], points[:, 1], n1, n2)
         a1, a2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
         den = n1 * a1 + n2 * a2
         # d(logit p1, logit p2) / d(theta, tnuis) from theta = eta1 - eta2
         # and tnuis = n1 p1 + n2 p2
-        return (np.array([_logit(p1), _logit(p2)]),
-                np.array([[n2 * a2 / den, 1.0 / den],
-                          [-n1 * a1 / den, 1.0 / den]]))
+        one = np.ones_like(den)
+        J = np.stack([n2 * a2, one, -n1 * a1, one], axis=1) / den[:, None]
+        return _logit(np.stack([p1, p2], axis=1)), J.reshape(-1, 2, 2)
 
     def sampler(rng, eta, size):
         p1, p2 = _expit(eta)

@@ -165,6 +165,27 @@ def test_launched_cli_freezes_the_import_heap(tmp_path, launch):
     assert (tmp_path / "interval.json").exists()
 
 
+@pytest.mark.parametrize("launch", sorted(LAUNCH))
+def test_launched_cli_looks_up_no_message_catalog(tmp_path, launch):
+    # argparse's strings print as written, with no gettext lookup, which
+    # would import locale; a usage error (exit status 2, which the launch
+    # script reports) reads as it always did
+    code = _launch_script(launch, ["binom-ci", "--n", "20", "--y", "6",
+                                   "--out-dir", str(tmp_path)]) + (
+        "assert 'locale' not in sys.modules, 'gettext looked up'\n")
+    subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                   check=True, capture_output=True, text=True, timeout=120)
+    out = subprocess.run(
+        [sys.executable, "-c", _launch_script(launch, ["binom-ci", "--n",
+                                                       "0", "--y", "0"])],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    lines = out.stderr.splitlines()
+    assert lines[0].startswith("usage: genestim binom-ci")
+    assert ("genestim binom-ci: error: argument --n: must be at least 1, "
+            "got 0") in lines
+    assert lines[-1] == "AssertionError: 2"
+
+
 def test_import_and_in_process_main_leave_the_collector_alone(tmp_path):
     code = ("import gc, genestim._entry, genestim.cli\n"
             "print(gc.get_freeze_count())\n"
@@ -289,13 +310,14 @@ def test_import_leaves_the_environment_alone():
     env = _subprocess_env()
     env["OPENBLAS_NUM_THREADS"] = "2"
     env.pop("OMP_NUM_THREADS", None)
-    code = ("import os, sys; before = dict(os.environ); "
+    code = ("import os, sys, gettext; before = dict(os.environ); "
             "import genestim._entry, genestim.cli; "
             "print(dict(os.environ) == before, "
-            "sys.modules.get('_hashlib', 'unset') is not None)")
+            "sys.modules.get('_hashlib', 'unset') is not None, "
+            "genestim.cli.argparse._ is gettext.gettext)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "True True"
+    assert out.stdout.strip() == "True True True"
 
 
 def _write_csv_per_value(path, manifest, header, rows):

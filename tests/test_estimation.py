@@ -209,20 +209,34 @@ def test_the_information_layer_sorts_nothing(monkeypatch):
 
 
 def _run_the_information_layer():
+    # one point, and batches of points with a failing one among them
     suite = E.bernoulli_suite(20, ENGINE)
+    points = np.array([[0.3], [0.999], [1.5], [0.6]])
     for est in suite:
         E.information(ENGINE, suite.family, est, [0.3])
         E.check_score_equation(ENGINE, suite.family, est, [0.3])
+        rep = E.information(ENGINE, suite.family, est, points)
+        assert rep.errors[0] is None and rep.errors[2] is not None
+        res = E.check_score_equation(ENGINE, suite.family, est, points)
+        assert res.errors[0] is None and res.errors[2] is not None
     tb = F.two_binomial(20, 30)
     point = F.two_binomial_params(0.3, 0.6, 20, 30)
+    batch = [point, F.two_binomial_params(0.5, 0.2, 20, 30), (0.1, 60.0)]
     assert F.fisher_info(ENGINE, tb, point).I_perp[0, 0] > 0.0
+    info = F.fisher_info(ENGINE, tb, batch)
+    assert (info.I_perp[:2, 0, 0] > 0.0).all() and info.errors[2] is not None
     g = E.orthogonalize(ENGINE, tb, E.PreEstimator(
-        lambda Y, point: _column(Y[:, 0]), "first-count"))
+        lambda Y, point: np.broadcast_to(
+            _column(Y[:, 0]), np.shape(point)[:-1] + (len(Y), 1)),
+        "first-count"))
     interest = E.GeneralizedEstimator(
-        lambda Y, point: F.score(tb, Y, point)[:, :1], "interest-score")
+        lambda Y, point: F.score(tb, Y, point)[..., :1], "interest-score")
     for est in (g, interest):
         E.information(ENGINE, tb, est, point)
+        E.information(ENGINE, tb, est, batch)
+        E.check_score_equation(ENGINE, tb, est, batch)
     E.orthogonalized_score(ENGINE, tb, point)
+    E.orthogonalized_score(ENGINE, tb, batch[:2])
 
 
 class TestScoreEquation:

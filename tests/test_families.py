@@ -382,17 +382,18 @@ class TestFisherInfo:
         the origin (p1 = p2 = 1/2, n1 a1 = 5, n2 a2 = 7.5) the nuisance
         block is [[12.5, 7.5 eps], [7.5 eps, 7.5 eps^2]], its condition
         number about 4.2 / eps^2."""
-        def natural(point):
-            theta, nu1, nu2 = point
-            return (np.array([theta + nu1, nu1 + eps * nu2]),
-                    np.array([[1.0, 1.0, 0.0], [0.0, 1.0, eps]]))
+        def natural(points):
+            theta, nu1, nu2 = points.T
+            return (np.stack([theta + nu1, nu1 + eps * nu2], axis=1),
+                    np.broadcast_to([[1.0, 1.0, 0.0], [0.0, 1.0, eps]],
+                                    (len(points), 2, 3)))
 
         return F.finite_exponential_family(
             f"tilted(eps={eps})", F.two_binomial_outcomes(20, 30),
             log_h=lambda Y: (F.log_choose(20, Y[:, 0])
                              + F.log_choose(30, Y[:, 1])),
             T=lambda Y: np.asarray(Y, dtype=float), natural=natural, k=1,
-            kp=2, in_domain=lambda point: bool(np.isfinite(point).all()),
+            kp=2, in_domain=lambda point: np.isfinite(point).all(axis=-1),
             sampler=None, meta={})
 
     @pytest.mark.parametrize("eps, singular", [(3e-6, False),
