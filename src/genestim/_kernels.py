@@ -308,7 +308,7 @@ def _sym_solve(w, U, B):
     positive definite block from its :func:`_sym_eig`, or by each of a
     stack of them, w (P, k), U (P, k, k) and B (P, k, m).  For a 1 x 1
     block it is B / w, as LAPACK's solve rounds it."""
-    return U @ ((U.mT @ B) / w[..., :, None])
+    return U @ ((U.swapaxes(-1, -2) @ B) / w[..., :, None])
 
 
 def zinterval_p1_batch(x1, x2, n1, n2, tnuis, z):

@@ -203,8 +203,8 @@ def info_report(n, p, out_dir):
                                       direct_route=False) for est in suite]
     rows = []
     for i, point in enumerate(p):
-        for est, rep in zip(suite, reports):
-            err = rep.errors[i]
+        for est, (rep, errors) in zip(suite, reports):
+            err = errors[i]
             if err is not None:
                 last_err = err
                 print(f"[skip] {est.label} at p={point} "
@@ -316,15 +316,15 @@ def or_endpoint_tails(n1, n2, level, out_dir):
 
 
 def _per_estimator(results) -> list:
-    """The batched results, one per estimator, at the same points; the
-    first error in point-then-estimator order is raised, as a loop over
-    points and then estimators would meet it."""
+    """The values of batched results, one per estimator, at the same
+    points; the first error in point-then-estimator order is raised, as a
+    loop over points and then estimators would meet it."""
     results = list(results)
     for errs in zip(*(r.errors for r in results)):
         for err in errs:
             if err is not None:
                 raise err
-    return results
+    return [r.values for r in results]
 
 
 @command("verify", opt("--n", type=SIZE, default=20))
@@ -375,7 +375,7 @@ def verify(n):
         res = _per_estimator(
             estimation.check_score_equation(engine, fam, est, points)
             for est in suite)
-        return float(max(np.abs(r.values).max() for r in res))
+        return float(max(np.abs(r).max() for r in res))
 
     check("score equation for the estimator suite", suite_residual,
           lambda w: w < 1e-8, lambda w: f"max residual = {w:.2e}")

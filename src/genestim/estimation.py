@@ -21,9 +21,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._kernels import _sym_solve
-from .families import (FD_STEP, ExpectationEngine, FisherInfo, ModelFamily,
-                       PerPoint, _Failures, _row, _sym_eig_rows, fisher_info,
-                       outer_rows, score)
+from .families import (FD_STEP, DomainError, ExpectationEngine, FisherInfo,
+                       ModelFamily, PerPoint, _Failures, _row, _sym_eig_rows,
+                       block_of, fisher_info, joined, outer_rows,
+                       point_blocks, score, values_or_raise)
 
 # parameter points whose projection coefficients an orthogonalized
 # estimator keeps
@@ -60,6 +61,9 @@ class GeneralizedEstimator(NamedTuple):
     # (engine, family, point) -> the FisherInfo g already holds at a point,
     # as an orthogonalized estimator's projection does; None: fisher_info
     fisher_info: Optional[Callable] = None
+    # (P, k) points -> the error g itself has at each point, None where it
+    # stands (an orthogonalized estimator's projection); None: g has none
+    errors: Optional[Callable] = None
 
 
 def estimator_rows(g, Y, point) -> np.ndarray:
@@ -68,13 +72,6 @@ def estimator_rows(g, Y, point) -> np.ndarray:
     point = np.asarray(point)
     return np.asarray(g.rows(Y, point), dtype=float).reshape(
         point.shape[:-1] + (len(Y), -1))
-
-
-def _own_errors(g, point):
-    """The errors g itself has at each point of a batch (an orthogonalized
-    estimator's projection), or None for an estimator that has none."""
-    errors = getattr(g.rows, "errors", None)
-    return errors(point) if errors is not None else None
 
 
 class InformationReport(NamedTuple):
@@ -88,9 +85,6 @@ class InformationReport(NamedTuple):
     R: np.ndarray
     route_gap: Optional[float] = None  # |direct - covariance| when both ran
     routes_agree: Optional[bool] = None
-    # at a batch, each point's first error (None where it stands); None
-    # for one point, whose error is raised
-    errors: Optional[tuple] = None
 
 
 def inv_sqrt_psd(V: np.ndarray) -> np.ndarray:
@@ -107,14 +101,19 @@ def _inv_sqrt_psd_rows(V, fails) -> np.ndarray:
     """:func:`inv_sqrt_psd` of each matrix of a (P, k, k) stack; a matrix
     that is not positive definite has its EstimatorError noted in
     ``fails`` and a NaN root, as has each point already failed."""
-    w, U, errors = _sym_eig_rows(0.5 * (V + V.mT))
+    w, U, errors = _sym_eig_rows(0.5 * (V + _t(V)))
     fails.take(errors)
     fails.note((w[:, -1] <= 0.0) | (w[:, 0] < PSD_FLOOR * w[:, -1]),
                lambda i: EstimatorError(
                    f"variance matrix not positive definite (eigenvalues "
                    f"{w[i]})"))
     # U diag(w^-1/2) U^t, each product of the diagonal a single term
-    return (U * fails.blank(w)[:, None, :] ** -0.5) @ U.mT
+    return (U * fails.blank(w)[:, None, :] ** -0.5) @ _t(U)
+
+
+def _t(a) -> np.ndarray:
+    """The transpose of each matrix of a stack, over its last two axes."""
+    return a.swapaxes(-1, -2)
 
 
 def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
@@ -137,8 +136,7 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
     the trace of E[f f^t] raises EstimatorError: f is constant there or
     lies in the nuisance-score span, and what is left of g is round-off.
     At a batch those errors do not raise: a failed point's rows are NaN,
-    and ``rows.errors(points)`` gives each point's error, None where it
-    stands.
+    and the estimator's ``errors(points)`` gives each point's error.
     """
     k, kp = family.dim_interest, family.dim_nuisance
 
@@ -163,13 +161,12 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
         proj = info = None
         if kp:
             C = first[:, k + k * k:].reshape(-1, k, kp)
-            info = fisher_info(engine, family, point)
-            fails.take(info.errors)
+            info = fails.values(fisher_info(engine, family, point))
             w, U = info.nuis_eig
-            proj = _sym_solve(w.reshape(-1, kp), U.reshape(-1, kp, kp),
-                              C.mT).mT
-            V = V - proj @ C.mT
-        w, _, errors = _sym_eig_rows(0.5 * (V + V.mT))
+            proj = _t(_sym_solve(w.reshape(-1, kp), U.reshape(-1, kp, kp),
+                                 _t(C)))
+            V = V - proj @ _t(C)
+        w, _, errors = _sym_eig_rows(0.5 * (V + _t(V)))
         fails.take(errors)
         var = w[:, 0]
         scale = np.trace(second, axis1=1, axis2=2)
@@ -180,7 +177,7 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
                        f"after centring and projection, E[f f^t] "
                        f"{scale[i]:.2e}"))
         if fails.single:
-            return mean[0], None if proj is None else proj[0], info, (None,)
+            return mean[0], None if proj is None else proj[0], info, None
         return fails.blank(mean), proj, info, tuple(fails)
 
     def coeffs(point):
@@ -191,21 +188,21 @@ def orthogonalize(engine: ExpectationEngine, family: ModelFamily,
         mean, proj, _, _ = coeffs(point)
         out = estimator_rows(f, Y, point) - mean[..., None, :]
         if proj is not None:
-            out = out - score(family, Y, point)[..., k:] @ proj.mT
+            out = out - score(family, Y, point)[..., k:] @ _t(proj)
         return out
 
     def info_at(eng, fam, point):
         # the blocks are only this estimator's to lend at its own engine
-        # and family; with them come the points where its projection fails
+        # and family; at a batch, with them come the points where its
+        # projection fails
         if kp and eng == engine and fam is family:
             _, _, info, errors = coeffs(point)
-            return info if info.errors is None else info._replace(
-                errors=errors)
+            return info if errors is None else PerPoint(info, errors)
         return fisher_info(eng, fam, point)
 
     rows.cache_info = cached_coeffs.cache_info
-    rows.errors = lambda point: coeffs(point)[3]
-    return GeneralizedEstimator(rows, f"{f.label}-orthogonalized", info_at)
+    return GeneralizedEstimator(rows, f"{f.label}-orthogonalized", info_at,
+                                lambda point: coeffs(point)[3])
 
 
 def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
@@ -215,21 +212,22 @@ def orthogonalized_score(engine: ExpectationEngine, family: ModelFamily,
     Returns (S, I_perp) with S mapping the outcome array Y to (N, k) rows,
     or (P, N, k) at a (P, k) batch with I_perp (P, k, k).  For families
     without nuisance parameters S is the plain interest score and
-    I_perp = I.  A precomputed ``info`` at the point is reused; where the
-    nuisance block is singular ``fisher_info`` raises DomainError, or at a
-    batch notes it in ``info.errors``, and S and I_perp are NaN there.
+    I_perp = I.  A precomputed ``info`` at the point (a batch's values)
+    is reused, and S and I_perp are NaN where its blocks are; without it,
+    a point where the nuisance block is singular raises DomainError, a
+    batch's first such point included.
     """
     point = family.check_point(point)
     k = family.dim_interest
     if info is None:
-        info = fisher_info(engine, family, point)
+        info = values_or_raise(fisher_info(engine, family, point))
     if family.dim_nuisance == 0:
         return (lambda Y: score(family, Y, point)), info.I_perp
-    proj = _sym_solve(*info.nuis_eig, info.I_cross.mT).mT
+    proj = _t(_sym_solve(*info.nuis_eig, _t(info.I_cross)))
 
     def S(Y):
         full = score(family, Y, point)
-        return full[..., :k] - full[..., k:] @ proj.mT
+        return full[..., :k] - full[..., k:] @ _t(proj)
 
     return S, info.I_perp
 
@@ -252,58 +250,62 @@ def standardize(engine: ExpectationEngine, family: ModelFamily,
     positive definite, or g fails, raises its error, the first point's
     at a batch."""
     point, fails = family.screen(point)
-    gbar = _standardize(engine, family, g, point, fails)
-    for err in fails:
-        if err is not None:
-            raise err
-    return gbar
+    return values_or_raise(
+        fails.result(_standardize(engine, family, g, point, fails)))
 
 
 def _standardize(engine, family, g, point, fails) -> Callable:
     """:func:`standardize` at a screened point or batch, each failure
     noted in ``fails`` (raised for one point), its rows NaN."""
-    fails.take(_own_errors(g, point))
+    if g.errors is not None:
+        fails.take(g.errors(point))
     V = variance(engine, family, g, point).reshape(
         len(fails), family.dim_interest, -1)
     W = _inv_sqrt_psd_rows(V, fails)
     if fails.single:
         W = W[0]
-    return lambda Y: estimator_rows(g, Y, point) @ W.mT
+    return lambda Y: estimator_rows(g, Y, point) @ _t(W)
 
 
 def information(engine: ExpectationEngine, family: ModelFamily,
                 g: GeneralizedEstimator, point,
                 direct_route: bool = True,
-                info: Optional[FisherInfo] = None) -> InformationReport:
+                info: Optional[FisherInfo] = None):
     """Information utilized by g, its bound, efficiency, and correlation.
 
-    ``point`` is one point (k,) or a (P, k) batch, whose every step is one
-    expectation over all P points.  The covariance route
-    E(s gbar^t) E(gbar s^t) is always computed; when ``direct_route`` is
-    set the squared mean slope of gbar is also obtained by central finite
-    differences and compared against it.  A precomputed ``info`` for the
-    same point skips the Fisher block, as do the blocks g holds there
-    (:func:`_fisher_info_of`).  One point's first failure (DomainError,
-    EstimatorError) is raised; at a batch each point's is in the report's
-    ``errors``, in the order one point would meet them, and its fields
-    are NaN.
+    The covariance route E(s gbar^t) E(gbar s^t) is always computed;
+    when ``direct_route`` is set the squared mean slope of gbar is also
+    obtained by central finite differences and compared against it.
+    A precomputed ``info`` for the same point skips the Fisher block, as
+    do the blocks g holds there (:func:`_fisher_info_of`).
+
+    One point gives an :class:`InformationReport` and raises its first
+    failure (DomainError, EstimatorError).  A (P, k) batch, each step one
+    expectation per block of points (``info`` then fisher_info's result
+    at the batch), gives a :class:`families.PerPoint` of the report, a
+    leading P axis on each field, and each point's first error, in the
+    order one point would meet them.
     """
+    blocks = point_blocks(family, point)
+    if blocks:
+        return joined([information(engine, family, g, point[s], direct_route,
+                                   block_of(info, s)) for s in blocks])
     point, fails = family.screen(point)
     k = family.dim_interest
     if info is None:
         info = _fisher_info_of(g, engine, family, point)
-    fails.take(info.errors)
+    info = fails.values(info)
     S, bound = orthogonalized_score(engine, family, point, info)
     gbar = _standardize(engine, family, g, point, fails)
     A = engine.expect(family, point,
                       lambda Y: outer_rows(S(Y), gbar(Y))).reshape(-1, k, k)
-    Lam = A @ A.mT
+    Lam = A @ _t(A)
 
     route_gap = None
     routes_agree = None
     if direct_route:
         B = _mean_slope(engine, family, g, point, range(k), fails)
-        Lam_dir = B @ B.mT
+        Lam_dir = B @ _t(B)
         route_gap = np.max(np.abs(Lam_dir - Lam), axis=(1, 2))
         routes_agree = route_gap <= ROUTE_TOL * np.maximum(
             1.0, np.max(np.abs(Lam), axis=(1, 2)))
@@ -324,13 +326,12 @@ def information(engine: ExpectationEngine, family: ModelFamily,
     if direct_route:
         route_gap = fails.blank(route_gap)
         routes_agree = routes_agree & fails.live
-    return InformationReport(
+    return fails.result(InformationReport(
         Lambda=Lam, lambda_scalar=lam, fisher_bound=bound, efficiency=eff,
-        R=R, route_gap=route_gap, routes_agree=routes_agree,
-        errors=fails.result())
+        R=R, route_gap=route_gap, routes_agree=routes_agree))
 
 
-def _fisher_info_of(g, engine, family, point) -> FisherInfo:
+def _fisher_info_of(g, engine, family, point):
     """``fisher_info`` at the point, or the blocks g already holds there."""
     return (getattr(g, "fisher_info", None) or fisher_info)(
         engine, family, point)
@@ -387,12 +388,16 @@ def _mean_slope(engine, family, g, point, axes, fails=None) -> np.ndarray:
 
 
 def nuisance_information(engine, family, g, point) -> np.ndarray:
-    """Information in the nuisance direction; identically 0 on contract."""
+    """Information in the nuisance direction at one point; identically 0
+    on contract.  A batch is a DomainError: this check takes one point."""
+    if np.ndim(point) > 1:
+        raise DomainError(f"{family.label}: nuisance_information takes one "
+                          f"point, got shape {np.shape(point)}")
     point = family.check_point(point)
     k = family.dim_interest
     axes = range(k, family.dim)
-    B = _mean_slope(engine, family, g, point, axes=list(axes))
-    return B @ B.mT
+    B = _mean_slope(engine, family, g, point, list(axes))
+    return B @ B.T
 
 
 def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
@@ -402,14 +407,17 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
     The derivative is a five-point stencil of step h = 1e-4 max(1, |theta_j|),
     halved near the domain's edge until theta_j +- SCORE_STENCIL_ROOM * h
     are in the domain.  One point gives the (k, k) residual and raises its
-    first failure; a (P, k) batch, in one expectation, gives a
-    :class:`families.PerPoint` of the (P, k, k) residuals and each point's
-    first error, in the order one point would meet them.
+    first failure; a (P, k) batch, one expectation per block of points,
+    gives a :class:`families.PerPoint` of the (P, k, k) residuals and each
+    point's first error, in the order one point would meet them.
     """
+    blocks = point_blocks(family, point)
+    if blocks:
+        return joined([check_score_equation(engine, family, g, point[s])
+                       for s in blocks])
     point, fails = family.screen(point)
     k = family.dim_interest
-    info = _fisher_info_of(g, engine, family, point)
-    fails.take(info.errors)
+    info = fails.values(_fisher_info_of(g, engine, family, point))
     S, _ = orthogonalized_score(engine, family, point, info)
     steps = [_fitted_step(family, point, j,
                           1e-4 * np.maximum(1.0, np.abs(point[..., j])),
@@ -419,8 +427,9 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
     # certification tolerance
     stencil = [[_shifted(point, j, c * h) for c in (-2.0, -1.0, 1.0, 2.0)]
                for j, h in enumerate(steps)]
-    for q in (*(q for qs in stencil for q in qs), point):
-        fails.take(_own_errors(g, q))
+    if g.errors is not None:
+        for q in (*(q for qs in stencil for q in qs), point):
+            fails.take(g.errors(q))
 
     def grad_g(Y):
         """(..., N, k, k) rows: entry [i, j, b] is d g_b / d theta_j at
@@ -439,7 +448,7 @@ def check_score_equation(engine: ExpectationEngine, family: ModelFamily,
     res = engine.expect(family, point, H).reshape(-1, k, k)
     if fails.single:
         return res[0]
-    return PerPoint(fails.blank(res), fails.result())
+    return fails.result(fails.blank(res))
 
 
 class ScalingRow(NamedTuple):

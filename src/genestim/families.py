@@ -15,9 +15,11 @@ point or a batch, or by seeded Monte Carlo at one point; both are one
 weighted sum over the rows of an (N, m) outcome matrix per point.
 
 A batched call of the information layer (``fisher_info`` here, and
-``estimation``'s) reports each point's first failure in its result's
-``errors`` instead of raising, and a failed point's values are NaN; a
-one-point call raises that failure as it is met.
+``estimation``'s) returns a :class:`PerPoint`: its values, NaN at a failed
+point, and each point's first failure instead of raising it; a one-point
+call returns the values and raises that failure as it is met.  A batch is
+taken in blocks of at most POINT_BLOCK (point, outcome) pairs, so no step
+holds more rows than that whatever the number of points.
 """
 
 from __future__ import annotations
@@ -35,10 +37,13 @@ FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # parameter points whose natural parameter, A(eta) and E T each finite
 # exponential family keeps
 STATS_CACHE_SIZE = 4096
-# (point, outcome, score product) elements per block of fisher_info's
-# points: a batch whose (P, N, d^2) score products would hold more is taken
-# in blocks, as small as one point where one point fills a block
-POINT_BLOCK = 4096
+# (point, outcome) pairs per block of a batched call of the information
+# layer, each pair counted d^2 times, the width of its score products: a
+# batch with more is taken in blocks of points, as small as one point
+# where one point fills a block.  verify's two-binomial grid (651
+# outcomes, d = 2) runs 3 points a block: blocks of 6 raised its max RSS
+# by about 0.25 MB, one point a block cost 6-7 ms of CPU.
+POINT_BLOCK = 8192
 
 
 class DomainError(ValueError):
@@ -80,6 +85,14 @@ class _Failures(list):
             self.note([err is not None for err in errors],
                       errors.__getitem__)
 
+    def values(self, result):
+        """The values of a call's result on the same points, a batch's
+        :class:`PerPoint` errors noted; one point's result is its values."""
+        if isinstance(result, PerPoint):
+            self.take(result.errors)
+            return result.values
+        return result
+
     def blank(self, values):
         """``values`` (P, ...) with the rows of the failed points NaN."""
         if self.clean:
@@ -87,14 +100,59 @@ class _Failures(list):
         return np.where(self.live.reshape((-1,) + (1,) * (values.ndim - 1)),
                         values, np.nan)
 
-    def result(self):
-        """The ``errors`` a result carries: None for one point."""
-        return None if self.single else tuple(self)
+    def result(self, values):
+        """A batch's :class:`PerPoint` of ``values`` and its errors."""
+        return PerPoint(values, tuple(self))
 
 
 def _row(point, i):
     """Point i of a (P, k) batch, or the one (k,) point."""
     return point if point.ndim == 1 else point[i]
+
+
+def point_blocks(family, point):
+    """Slices of a (P, k) batch into blocks of at most POINT_BLOCK
+    (point, outcome) pairs each, d^2 a pair, one point at least; None for
+    one point, a batch that fits one block or a family with no finite
+    support."""
+    Y = family.support.outcomes
+    if np.ndim(point) < 2 or Y is None:
+        return None
+    size = max(1, POINT_BLOCK // (len(Y) * family.dim ** 2))
+    if len(point) <= size:
+        return None
+    return [slice(i, i + size) for i in range(0, len(point), size)]
+
+
+def joined(parts):
+    """One batched result from those of consecutive blocks of its points:
+    arrays joined along the point axis, a :class:`PerPoint`'s errors one
+    block after another, tuples field by field."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(first, PerPoint):
+        return PerPoint(joined([part.values for part in parts]),
+                        sum((part.errors for part in parts), ()))
+    if isinstance(first, tuple):
+        return _like(first, map(joined, zip(*parts)))
+    return first  # None
+
+
+def block_of(value, s):
+    """Points s of a batched value: the inverse of :func:`joined`."""
+    if isinstance(value, np.ndarray):
+        return value[s]
+    if isinstance(value, PerPoint):
+        return PerPoint(block_of(value.values, s), value.errors[s])
+    if isinstance(value, tuple):
+        return _like(value, (block_of(field, s) for field in value))
+    return value  # None
+
+
+def _like(value, fields):
+    """A tuple of ``value``'s type, a named one included, of ``fields``."""
+    return value._make(fields) if hasattr(value, "_make") else tuple(fields)
 
 
 class _Support(NamedTuple):
@@ -292,41 +350,41 @@ class FisherInfo(NamedTuple):
     I_nuis: np.ndarray
     I_perp: np.ndarray
     nuis_eig: tuple  # (w, U) with I_nuis = U diag(w) U^t, w ascending
-    # at a batch, each point's first error (None where it stands); None
-    # for one point, whose error is raised
-    errors: Optional[tuple] = None
 
 
 class PerPoint(NamedTuple):
-    """A batched call's values, (P, ...), NaN at the points that failed,
-    and each point's first error, None where it stands."""
+    """A batched call's result: its values, each array with a leading P
+    axis and NaN at the points that failed, and each point's first error,
+    None where it stands."""
 
-    values: np.ndarray
+    values: object  # an array, or a record of them (FisherInfo, ...)
     errors: tuple
 
 
-def fisher_info(engine: ExpectationEngine, family: ModelFamily,
-                point) -> FisherInfo:
-    """Blocks of E[score score^t], plus the Schur complement I_perp, at
-    one point or a (P, k) batch (one expectation per POINT_BLOCK); a
-    singular nuisance
-    block (not identified, no I_perp) is a DomainError: one not finite, or
-    not positive definite with 2-norm condition <= 1e12.  One
-    eigendecomposition of the nuisance block decides that and solves by
-    it.  A point outside the domain or with a singular block raises its
-    error for one point; at a batch it is in ``errors`` and its blocks
-    are NaN."""
-    k, kp, d = family.dim_interest, family.dim_nuisance, family.dim
-    point, Y = np.asarray(point, dtype=float), family.support.outcomes
-    size = max(1, POINT_BLOCK // (len(Y) * d * d)) if Y is not None else 1
-    if point.ndim > 1 and len(point) > size:
-        parts = [fisher_info(engine, family, point[i:i + size])
-                 for i in range(0, len(point), size)]
-        return FisherInfo(
-            *(np.concatenate(v) for v in zip(*(part[:4] for part in parts))),
-            tuple(map(np.concatenate, zip(*(part[4] for part in parts)))),
-            sum((part.errors for part in parts), ()))
+def values_or_raise(result):
+    """The values of a call's result, a batch's first error (in point
+    order) raised."""
+    if isinstance(result, PerPoint):
+        for err in result.errors:
+            if err is not None:
+                raise err
+        return result.values
+    return result
+
+
+def fisher_info(engine: ExpectationEngine, family: ModelFamily, point):
+    """Blocks of E[score score^t], plus the Schur complement I_perp; a
+    singular nuisance block (not identified, no I_perp) is a DomainError:
+    one not finite, or not positive definite with 2-norm condition
+    <= 1e12.  One eigendecomposition of the nuisance block decides that
+    and solves by it.  One point gives a :class:`FisherInfo` and raises
+    its error; a (P, k) batch, one expectation per block of points, gives
+    a :class:`PerPoint` of them."""
+    blocks = point_blocks(family, point)
+    if blocks:
+        return joined([fisher_info(engine, family, point[s]) for s in blocks])
     point, fails = family.screen(point)
+    k, kp, d = family.dim_interest, family.dim_nuisance, family.dim
 
     def outer(Y):
         S = score(family, Y, point)
@@ -348,11 +406,11 @@ def fisher_info(engine: ExpectationEngine, family: ModelFamily,
             f"{_row(point, i).tolist()}; the nuisance is not identified "
             f"there"))
         w = fails.blank(w)
-        I_perp = I - I_cross @ _sym_solve(w, U, I_cross.mT)
+        I_perp = I - I_cross @ _sym_solve(w, U, I_cross.swapaxes(-1, -2))
     blocks = [fails.blank(v) for v in (I, I_cross, I_nuis, I_perp)]
     if fails.single:
         return FisherInfo(*(v[0] for v in blocks), (w[0], U[0]))
-    return FisherInfo(*blocks, (w, U), fails.result())
+    return fails.result(FisherInfo(*blocks, (w, U)))
 
 
 def _sym_eig_rows(a):

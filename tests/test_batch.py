@@ -6,12 +6,15 @@ math.log and E[T - c]), einsum products, and one expectation per point for
 every Fisher block, projection, variance and score-equation residual.  A
 batched call must give the same bits at every point, and at a point where
 the loop raises, the same exception type and text in its ``errors``.
+A batch is taken in blocks of points (``POINT_BLOCK``), whose results join
+to the same bits.
 """
 
 import functools
 import io
 import json
 import math
+import tracemalloc
 import contextlib
 from pathlib import Path
 
@@ -328,11 +331,11 @@ def test_bernoulli_fisher_info_matches_the_loop(n):
         want, err = _outcome(lambda: loop.fisher_info(point))
         if err is not None:
             _same_error(got.errors[i], err, (n, point))
-            assert np.isnan(got.I[i]).all()
+            assert np.isnan(got.values.I[i]).all()
             continue
         assert got.errors[i] is None
         for name in ("I", "I_cross", "I_nuis", "I_perp"):
-            _same_bits(getattr(got, name)[i], getattr(want, name),
+            _same_bits(getattr(got.values, name)[i], getattr(want, name),
                        (n, point, name))
 
 
@@ -344,19 +347,20 @@ def test_bernoulli_information_matches_the_loop(n):
         rows, info_of, _ = oracle[est.label]
         got = E.information(ENGINE, suite.family, est, points,
                             direct_route=False)
-        assert got.route_gap is None and got.routes_agree is None
+        assert got.values.route_gap is None
+        assert got.values.routes_agree is None
         for i, point in enumerate(points):
             want, err = _outcome(
                 lambda: loop.information(rows, point, info_of))
             where = (n, est.label, point)
             if err is not None:
                 _same_error(got.errors[i], err, where)
-                assert np.isnan(got.Lambda[i]).all(), where
+                assert np.isnan(got.values.Lambda[i]).all(), where
                 continue
             assert got.errors[i] is None, (where, got.errors[i])
             for name in ("Lambda", "lambda_scalar", "fisher_bound",
                          "efficiency", "R"):
-                _same_bits(getattr(got, name)[i], getattr(want, name),
+                _same_bits(getattr(got.values, name)[i], getattr(want, name),
                            where + (name,))
 
 
@@ -387,7 +391,7 @@ def test_orthogonalized_rows_match_the_loop(n):
     points = np.array([p for p in BERNOULLI_P if 0.0 < p < 1.0])[:, None]
     Y = suite.family.support.outcomes
     got = g.rows(Y, points)
-    errors = g.rows.errors(points)
+    errors = g.errors(points)
     for i, point in enumerate(points):
         want, err = _outcome(lambda: rows(Y, point))
         if err is not None:
@@ -409,7 +413,7 @@ def test_a_dense_grid_matches_the_loop_bit_for_bit():
                [loop.log_density(Y, point) for point in points], "log f")
     _same_bits(F.score(family, Y, points),
                [loop.score(Y, point) for point in points], "score")
-    got = F.fisher_info(ENGINE, family, points[::20])
+    got = F.fisher_info(ENGINE, family, points[::20]).values
     want = [loop.fisher_info(point) for point in points[::20]]
     for name in ("I", "I_perp"):
         _same_bits(getattr(got, name), [getattr(w, name) for w in want],
@@ -429,7 +433,7 @@ def test_a_dense_two_binomial_grid_agrees_with_the_loop():
     want = np.array([loop.score(Y, point) for point in points])
     _agree(F.score(family, Y, points), want,
            np.abs(want).max(axis=(1, 2), keepdims=True), "score")
-    got = F.fisher_info(ENGINE, family, points[::10])
+    got = F.fisher_info(ENGINE, family, points[::10]).values
     for i, point in enumerate(points[::10]):
         want = loop.fisher_info(point)
         scale = max(want.I.max(), want.I_nuis.max())
@@ -450,7 +454,7 @@ def test_two_binomial_matches_the_loop(n1, n2):
             continue
         scale = max(want.I.max(), want.I_nuis.max())
         for name in ("I", "I_cross", "I_nuis", "I_perp"):
-            _agree(getattr(got, name)[i], getattr(want, name), scale,
+            _agree(getattr(got.values, name)[i], getattr(want, name), scale,
                    (point, name))
     Y = fam.support.outcomes
     for est, (rows, info_of, own) in oracle.items():
@@ -465,7 +469,8 @@ def test_two_binomial_matches_the_loop(n1, n2):
             else:
                 for name in ("Lambda", "fisher_bound", "efficiency", "R"):
                     value = getattr(want, name)
-                    _agree(getattr(rep, name)[i], value, np.abs(value),
+                    _agree(getattr(rep.values, name)[i], value,
+                           np.abs(value),
                            where + (name,))
             want, err = _outcome(
                 lambda: loop.score_equation(rows, point, info_of, own))
@@ -474,7 +479,7 @@ def test_two_binomial_matches_the_loop(n1, n2):
             else:
                 _agree(res.values[i], want, max(1.0, np.abs(want).max()),
                        where)
-            if err is None and hasattr(est.rows, "errors"):
+            if err is None and est.errors is not None:
                 want = rows(Y, point)
                 _agree(est.rows(Y, points[i:i + 1])[0], want,
                        np.abs(want).max(), where)
@@ -497,9 +502,9 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_batch(n):
                 _same_error(batch.errors[i], err, (est.label, point))
                 continue
             for name in ("Lambda", "efficiency", "R", "route_gap"):
-                _same_bits(getattr(batch, name)[i], getattr(one, name),
-                           (est.label, point, name))
-            assert batch.routes_agree[i] == one.routes_agree
+                _same_bits(getattr(batch.values, name)[i],
+                           getattr(one, name), (est.label, point, name))
+            assert batch.values.routes_agree[i] == one.routes_agree
             one, err = _outcome(lambda: E.check_score_equation(
                 ENGINE, suite.family, est, point))
             if err is not None:
@@ -508,16 +513,62 @@ def test_a_point_gives_the_same_bits_alone_and_in_a_batch(n):
                 _same_bits(check.values[i], one, (est.label, point))
 
 
-def test_blocks_of_points_give_the_same_bits(monkeypatch):
-    fam = F.two_binomial(5, 7)
-    points = np.array([F.two_binomial_params(a, b, 5, 7)
-                       for a in (0.2, 0.5, 0.8) for b in (0.3, 0.7)])
-    whole = F.fisher_info(ENGINE, fam, points)
-    monkeypatch.setattr(F, "POINT_BLOCK", 1)  # one point per block
-    blocks = F.fisher_info(ENGINE, F.two_binomial(5, 7), points)
-    for a, b in zip(whole[:4] + whole.nuis_eig, blocks[:4] + blocks.nuis_eig):
-        _same_bits(a, b, "blocks")
-    assert whole.errors == blocks.errors == (None,) * len(points)
+def _leaves(value):
+    """The arrays and errors of a batched result, in field order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [leaf for field in value for leaf in _leaves(field)]
+    return [value if value is None else (type(value), str(value))]
+
+
+def _batched_calls(fam, points, estimators, info=None):
+    out = [F.fisher_info(ENGINE, fam, points)]
+    for est in estimators:
+        out.append(E.information(ENGINE, fam, est, points, info=info))
+        out.append(E.check_score_equation(ENGINE, fam, est, points))
+    return _leaves(out)
+
+
+@pytest.mark.parametrize("size", [1, 4])  # points per block: even, uneven
+def test_blocks_of_points_give_the_same_bits(monkeypatch, size):
+    # the two-binomial case's points, failing ones among them
+    fam, _, points, oracle = _two_binomial_case(5, 7)
+    whole = _batched_calls(fam, points, oracle)
+    monkeypatch.setattr(F, "POINT_BLOCK",
+                        size * len(fam.support.outcomes) * fam.dim ** 2)
+    assert len(F.point_blocks(fam, points)) == -(-len(points) // size)
+    fam, _, points, oracle = _two_binomial_case(5, 7)  # fresh caches
+    blocks = _batched_calls(fam, points, oracle)
+    given = _batched_calls(fam, points, oracle,
+                           info=F.fisher_info(ENGINE, fam, points))
+    assert len(whole) == len(blocks) == len(given)
+    for a, b, c in zip(whole, blocks, given):
+        if isinstance(a, np.ndarray):
+            _same_bits(b, a, "blocks")
+            _same_bits(c, a, "info given")
+        else:
+            assert a == b == c
+
+
+def test_a_batch_holds_no_more_than_a_block_of_rows():
+    # at n = 100,000 each (points, outcomes) array of a 16-point batch
+    # would take 12.8 MB; in blocks the batch peaks as one point does
+    suite = E.bernoulli_suite(100_000, ENGINE)
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            for est in suite:
+                E.information(ENGINE, suite.family, est, points,
+                              direct_route=False)
+                E.check_score_equation(ENGINE, suite.family, est, points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(np.array([[0.45]]))
+    assert peak(np.linspace(0.3, 0.7, 16)[:, None]) < 2 * one
 
 
 # --- failures stay with their points -------------------------------------
@@ -556,6 +607,14 @@ def test_monte_carlo_takes_one_point_only():
     assert mc.expect(fam, [0.3], lambda Y: Y).shape == (1,)
 
 
+def test_nuisance_information_takes_one_point():
+    fam, _, points, oracle = _two_binomial_case(5, 7)
+    g = next(iter(oracle))
+    assert E.nuisance_information(ENGINE, fam, g, points[0]).shape == (1, 1)
+    with pytest.raises(F.DomainError, match="takes one point"):
+        E.nuisance_information(ENGINE, fam, g, points[:2])
+
+
 # --- the work is per estimator, not per point ---------------------------
 
 
@@ -589,8 +648,9 @@ def test_info_report_expectations_do_not_grow_with_points(monkeypatch,
 
 
 def test_verify_takes_fewer_expectations(monkeypatch):
-    # 167 one point at a time; the 25 two-binomial Fisher blocks stay one
-    # point each (POINT_BLOCK), the rest is a few calls per estimator
+    # 167 one point at a time; the 25 two-binomial Fisher blocks take a
+    # few blocks of points (POINT_BLOCK), the rest is a few calls per
+    # estimator
     assert _counted_cli(monkeypatch, ["verify", "--n", "20"]) <= 60
 
 

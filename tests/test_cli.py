@@ -186,6 +186,34 @@ def test_launched_cli_looks_up_no_message_catalog(tmp_path, launch):
     assert lines[-1] == "AssertionError: 2"
 
 
+class _NoCommandNamed(dict):
+    """COMMANDS as main sees it when the first argument names none: main
+    then builds every command's parser."""
+
+    def __contains__(self, name):
+        return False
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--help"], ["binom-ci", "--n", "0", "--y", "0"],
+    ["info-report", "--n", "5", "stray"], ["verify", "--n", "x"],
+    ["--help"], ["no-such-command"], []])
+def test_one_command_parser_prints_what_the_full_parser_prints(
+        args, monkeypatch, capsys):
+    # main builds the named command's parser alone; help, usage and error
+    # texts and exit statuses are the full parser's
+    def run():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    alone = run()
+    monkeypatch.setattr(cli, "COMMANDS", _NoCommandNamed(cli.COMMANDS))
+    assert run() == alone
+    assert alone[0] in (0, 2)
+
+
 def test_import_and_in_process_main_leave_the_collector_alone(tmp_path):
     code = ("import gc, genestim._entry, genestim.cli\n"
             "print(gc.get_freeze_count())\n"

@@ -224,7 +224,8 @@ def _run_the_information_layer():
     batch = [point, F.two_binomial_params(0.5, 0.2, 20, 30), (0.1, 60.0)]
     assert F.fisher_info(ENGINE, tb, point).I_perp[0, 0] > 0.0
     info = F.fisher_info(ENGINE, tb, batch)
-    assert (info.I_perp[:2, 0, 0] > 0.0).all() and info.errors[2] is not None
+    assert (info.values.I_perp[:2, 0, 0] > 0.0).all()
+    assert info.errors[2] is not None
     g = E.orthogonalize(ENGINE, tb, E.PreEstimator(
         lambda Y, point: np.broadcast_to(
             _column(Y[:, 0]), np.shape(point)[:-1] + (len(Y), 1)),
